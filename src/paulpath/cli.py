@@ -38,7 +38,6 @@ import yaml
 from . import __version__
 from .errors import (
     ConfigError,
-    NumericalError,
     PaulpathError,
     PhaseBudgetError,
     ZeroQError,
@@ -729,15 +728,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ZeroQError as e:
+    except (ConfigError, ZeroQError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except PaulpathError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -4,8 +4,9 @@ The stability and trajectory equations of this package are complex-valued
 (the measurement makes the stiffness complex).  They are integrated here
 as stacked real systems with an adaptive embedded Runge-Kutta pair of
 order 8(5,3), which keeps the error control honest for the oscillatory
-windows we care about and gives a dense interpolant for quadrature and
-phase tracking.
+windows we care about; the solution keeps the values at the accepted
+steps (phase tracking reads those) and a dense interpolant for output
+grids.
 """
 
 from __future__ import annotations
@@ -20,12 +21,21 @@ from .errors import ToleranceNotMetError
 
 @dataclass(frozen=True)
 class ComplexIvpSolution:
-    """Endpoint state plus a dense complex interpolant."""
+    """Complex state at the integrator's accepted steps plus a dense
+    interpolant.
 
-    t_end: float
-    y_end: np.ndarray
+    ``t`` holds the accepted step times (``t[0]`` the start), ``y`` the
+    complex state there, one row per component.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
     _sol: object
     _n: int
+
+    @property
+    def y_end(self) -> np.ndarray:
+        return self.y[:, -1]
 
     def dense(self, t):
         """Evaluate the interpolated complex state at time(s) ``t``."""
@@ -71,8 +81,8 @@ def solve_complex_ivp(rhs, span, y0, rtol=1e-11, atol=1e-14, max_step=np.inf):
     if not sol.success:
         raise ToleranceNotMetError(f"integrator failed on {span}: {sol.message}")
     return ComplexIvpSolution(
-        t_end=float(sol.t[-1]),
-        y_end=sol.y[:n, -1] + 1j * sol.y[n:, -1],
+        t=sol.t,
+        y=sol.y[:n] + 1j * sol.y[n:],
         _sol=sol.sol,
         _n=n,
     )

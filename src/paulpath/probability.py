@@ -37,20 +37,16 @@ class LogProbability:
     window: Optional[tuple[float, float]] = None
 
 
-def probability_x(
-    inputs: PropagatorInputs, tol: float = 1e-11, n_points: int = 513
-) -> LogProbability:
+def probability_x(inputs: PropagatorInputs, tol: float = 1e-11) -> LogProbability:
     """log_p of the record in ``inputs`` via the transverse pipeline."""
-    res = restricted_propagator(inputs, tol=tol, n_points=n_points)
+    res = restricted_propagator(inputs, tol=tol)
     return LogProbability(
         log_p=2.0 * res.log_amplitude.real,
         window=(inputs.bc.t_start, inputs.bc.t_end),
     )
 
 
-def probability_z(
-    inputs: PropagatorInputs, tol: float = 1e-11, n_points: int = 513
-) -> LogProbability:
+def probability_z(inputs: PropagatorInputs, tol: float = 1e-11) -> LogProbability:
     """log_p of the record in ``inputs`` on the axial direction.
 
     The pipeline is identical to :func:`probability_x`; the axial physics
@@ -59,7 +55,7 @@ def probability_z(
     The function exists so call sites read the same way the two-axis
     factorization is usually written.
     """
-    return probability_x(inputs, tol=tol, n_points=n_points)
+    return probability_x(inputs, tol=tol)
 
 
 def joint_probability(px: LogProbability, pz: LogProbability) -> LogProbability:
@@ -103,7 +99,6 @@ def rank_records(
     record_ids: Optional[Sequence[str]] = None,
     threads: int = 1,
     tol: float = 1e-11,
-    n_points: int = 513,
 ) -> list[RankedRecord]:
     """Score candidate records and order them by descending log_p.
 
@@ -124,10 +119,10 @@ def rank_records(
         ids = list(record_ids)
 
     def score(record: MeasurementRecord) -> tuple[float, float]:
-        px = probability_x(replace(x_base, record=record), tol=tol, n_points=n_points)
+        px = probability_x(replace(x_base, record=record), tol=tol)
         if z_base is None:
             return px.log_p, math.nan
-        pz = probability_z(replace(z_base, record=record), tol=tol, n_points=n_points)
+        pz = probability_z(replace(z_base, record=record), tol=tol)
         return px.log_p, pz.log_p
 
     if threads > 1 and len(records) > 1:

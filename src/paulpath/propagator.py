@@ -20,15 +20,15 @@ so the module provides three ingredients and an assembler:
   tolerance);
 * the fluctuation prefactor, in two independent forms: the robust
   route integrates D'' + w2 D = 0 with D(t') = 0, D'(t') = 1 and
-  evaluates sqrt(m / (2 pi i hbar D(t''))) with the square-root branch
-  carried continuously along the window (each zero crossing of D is a
-  caustic and advances the tracked phase by pi); the endpoint route
-  evaluates sqrt(m / (2 pi i hbar f(t') f(t'') integral f**-2 dt)) for
-  any zero-free homogeneous solution f, which equals the same D by
+  evaluates sqrt(m / (2 pi i hbar D(t''))) on the square-root branch
+  fixed by one rule, arg D read at the integrator's accepted steps with
+  each zero of D (a caustic) advancing it by pi (see :func:`_step_arg`);
+  the endpoint route evaluates
+  sqrt(m / (2 pi i hbar f(t') f(t'') integral f**-2 dt)) for any
+  zero-free homogeneous solution f, which equals the same D by
   reduction of order;
 * a closed-form two-term evaluation of the endpoint route for the
-  cosine-series f, kept in a literal and a corrected variant (see
-  :func:`closed_form_prefactor`);
+  cosine-series f (see :func:`closed_form_prefactor`);
 * :func:`restricted_propagator`, which adds the three log-domain parts
   and never exponentiates;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
@@ -81,10 +81,9 @@ _CONJUGATE_RTOL = 1e-10
 #: relative slack when comparing the boundary window to the measurement window
 _WINDOW_RTOL = 1e-9
 
-#: samples per drive period where the Floquet route tracks arg by samples
-#: (one period at most); each near-zero of a solution must fall in its
-#: own sample interval
-_TRACK_SAMPLES = 1025
+#: most oscillation phase h * sqrt(max |w2|) one accepted step of the
+#: integrator may span where arg D is read from the step values
+_MAX_STEP_PHASE = 0.5 * math.pi
 
 #: integrator tolerance of the Floquet route's one-period and remainder
 #: maps; their errors are raised to the power N with the maps
@@ -123,7 +122,9 @@ class ClassicalSolution:
 
     ``d_function`` carries the homogeneous solution with D(t') = 0,
     D'(t') = 1 sampled on ``grid`` (it falls out of the superposition
-    solve for free and is exactly the fluctuation determinant input).
+    solve for free and is exactly the fluctuation determinant input);
+    ``d_arg`` is arg D(t''), read at the accepted steps of that solve
+    (see :func:`_step_arg`).
 
     :func:`floquet_propagator` samples only the two window edges, where
     ``boundary_action`` still applies.
@@ -135,6 +136,7 @@ class ClassicalSolution:
     action: complex
     forcing_integral: complex
     d_function: np.ndarray
+    d_arg: float
 
     @property
     def endpoint_mismatch(self) -> float:
@@ -179,7 +181,8 @@ def classical_trajectory(
         If h1(t'') is consistent with zero at the resolution of the
         window (boundary solve singular).
     ToleranceNotMetError
-        If the adaptive integrator gives up.
+        If the adaptive integrator gives up, or its steps are too long
+        to read arg D from (see :func:`_step_arg`).
     """
     m = params.mass
     t0, t1 = bc.t_start, bc.t_end
@@ -203,16 +206,10 @@ def classical_trajectory(
     basis = solve_complex_ivp(
         rhs_basis, (t0, t1), init, rtol=tol, atol=tol * 1e-3 * scales
     )
-    ys = basis.dense(grid)
-    h1_grid = ys[2]
-    h1_end = complex(basis.y_end[2])
-    h1_top = float(np.max(np.abs(h1_grid)))
-    if abs(h1_end) < _CONJUGATE_RTOL * h1_top:
-        raise ConjugatePointError(
-            f"h1(t'') = {h1_end:.3e} against window scale {h1_top:.3e};"
-            " the endpoints are conjugate"
-        )
-    c = (bc.x_end - bc.x_start * basis.y_end[0] - basis.y_end[4]) / h1_end
+    h1 = basis.y[2]
+    _check_not_conjugate(h1)
+    d_arg = _step_arg(basis.t, h1, rate)
+    c = (bc.x_end - bc.x_start * basis.y_end[0] - basis.y_end[4]) / h1[-1]
 
     def rhs_traj(t, y):
         w2 = spec.w_squared(t)
@@ -244,7 +241,8 @@ def classical_trajectory(
         q_dot=zs[1],
         action=complex(traj.y_end[2]),
         forcing_integral=complex(traj.y_end[3]),
-        d_function=h1_grid,
+        d_function=basis.dense(grid)[2],
+        d_arg=d_arg,
     )
     object.__setattr__(sol, "_mismatch", float(mismatch))
     return sol
@@ -304,22 +302,65 @@ class PrefactorTrack:
         return cmath.exp(self.log_value)
 
 
-def _track_from_samples(grid, d, mass, hbar) -> PrefactorTrack:
-    mags = np.abs(d)
-    top = float(mags.max())
-    if top == 0.0:
-        raise ConjugatePointError("D vanishes identically on the window")
-    if mags[-1] < _CONJUGATE_RTOL * top:
-        raise ConjugatePointError(
-            f"D(t'') = {complex(d[-1]):.3e} against window scale {top:.3e}"
+def _monotone_arg(values: np.ndarray) -> float:
+    """Change of arg along samples of a solution whose arg never decreases.
+
+    With Im w2 <= 0, Im(conj(f) f') of a solution only grows, so a
+    solution that starts with it >= 0 has a non-decreasing arg.  Each
+    step is read in [-pi/2, 3 pi/2): the half turn across a near-zero of
+    f, which a nearest-angle reading may take as -pi, counts as +pi, and
+    a flat step that rounding moves below zero stays near zero.  Steps
+    must stay below 3 pi/2, i.e. the samples must resolve each near-zero.
+    """
+    steps = np.angle(values[1:] / values[:-1])
+    steps = np.mod(steps + 0.5 * math.pi, 2.0 * math.pi) - 0.5 * math.pi
+    return float(np.sum(steps))
+
+
+def _nearest_branch(tracked: float, principal: float) -> float:
+    """The value principal + 2 pi k closest to the tracked estimate."""
+    return principal + 2.0 * math.pi * round((tracked - principal) / (2.0 * math.pi))
+
+
+def _step_arg(times: np.ndarray, values: np.ndarray, rate: float) -> float:
+    """arg of a solution at its last step, continued along its step values.
+
+    ``values`` are the solution at the integrator's accepted steps
+    ``times``: D, which starts at 0 and is (t - t') > 0 just right of
+    t', or a Floquet solution, which starts at 1.  The arg is that of
+    the first nonzero value plus the :func:`_monotone_arg` steps over the
+    nonzero values, so each zero of the solution adds pi (the
+    Morette-Van Vleck/Maslov count).  An exact zero carries no arg and
+    is skipped.
+
+    ``rate`` bounds sqrt(max |w2|) on the window.
+
+    Raises
+    ------
+    ToleranceNotMetError
+        If a step spans more than pi/2 of oscillation phase h * rate.
+        A longer step can cross a zero with too little margin left for
+        the [-pi/2, 3 pi/2) reading; a tighter tolerance shortens it.
+    """
+    reach = float(np.max(np.diff(times))) * rate
+    if reach > _MAX_STEP_PHASE:
+        raise ToleranceNotMetError(
+            f"an integrator step spans {reach:.2f} rad of oscillation phase;"
+            f" arg D is read from steps of at most {_MAX_STEP_PHASE:.2f} rad"
         )
-    live = mags > 1e-12 * top
-    start = int(np.argmax(live))
-    theta = np.unwrap(np.angle(d[start:]))
-    # anchor: just right of t' the solution is (t - t') (1 + O(w2 (t-t')^2)),
-    # so the tracked phase must start essentially at zero
-    theta = theta - 2.0 * math.pi * round(theta[0] / (2.0 * math.pi))
-    return _prefactor(complex(d[-1]), float(theta[-1]), mass, hbar)
+    live = values[values != 0]
+    return float(np.angle(live[0])) + _monotone_arg(live)
+
+
+def _check_not_conjugate(d: np.ndarray) -> None:
+    """Raise ConjugatePointError if D(t'') = d[-1] is consistent with zero
+    at the window scale max |d| over the step values d."""
+    top = float(np.max(np.abs(d)))
+    if abs(d[-1]) < _CONJUGATE_RTOL * top:
+        raise ConjugatePointError(
+            f"D(t'') = {complex(d[-1]):.3e} against window scale {top:.3e};"
+            " the endpoints are conjugate"
+        )
 
 
 def _prefactor(
@@ -341,16 +382,23 @@ def prefactor_track(
     spec: EffectiveFrequencySpec,
     window: tuple[float, float],
     tol: float = 1e-11,
-    n_points: int = 1025,
 ) -> PrefactorTrack:
     """Integrate the determinant equation and track its phase.
 
     D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1.  The prefactor is
-    sqrt(m / (2 pi i hbar D(t''))) with arg D carried continuously from
-    the left edge, which keeps the square root on the physical branch
-    through caustics (each zero of D advances arg D by pi when the
-    measurement damping Im w2 < 0, and the same continuation is the
-    standard one for real stiffness).
+    sqrt(m / (2 pi i hbar D(t''))) with arg D carried from the left edge
+    along the integrator's steps, which keeps the square root on the
+    physical branch through caustics (each zero of D advances arg D by
+    pi when the measurement damping Im w2 < 0, and the same continuation
+    is the standard one for real stiffness).
+
+    Raises
+    ------
+    ConjugatePointError
+        If D(t'') is consistent with zero at the scale of the window.
+    ToleranceNotMetError
+        If the integrator gives up, or its steps are too long to read
+        arg D from (see :func:`_step_arg`).
     """
     t0, t1 = window
     if not t1 > t0:
@@ -370,19 +418,11 @@ def prefactor_track(
         rtol=tol,
         atol=tol * 1e-3 * np.array([d_scale, 1.0]),
     )
-    grid = np.linspace(t0, t1, n_points)
-    d = sol.dense(grid)[0]
-    return _track_from_samples(grid, d, params.mass, params.hbar)
-
-
-def fluctuation_prefactor_robust(
-    params: TrapParameters,
-    spec: EffectiveFrequencySpec,
-    window: tuple[float, float],
-    tol: float = 1e-11,
-) -> complex:
-    """Branch-tracked determinant prefactor (production route)."""
-    return prefactor_track(params, spec, window, tol=tol).value
+    d = sol.y[0]
+    _check_not_conjugate(d)
+    return _prefactor(
+        complex(d[-1]), _step_arg(sol.t, d, rate), params.mass, params.hbar
+    )
 
 
 def _zero_free_or_raise(t, f_vals):
@@ -479,27 +519,6 @@ def fluctuation_prefactor_from_f(
 # --- closed-form two-term prefactor ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Side-by-side evaluation of the closed-form prefactor variants.
-
-    ``corrections`` itemizes, as text, each sub-expression where the
-    corrected variant departs from the literal one, so validation output
-    can show exactly what was changed and by how much.
-    """
-
-    alpha: complex
-    window_scaled: tuple[float, float]
-    leading_literal: complex
-    leading_corrected: complex
-    bracket_integral: complex
-    endpoint_literal: complex
-    endpoint_corrected: complex
-    value_literal: complex
-    value_corrected: complex
-    corrections: tuple[str, ...]
-
-
 def _series_inverse_square_antiderivative(alpha: complex, t_tilde: float) -> complex:
     """Antiderivative H with H'(t) = 1 / f(t)**2 for the two-term f.
 
@@ -555,7 +574,6 @@ def closed_form_prefactor(
     params: TrapParameters,
     spec: EffectiveFrequencySpec,
     window: tuple[float, float],
-    variant: str = "corrected",
 ) -> complex:
     """Two-term closed-form prefactor on a zero-free window.
 
@@ -563,38 +581,20 @@ def closed_form_prefactor(
     two-term cosine series f = cos + alpha cos 3t (scaled time) into a
     leading constant times two bracket factors,
 
-        leading * [i kappa int f**-2 dt]^(-1/2) * [endpoint factor]^(-1/2),
+        leading * [i kappa int f**-2 dt]^(-1/2) * [f(t1'') f(t1')]^(-1/2),
 
-    with kappa = (3a - 1)(3a^2 + 2a - 1)/(2a) chosen so the constants
-    cancel against the leading radicand.
+    with leading radicand (3a - 1)(3a^2 + 2a - 1) w m / (8 pi a hbar) and
+    kappa = (3a - 1)(3a^2 + 2a - 1)/(2a) chosen so the constants cancel
+    against it.  Two sub-expressions differ from the literal formula,
+    whose value does not reproduce the determinant route:
 
-    Two variants are exposed.  "corrected" is the self-consistent one:
-    leading radicand (3a - 1)(3a^2 + 2a - 1) w m / (8 pi a hbar), which
-    factors as (3a - 1)^2 (a + 1), and endpoint factor f(t1'') f(t1')
-    (the product required by the reduction-of-order identity).
-    "literal" keeps an alternative reading with radicand
-    (3a - 1)(3a^2 - i + 2a) and endpoint difference f(t1'') - f(t1'),
-    retained so reports can show both numbers side by side; it does not
-    reproduce the determinant route.
+    * leading radicand: (3a^2 - i + 2a) is replaced by (3a^2 + 2a - 1),
+      the factorization (3a - 1)(a + 1) consistent with the arctangent
+      radicands and with kappa;
+    * endpoint factor: the difference f(t'') - f(t') is replaced by the
+      product f(t'') f(t') required by the reduction-of-order identity
+      f(t') f(t'') int f**-2 = D.
     """
-    rep = closed_form_report(params, spec, window)
-    if variant == "corrected":
-        return rep.value_corrected
-    if variant == "literal":
-        return rep.value_literal
-    raise OutOfRangeError(
-        f"variant must be 'corrected' or 'literal', got {variant!r}",
-        field="numerics.closed_form_variant",
-    )
-
-
-def closed_form_report(
-    params: TrapParameters,
-    spec: EffectiveFrequencySpec,
-    window: tuple[float, float],
-    n_check: int = 2001,
-) -> ClosedFormReport:
-    """Evaluate both closed-form variants with their sub-expressions."""
     t0, t1 = window
     if not t1 > t0:
         raise OutOfRangeError("window must have positive duration", field="window")
@@ -602,64 +602,18 @@ def closed_form_report(
     omega = spec.drive_omega
     s0, s1 = 0.5 * omega * t0, 0.5 * omega * t1
 
-    grid = np.linspace(s0, s1, n_check)
+    grid = np.linspace(s0, s1, 2001)
     f_vals = np.cos(grid) + alpha * np.cos(3.0 * grid)
     _zero_free_or_raise(grid, f_vals)
 
-    kappa = (3.0 * alpha - 1.0) * (3.0 * alpha**2 + 2.0 * alpha - 1.0) / (2.0 * alpha)
-    integral = _series_inverse_square_integral(alpha, s0, s1)
-    bracket = 1j * kappa * integral
-
-    m, hbar = params.mass, params.hbar
-    rad_corr = (
-        (3.0 * alpha - 1.0)
-        * (3.0 * alpha**2 + 2.0 * alpha - 1.0)
-        * omega
-        * m
-        / (8.0 * math.pi * alpha * hbar)
+    cubic = (3.0 * alpha - 1.0) * (3.0 * alpha**2 + 2.0 * alpha - 1.0)
+    kappa = cubic / (2.0 * alpha)
+    bracket = 1j * kappa * _series_inverse_square_integral(alpha, s0, s1)
+    leading = cmath.sqrt(
+        cubic * omega * params.mass / (8.0 * math.pi * alpha * params.hbar)
     )
-    rad_lit = (
-        (3.0 * alpha - 1.0)
-        * (3.0 * alpha**2 - 1j + 2.0 * alpha)
-        * omega
-        * m
-        / (8.0 * math.pi * alpha * hbar)
-    )
-    lead_corr = cmath.sqrt(rad_corr)
-    lead_lit = cmath.sqrt(rad_lit)
-
-    f0 = complex(f_vals[0])
-    f1 = complex(f_vals[-1])
-    end_corr = f1 * f0
-    end_lit = f1 - f0
-
-    def assemble(lead, endpoint):
-        return lead / (cmath.sqrt(bracket) * cmath.sqrt(endpoint))
-
-    value_corr = assemble(lead_corr, end_corr)
-    value_lit = (
-        assemble(lead_lit, end_lit) if end_lit != 0 else complex("nan")
-    )
-    corrections = (
-        "leading radicand: (3a^2 - i + 2a) replaced by (3a^2 + 2a - 1),"
-        " the factorization (3a - 1)(a + 1) consistent with the"
-        " arctangent radicands and with kappa",
-        "endpoint factor: difference f(t'') - f(t') replaced by the"
-        " product f(t'') * f(t') required by the reduction-of-order"
-        " identity f(t') f(t'') int f**-2 = D",
-    )
-    return ClosedFormReport(
-        alpha=alpha,
-        window_scaled=(s0, s1),
-        leading_literal=lead_lit,
-        leading_corrected=lead_corr,
-        bracket_integral=bracket,
-        endpoint_literal=end_lit,
-        endpoint_corrected=end_corr,
-        value_literal=value_lit,
-        value_corrected=value_corr,
-        corrections=corrections,
-    )
+    endpoint = complex(f_vals[-1]) * complex(f_vals[0])
+    return leading / (cmath.sqrt(bracket) * cmath.sqrt(endpoint))
 
 
 # --- assembly ---------------------------------------------------------------
@@ -723,7 +677,6 @@ def _check_windows_consistent(bc: BoundaryConditions, meas: MeasurementConfig):
 def restricted_propagator(
     inputs: PropagatorInputs,
     tol: float = 1e-11,
-    n_points: int = 513,
 ) -> PropagatorResult:
     """Assemble the full restricted propagator for one axis.
 
@@ -740,11 +693,9 @@ def restricted_propagator(
     check_spans_window(inputs.record, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
     drive = record_forcing(inputs.record, inputs.meas, inputs.params)
-    sol = classical_trajectory(
-        spec, drive, inputs.bc, inputs.params, tol=tol, n_points=n_points
-    )
-    track = _track_from_samples(
-        sol.grid, sol.d_function, inputs.params.mass, inputs.params.hbar
+    sol = classical_trajectory(spec, drive, inputs.bc, inputs.params, tol=tol)
+    track = _prefactor(
+        complex(sol.d_function[-1]), sol.d_arg, inputs.params.mass, inputs.params.hbar
     )
     record_term = -inputs.meas.weight_rate * record_norm_integral(inputs.record)
     action_term = 1j * sol.action / inputs.params.hbar
@@ -760,26 +711,6 @@ def restricted_propagator(
 
 
 # --- Floquet route ----------------------------------------------------------
-
-
-def _monotone_arg(values: np.ndarray) -> float:
-    """Change of arg along samples of a solution whose arg never decreases.
-
-    With Im w2 <= 0, Im(conj(f) f') of a solution only grows, so a
-    solution that starts with it >= 0 has a non-decreasing arg.  Each
-    step is read in [-pi/2, 3 pi/2): the half turn across a near-zero of
-    f, which np.unwrap may read as -pi, counts as +pi, and a flat step
-    that rounding moves below zero stays near zero.  Steps must stay
-    below 3 pi/2, i.e. the samples must resolve each near-zero.
-    """
-    steps = np.angle(values[1:] / values[:-1])
-    steps = np.mod(steps + 0.5 * math.pi, 2.0 * math.pi) - 0.5 * math.pi
-    return float(np.sum(steps))
-
-
-def _nearest_branch(tracked: float, principal: float) -> float:
-    """The value principal + 2 pi k closest to the tracked estimate."""
-    return principal + 2.0 * math.pi * round((tracked - principal) / (2.0 * math.pi))
 
 
 def _floquet_solution(mono: np.ndarray) -> tuple[complex, complex]:
@@ -872,13 +803,14 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     solve and the action follow as in the direct route, with the action
     taken from the boundary identity S = (m/2) [q q'] + (1/2) F int q.
 
-    arg D is never unwrapped across the window.  It is tracked densely
-    over the first period only.  After that, the arg change of the
+    arg D is read at the integrator's steps (:func:`_step_arg`) over the
+    first period only.  After that, the arg change of the
     solution from slope ratio z = D'/D at t' + P is a continuous
     function of z on the upper half plane, where Im w2 <= 0 keeps z;
     it equals (N - 1) mu + mu_r for the Floquet solution (its arg change
-    mu per period has the integer part fixed by dense tracking through
-    one period, mu_r over the remainder likewise), and the solution's
+    mu per period has the integer part fixed by the same reading of its
+    steps through one period, mu_r over the remainder's steps likewise),
+    and the solution's
     first component is affine in z, so moving z from the Floquet value
     to D's value adds only the principal arg of the ratio of the two
     end values.  See :func:`_floquet_solution`.
@@ -891,6 +823,8 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
         If D(t'') is consistent with zero at the scale of the window.
     NumericalError
         If no Floquet solution has Im(f'/f) > 0.
+    ToleranceNotMetError
+        If an integrator step is too long to read arg from.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     check_spans_window(inputs.record, inputs.meas)
@@ -906,32 +840,30 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     period = 2.0 * math.pi / spec.drive_omega
     n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
+    rate = math.sqrt(abs(spec.u_tilde) + abs(spec.v))
 
     tail = np.eye(4, dtype=complex)
     if rem > 0.0:
         tail, tail_sol = _affine_map(spec, force, m, t0, rem)
     if n_periods == 0:
         total = tail
-        d = tail_sol.dense(np.linspace(t0, t1, _TRACK_SAMPLES))[2]
-        theta = float(np.angle(d[1])) + _monotone_arg(d[1:])
+        d = tail_sol.y[2]
+        theta = _step_arg(tail_sol.t, d, rate)
         log_top = math.log(float(np.max(np.abs(d))))
     else:
         step, step_sol = _affine_map(spec, force, m, t0, period)
-        basis = step_sol.dense(np.linspace(t0, t0 + period, _TRACK_SAMPLES))
-        d = basis[2]
+        d = step_sol.y[2]
         theta_first = _nearest_branch(
-            float(np.angle(d[1])) + _monotone_arg(d[1:]), cmath.phase(step[0, 1])
+            _step_arg(step_sol.t, d, rate), cmath.phase(step[0, 1])
         )
         lam, z_star = _floquet_solution(step[:2, :2])
         mu = _nearest_branch(
-            _monotone_arg(basis[0] + z_star * basis[2]), cmath.phase(lam)
+            _step_arg(step_sol.t, step_sol.y[0] + z_star * d, rate), cmath.phase(lam)
         )
         mu_r = 0.0
         if rem > 0.0:
-            n_rem = max(2, math.ceil(_TRACK_SAMPLES * rem / period))
-            f_rem = step_sol.dense(np.linspace(t0, t0 + rem, n_rem))
             mu_r = _nearest_branch(
-                _monotone_arg(f_rem[0] + z_star * f_rem[2]),
+                _step_arg(tail_sol.t, tail_sol.y[0] + z_star * tail_sol.y[2], rate),
                 cmath.phase(tail[0, 0] + tail[0, 1] * z_star),
             )
         rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
@@ -968,9 +900,10 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
         action=complex(action),
         forcing_integral=complex(forcing_integral),
         d_function=np.array([0.0, d_end], dtype=complex),
+        d_arg=float(theta),
         _mismatch=float(abs(q_end - xb)),
     )
-    track = _prefactor(d_end, float(theta), m, params.hbar)
+    track = _prefactor(d_end, sol.d_arg, m, params.hbar)
     record_term = -inputs.meas.weight_rate * record_norm_integral(inputs.record)
     action_term = 1j * sol.action / params.hbar
     return PropagatorResult(

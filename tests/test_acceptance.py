@@ -48,10 +48,10 @@ from paulpath import (
     evaluate_f,
     floquet_propagator,
     fluctuation_prefactor_from_f,
-    fluctuation_prefactor_robust,
     integrate_mathieu_ode,
     mathieu_series,
     periodic_propagator,
+    prefactor_track,
     render,
     residual_bound,
     residual_coefficients,
@@ -114,7 +114,7 @@ def test_acceptance_3_harmonic_prefactor():
             params.mass * w0 / (2j * math.pi * params.hbar * math.sin(w0 * T))
         )
         for value in (
-            fluctuation_prefactor_robust(params, spec, (0.0, T)),
+            prefactor_track(params, spec, (0.0, T)).value,
             fluctuation_prefactor_from_f(params, spec, (0.0, T), f_source="ode"),
         ):
             worst = max(worst, abs(value - analytic) / abs(analytic))
@@ -341,12 +341,12 @@ def test_acceptance_8_closed_form_reconciliation():
     worst = 0.0
     for a, b in windows:
         window = (2.0 * a / trap.drive_omega, 2.0 * b / trap.drive_omega)
-        value = closed_form_prefactor(trap, spec, window, variant="corrected")
-        robust = fluctuation_prefactor_robust(trap, stiff, window)
+        value = closed_form_prefactor(trap, spec, window)
+        robust = prefactor_track(trap, stiff, window).value
         worst = max(worst, abs(value - robust) / abs(robust))
     assert _report(
         "8", "closed-form prefactor reconciliation", worst <= 1e-6,
-        f"corrected variant, worst relative deviation {worst:.2e} "
+        f"worst relative deviation {worst:.2e} "
         f"over {len(windows)} windows",
     )
 

@@ -18,19 +18,19 @@ from paulpath import (
     Forcing,
     NumericalError,
     MeasurementConfig,
+    ToleranceNotMetError,
     TrapParameters,
     TruncationStiffness,
     boundary_action,
     classical_action,
     classical_trajectory,
     closed_form_prefactor,
-    closed_form_report,
     derive_frequency_coefficients,
     dimensionless,
+    discrete_propagator,
     effective_frequency,
     floquet_propagator,
     fluctuation_prefactor_from_f,
-    fluctuation_prefactor_robust,
     mathieu_series,
     periodic_propagator,
     prefactor_track,
@@ -178,7 +178,7 @@ def test_harmonic_prefactors_match_analytic():
     analytic = cmath.sqrt(
         params.mass * w0 / (2j * math.pi * params.hbar * math.sin(w0 * T))
     )
-    robust = fluctuation_prefactor_robust(params, spec, (0.0, T))
+    robust = prefactor_track(params, spec, (0.0, T)).value
     from_f = fluctuation_prefactor_from_f(params, spec, (0.0, T), f_source="ode")
     assert abs(robust - analytic) < 1e-10 * abs(analytic)
     assert abs(from_f - analytic) < 1e-10 * abs(analytic)
@@ -188,7 +188,7 @@ def test_harmonic_prefactors_match_analytic():
 def test_prefactor_free_limit():
     params, spec = constant_frequency_spec(w0=0.0)
     T = 1.7
-    robust = fluctuation_prefactor_robust(params, spec, (0.0, T))
+    robust = prefactor_track(params, spec, (0.0, T)).value
     expected = cmath.sqrt(params.mass / (2j * math.pi * params.hbar * T))
     assert abs(robust - expected) < 1e-11 * abs(expected)
 
@@ -208,14 +208,6 @@ def test_past_caustic_branch():
     assert abs(track.value - expected) < 1e-10 * abs(expected)
 
 
-def test_robust_equals_track_value():
-    params, spec = constant_frequency_spec(w0=1.1)
-    window = (0.0, 1.2)
-    robust = fluctuation_prefactor_robust(params, spec, window)
-    track = prefactor_track(params, spec, window)
-    assert robust == track.value
-
-
 def test_from_f_raises_on_window_with_zero():
     w0 = 4.0
     params, spec = constant_frequency_spec(w0=w0)
@@ -229,7 +221,7 @@ def test_from_f_matches_robust_on_reference_subwindow():
         derive_frequency_coefficients(REF, Axis.X), REF_MEAS, REF
     )
     window = (0.0, 0.5e-6)  # scaled half-width 0.5, inside the first zero
-    robust = fluctuation_prefactor_robust(REF, spec, window)
+    robust = prefactor_track(REF, spec, window).value
     from_f = fluctuation_prefactor_from_f(REF, spec, window, f_source="ode")
     assert abs(from_f - robust) < 1e-8 * abs(robust)
 
@@ -248,7 +240,7 @@ def test_series_f_source_exact_on_matched_stiffness():
     from_f = fluctuation_prefactor_from_f(
         REF, spec, window, f_source="series", n_terms=2
     )
-    robust = fluctuation_prefactor_robust(REF, stiff, window)
+    robust = prefactor_track(REF, stiff, window).value
     assert abs(from_f - robust) < 1e-8 * abs(robust)
 
 
@@ -280,7 +272,7 @@ def test_log_amplitude_continuous_in_window_end():
         inputs = scaled_inputs(
             u=w0 * w0, v=0.0, T=float(T), x_start=0.15, x_end=-0.1,
         )
-        res = restricted_propagator(inputs, tol=1e-8, n_points=129)
+        res = restricted_propagator(inputs, tol=1e-8)
         imags.append(res.log_amplitude.imag)
     steps = np.abs(np.diff(imags))
     assert steps.max() < math.pi
@@ -340,35 +332,9 @@ def test_closed_form_corrected_matches_robust_on_truncation_stiffness():
     spec, stiff = _reference_closed_form_setup()
     for a, b in CF_WINDOWS:
         window = (2.0 * a / REF.drive_omega, 2.0 * b / REF.drive_omega)
-        value = closed_form_prefactor(REF, spec, window, variant="corrected")
-        robust = fluctuation_prefactor_robust(REF, stiff, window)
+        value = closed_form_prefactor(REF, spec, window)
+        robust = prefactor_track(REF, stiff, window).value
         assert abs(value - robust) < 1e-6 * abs(robust), (a, b)
-
-
-def test_closed_form_literal_variant_deviates():
-    spec, stiff = _reference_closed_form_setup()
-    worst = 0.0
-    for a, b in CF_WINDOWS:
-        window = (2.0 * a / REF.drive_omega, 2.0 * b / REF.drive_omega)
-        value = closed_form_prefactor(REF, spec, window, variant="literal")
-        robust = fluctuation_prefactor_robust(REF, stiff, window)
-        worst = max(worst, abs(value - robust) / abs(robust))
-    assert worst > 1e-2
-
-
-def test_closed_form_report_structure():
-    spec, _ = _reference_closed_form_setup()
-    a, b = CF_WINDOWS[1]
-    window = (2.0 * a / REF.drive_omega, 2.0 * b / REF.drive_omega)
-    report = closed_form_report(REF, spec, window)
-    assert report.corrections  # the typo itemization is never empty
-    assert report.value_corrected == closed_form_prefactor(
-        REF, spec, window, variant="corrected"
-    )
-    assert report.value_literal == closed_form_prefactor(
-        REF, spec, window, variant="literal"
-    )
-    assert report.value_literal != report.value_corrected
 
 
 # --- Floquet route ----------------------------------------------------------
@@ -465,3 +431,47 @@ def test_monotone_arg_counts_each_half_turn_forward():
     # a flat step that rounding pushes just below zero stays near zero
     values = np.array([1.0 + 1e-17j, 1.0 + 0.0j])
     assert abs(_monotone_arg(values)) < 1e-15
+
+
+# --- arg D over many zeros -------------------------------------------------
+
+
+def _oscillating_window(oscillations):
+    # w2 = 1 - 4i / (T da^2) with da = 50: D stays close to sin(t), with
+    # 2 * oscillations zeros, and the window ends 0.7 rad past the last one
+    return scaled_inputs(
+        u=1.0, v=0.0, T=2.0 * math.pi * oscillations + 0.7, resolution=50.0
+    )
+
+
+@pytest.mark.parametrize("oscillations", [25, 100, 400])
+def test_every_zero_of_d_adds_pi_to_arg_d(oscillations):
+    # a reading of arg D that misses whole turns shows as a caustic count
+    # off by an even number and a phase off by multiples of 2 pi
+    inputs = _oscillating_window(oscillations)
+    res = restricted_propagator(inputs)
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    track = prefactor_track(inputs.params, spec, (0.0, inputs.bc.t_end))
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**15), discrete_propagator(inputs, 2**16)
+    )
+    assert res.prefactor.caustic_count == 2 * oscillations
+    assert track.caustic_count == 2 * oscillations
+    assert abs(res.log_amplitude.imag - extr.imag) <= 1e-3
+    assert track.theta_end == pytest.approx(res.prefactor.theta_end, abs=1e-6)
+
+
+def test_arg_d_refuses_steps_too_long_to_read():
+    inputs = _oscillating_window(20)
+    with pytest.raises(ToleranceNotMetError, match="oscillation phase"):
+        restricted_propagator(inputs, tol=1e-3)
+
+
+def test_step_arg_skips_exact_zeros():
+    from paulpath.propagator import _step_arg
+
+    # sin(t) at steps of pi/6, with its zeros at 0, pi and 2 pi exact
+    times = np.linspace(0.0, 2.0 * math.pi, 13)
+    values = np.sin(times).astype(complex)
+    values[[0, 6, 12]] = 0.0
+    assert _step_arg(times, values, 1.0) == pytest.approx(math.pi, abs=1e-15)
