@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import RecordWindowError
-from .propagator import PropagatorInputs, restricted_propagator
+from .propagator import PropagatorInputs, record_scorer, restricted_propagator
 from .records import MeasurementRecord
 
 
@@ -102,12 +102,15 @@ def rank_records(
 ) -> list[RankedRecord]:
     """Score candidate records and order them by descending log_p.
 
-    Each record is substituted into ``x_base`` (and ``z_base`` when
-    given, applying the same candidate to both axes) and scored.  Ties
-    keep the input order of the records, so duplicated candidates come
-    out adjacent and stable.  With ``threads > 1`` the candidates are
-    evaluated concurrently; the merge is by input index, so the output
-    is identical to the serial run.
+    Each record is scored on the axis of ``x_base`` (and of ``z_base``
+    when given, applying the same candidate to both axes); the record
+    inside a base is not read.  Each axis is solved once, by
+    :func:`~paulpath.propagator.record_scorer` at ``tol``, and every
+    candidate then costs O(n) linear algebra over its grid, with no ODE
+    pass.  Ties keep the input order of the records, so duplicated
+    candidates come out adjacent and stable.  With ``threads > 1`` the
+    candidates are evaluated concurrently; the merge is by input index,
+    so the output is identical to the serial run.
     """
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
@@ -117,13 +120,17 @@ def rank_records(
                 f"{len(record_ids)} ids for {len(records)} records"
             )
         ids = list(record_ids)
+    if not records:
+        return []
+
+    score_x = record_scorer(x_base, tol=tol)
+    score_z = None if z_base is None else record_scorer(z_base, tol=tol)
 
     def score(record: MeasurementRecord) -> tuple[float, float]:
-        px = probability_x(replace(x_base, record=record), tol=tol)
-        if z_base is None:
-            return px.log_p, math.nan
-        pz = probability_z(replace(z_base, record=record), tol=tol)
-        return px.log_p, pz.log_p
+        lx = 2.0 * score_x.log_amplitude(record).real
+        if score_z is None:
+            return lx, math.nan
+        return lx, 2.0 * score_z.log_amplitude(record).real
 
     if threads > 1 and len(records) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -134,7 +141,7 @@ def rank_records(
     totals = [
         (lx if math.isnan(lz) else lx + lz) for lx, lz in scores
     ]
-    best = max(totals) if totals else 0.0
+    best = max(totals)
     order = sorted(range(len(records)), key=lambda i: (-totals[i], i))
     return [
         RankedRecord(

@@ -31,6 +31,10 @@ so the module provides three ingredients and an assembler:
   cosine-series f (see :func:`closed_form_prefactor`);
 * :func:`restricted_propagator`, which adds the three log-domain parts
   and never exponentiates;
+* :func:`record_scorer`, the same assembly for many records on one
+  axis: one adaptive pass of the homogeneous basis, then each record by
+  variation of parameters in O(n) numpy over its grid.  The direct route
+  keeps its own forced passes as the independent check of it;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
   stiffness and a constant record over any number of drive periods.
 
@@ -41,10 +45,12 @@ record term alone spans hundreds of decades.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.integrate import quad, simpson
 
 from .errors import (
@@ -55,7 +61,7 @@ from .errors import (
     OutOfRangeError,
     ToleranceNotMetError,
 )
-from .integrate import solve_complex_ivp
+from .integrate import ComplexIvpSolution, solve_complex_ivp
 from .mathieu import evaluate_f, mathieu_series
 from .records import (
     Forcing,
@@ -88,6 +94,16 @@ _MAX_STEP_PHASE = 0.5 * math.pi
 #: integrator tolerance of the Floquet route's one-period and remainder
 #: maps; their errors are raised to the power N with the maps
 _FLOQUET_TOL = 1e-12
+
+#: most oscillation phase h * sqrt(max |w2|) one quadrature panel of the
+#: record scorer may span; 8 Gauss-Legendre nodes then integrate the
+#: basis far below the integrator's tolerance
+_PANEL_PHASE = 0.5
+
+#: largest |h0 h1' - h0' h1 - 1| the scorer accepts at its nodes; the
+#: Wronskian of the basis is exactly 1, and the same 1e-6 bounds the
+#: trajectory pass's endpoint miss
+_WRONSKIAN_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,13 +153,12 @@ class ClassicalSolution:
     forcing_integral: complex
     d_function: np.ndarray
     d_arg: float
+    _mismatch: float = 0.0
 
     @property
     def endpoint_mismatch(self) -> float:
         """|q(t'') - x''| actually achieved, as stored by the solver."""
         return self._mismatch
-
-    _mismatch: float = 0.0
 
 
 def _stage_scales(bc: BoundaryConditions, w_max: float, f_max: float, mass: float):
@@ -235,7 +250,7 @@ def classical_trajectory(
         raise ToleranceNotMetError(
             f"trajectory missed the endpoint by {mismatch:.3e} m"
         )
-    sol = ClassicalSolution(
+    return ClassicalSolution(
         grid=grid,
         q=zs[0],
         q_dot=zs[1],
@@ -243,9 +258,8 @@ def classical_trajectory(
         forcing_integral=complex(traj.y_end[3]),
         d_function=basis.dense(grid)[2],
         d_arg=d_arg,
+        _mismatch=float(mismatch),
     )
-    object.__setattr__(sol, "_mismatch", float(mismatch))
-    return sol
 
 
 def classical_action(
@@ -708,6 +722,148 @@ def restricted_propagator(
         classical=sol,
         prefactor=track,
     )
+
+
+# --- record scorer ----------------------------------------------------------
+
+
+@functools.cache
+def _gauss_panel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8 Gauss-Legendre nodes and weights on [-1, 1], and the matrix
+    whose row j integrates the polynomial through the nodes from -1 to
+    node j.  Built on first use: ``leggauss`` starts LAPACK, which the
+    other routes never need."""
+    nodes, weights = legendre.leggauss(8)
+    cumulative = legendre.legval(
+        nodes, legendre.legint(np.eye(nodes.size), lbnd=-1)
+    ).T @ np.linalg.inv(legendre.legvander(nodes, nodes.size - 1))
+    return nodes, weights, cumulative
+
+
+@dataclass(frozen=True)
+class RecordScorer:
+    """Restricted propagators of many records on one axis, from one
+    homogeneous solve.
+
+    ``basis`` holds h0, h0', h1, h1' (unit value, unit slope at t') over
+    the window of ``inputs``, whose record is ignored; ``prefactor`` is
+    the record-independent determinant prefactor with D = h1.  Build it
+    with :func:`record_scorer`.
+    """
+
+    inputs: PropagatorInputs
+    basis: ComplexIvpSolution
+    rate: float
+    prefactor: PrefactorTrack
+
+    def log_amplitude(self, record: MeasurementRecord) -> complex:
+        """log K of ``record`` by variation of parameters, no ODE pass.
+
+        With A_k = int F h_k dt over the window and W = h0 h1' - h0' h1
+        = 1, the zero-initial-data forced solution ends at
+        qp = (h1 A0 - h0 A1)/m, qp' = (h1' A0 - h0' A1)/m, and
+        int F qp dt = (A0 A1 - 2 J)/m with J = int F h0 A1(t) dt,
+        A1(t) = int_{t'}^{t} F h1.  The trajectory slope
+        c = (x'' - x' h0 - qp)/h1 at t'' then gives
+        int F q = x' A0 + c A1 + int F qp and the action from the boundary
+        identity S = (m/2) (x'' q'(t'') - x' c) + (1/2) int F q.
+
+        Every record segment is cut into panels of at most
+        ``_PANEL_PHASE`` oscillation phase with 8 Gauss-Legendre nodes
+        each; F is linear on a segment, so the rule is exact in F.  A1
+        at the nodes comes from prefix sums over panels plus the in-panel
+        integration matrix.
+
+        Raises
+        ------
+        RecordWindowError
+            If the record does not span the measurement window.
+        ToleranceNotMetError
+            If the basis Wronskian at the nodes is off 1 by more than
+            ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
+        """
+        params, meas, bc = self.inputs.params, self.inputs.meas, self.inputs.bc
+        m = params.mass
+        drive = record_forcing(record, meas, params)
+        gl_nodes, gl_weights, gl_cumulative = _gauss_panel()
+        per_segment = max(1, math.ceil(record.dt * self.rate / _PANEL_PHASE))
+        h = record.dt / per_segment
+        n_panels = (record.n_samples - 1) * per_segment
+        starts = record.t_start + h * np.arange(n_panels)
+        nodes = (starts[:, None] + 0.5 * h * (gl_nodes + 1.0)).ravel()
+        h0, dh0, h1, dh1 = self.basis.dense(nodes)
+        wronskian = float(np.max(np.abs(h0 * dh1 - dh0 * h1 - 1.0)))
+        if wronskian > _WRONSKIAN_ATOL:
+            raise ToleranceNotMetError(
+                f"basis Wronskian off 1 by {wronskian:.3e} at the quadrature"
+                " nodes; the homogeneous solve is too coarse"
+            )
+        f = drive(nodes)
+        g0 = (f * h0).reshape(n_panels, -1)
+        g1 = (f * h1).reshape(n_panels, -1)
+        weights = 0.5 * h * gl_weights
+        panel1 = g1 @ weights
+        a0 = complex(np.sum(g0 @ weights))
+        a1 = complex(np.sum(panel1))
+        a1_start = np.concatenate(([0.0], np.cumsum(panel1)[:-1]))
+        a1_nodes = a1_start[:, None] + 0.5 * h * (g1 @ gl_cumulative.T)
+        j = complex(np.sum((g0 * a1_nodes) @ weights))
+
+        e0, e0_dot, e1, e1_dot = (complex(v) for v in self.basis.y_end)
+        qp = (e1 * a0 - e0 * a1) / m
+        qp_dot = (e1_dot * a0 - e0_dot * a1) / m
+        xa, xb = bc.x_start, bc.x_end
+        c = (xb - xa * e0 - qp) / e1
+        slope_end = xa * e0_dot + c * e1_dot + qp_dot
+        forcing_integral = xa * a0 + c * a1 + (a0 * a1 - 2.0 * j) / m
+        action = 0.5 * m * (xb * slope_end - xa * c) + 0.5 * forcing_integral
+        record_term = -meas.weight_rate * record_norm_integral(record)
+        return record_term + 1j * action / params.hbar + self.prefactor.log_value
+
+
+def record_scorer(inputs: PropagatorInputs, tol: float = 1e-11) -> RecordScorer:
+    """One homogeneous solve of the axis in ``inputs``, ready to score
+    records with :meth:`RecordScorer.log_amplitude`.
+
+    The record of ``inputs`` is not read.  The basis pass integrates
+    (h0, h0', h1, h1') at ``tol``; the conjugate-point check, arg D and
+    the prefactor are computed here once, as in
+    :func:`restricted_propagator`.
+
+    Raises
+    ------
+    ConfigError
+        If the boundary and measurement windows differ.
+    ConjugatePointError
+        If D(t'') = h1(t'') is consistent with zero at the window scale.
+    ToleranceNotMetError
+        If the integrator gives up, or its steps are too long to read
+        arg D from (see :func:`_step_arg`).
+    """
+    _check_windows_consistent(inputs.bc, inputs.meas)
+    params = inputs.params
+    spec = effective_frequency(inputs.coeffs, inputs.meas, params)
+    T = inputs.bc.duration
+    rate = max(math.sqrt(abs(spec.u_tilde) + abs(spec.v)), 1.0 / T)
+
+    def rhs(t, y):
+        w2 = spec.w_squared(t)
+        return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]], dtype=complex)
+
+    scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
+    basis = solve_complex_ivp(
+        rhs,
+        (inputs.bc.t_start, inputs.bc.t_end),
+        np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
+        rtol=tol,
+        atol=tol * 1e-3 * scales,
+    )
+    h1 = basis.y[2]
+    _check_not_conjugate(h1)
+    track = _prefactor(
+        complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
+    )
+    return RecordScorer(inputs=inputs, basis=basis, rate=rate, prefactor=track)
 
 
 # --- Floquet route ----------------------------------------------------------

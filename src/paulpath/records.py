@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -144,15 +145,12 @@ class Forcing:
     dt: float
     values: np.ndarray  # complex
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.values.size)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        re = np.interp(t, self.times, self.values.real)
-        im = np.interp(t, self.times, self.values.imag)
-        out = re + 1j * im
+        out = np.interp(np.asarray(t, dtype=float), self.times, self.values)
         if out.ndim == 0:
             return complex(out)
         return out

@@ -11,13 +11,16 @@ from conftest import scaled_inputs
 from paulpath import (
     LogProbability,
     RecordWindowError,
+    discrete_propagator,
     joint_probability,
     probability_x,
     probability_z,
     rank_records,
     render,
     restricted_propagator,
+    richardson,
 )
+from paulpath import propagator
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
 
@@ -160,3 +163,42 @@ def test_id_count_mismatch_rejected():
     rec = _rendered(base, ConstantRecord(amplitude=0.1))
     with pytest.raises(ValueError):
         rank_records(base, [rec], record_ids=["a", "b"])
+
+
+def test_ranking_solves_each_axis_once(monkeypatch):
+    # the candidates are scored from one homogeneous solve per axis, with
+    # no ODE pass of their own
+    calls = []
+    solve = propagator.solve_complex_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "solve_complex_ivp", counted)
+    x_base = _base(record=None)
+    z_base = _base(u=-0.4, v=-0.6, record=None)
+    records = [
+        _rendered(x_base, ConstantRecord(amplitude=0.2)),
+        _rendered(x_base, SinusoidRecord(amplitude=0.4, omega=1.1, phase=0.0)),
+        _rendered(x_base, SampledRecord(values=(0.2, -0.4, 0.6, 0.1, -0.3))),
+    ]
+    rank_records(x_base, records, z_base=z_base)
+    assert calls == [4, 4]
+    calls.clear()
+    assert rank_records(x_base, []) == []
+    assert calls == []
+
+
+def test_ranking_scores_a_window_the_direct_route_refuses():
+    # a driven Z-like window where the trajectory pass of the direct
+    # route misses its endpoint check at the default tolerance
+    inputs = scaled_inputs(
+        u=-0.11, v=-1.1, T=50.0, resolution=1.3, x_start=0.3, x_end=-0.5,
+        record=SinusoidRecord(0.3, 1.7, 0.2),
+    )
+    (row,) = rank_records(inputs, [inputs.record])
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**15), discrete_propagator(inputs, 2**16)
+    )
+    assert abs(0.5 * row.log_p_x - extr.real) < 1e-8

@@ -3,6 +3,7 @@ assembled restricted propagator."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from paulpath import (
     ConfigError,
     ConjugatePointError,
     Forcing,
+    RecordWindowError,
     NumericalError,
     MeasurementConfig,
     ToleranceNotMetError,
@@ -34,10 +36,15 @@ from paulpath import (
     mathieu_series,
     periodic_propagator,
     prefactor_track,
+    record_scorer,
+    render,
     restricted_propagator,
     richardson,
+    with_resolution,
 )
-from paulpath.records import ConstantRecord, SinusoidRecord
+from paulpath import propagator
+from paulpath.cli import axis_inputs, load_scenario
+from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
 REF = TrapParameters(
     charge=1.602176634e-19,
@@ -475,3 +482,73 @@ def test_step_arg_skips_exact_zeros():
     values = np.sin(times).astype(complex)
     values[[0, 6, 12]] = 0.0
     assert _step_arg(times, values, 1.0) == pytest.approx(math.pi, abs=1e-15)
+
+
+# --- record scorer ------------------------------------------------------------
+
+_SHORT = load_scenario("barium_short_window.scenario")
+_UM = 1e-6
+_FAMILIES = {
+    "constant": ConstantRecord(0.8 * _UM),
+    "sinusoid": SinusoidRecord(1.0 * _UM, 1.7e6, 0.4),
+    "samples-short": SampledRecord(
+        tuple(_UM * np.random.default_rng(3).standard_normal(15))
+    ),
+    "samples-long": SampledRecord(
+        tuple(_UM * np.random.default_rng(4).standard_normal(60))
+    ),
+    "measurement-off": SinusoidRecord(1.0 * _UM, 1.7e6, 0.4),
+}
+
+
+def _short_base(axis, family):
+    base = axis_inputs(_SHORT, axis)
+    if family == "measurement-off":
+        base = replace(base, meas=with_resolution(base.meas, math.inf))
+    return base
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("axis", [Axis.X, Axis.Z])
+def test_record_scorer_matches_direct_route(axis, family):
+    base = _short_base(axis, family)
+    rec = render(_FAMILIES[family], base.meas, n_samples=65)
+    scored = record_scorer(base).log_amplitude(rec)
+    direct = restricted_propagator(replace(base, record=rec)).log_amplitude
+    assert abs(scored.real - direct.real) <= 1e-8 * abs(direct.real)
+    assert abs(scored.imag - direct.imag) <= 1e-8
+
+
+def test_record_scorer_refuses_a_record_off_the_window():
+    base = _short_base(Axis.X, "sinusoid")
+    short = replace(base.meas, t_end=0.5 * base.meas.t_end)
+    rec = render(_FAMILIES["sinusoid"], short, n_samples=65)
+    with pytest.raises(RecordWindowError):
+        record_scorer(base).log_amplitude(rec)
+
+
+def test_record_scorer_conjugate_point_raises():
+    # w2 = 1 unmonitored: h1 = sin t vanishes at T = pi
+    with pytest.raises(ConjugatePointError):
+        record_scorer(scaled_inputs(u=1.0, v=0.0, T=math.pi))
+
+
+def test_record_scorer_converged_in_panel_size(monkeypatch):
+    base = _short_base(Axis.X, "sinusoid")
+    rec = render(_FAMILIES["sinusoid"], base.meas, n_samples=65)
+    scorer = record_scorer(base)
+    coarse = scorer.log_amplitude(rec)
+    monkeypatch.setattr(propagator, "_PANEL_PHASE", 0.5 * propagator._PANEL_PHASE)
+    assert abs(scorer.log_amplitude(rec) - coarse) < 1e-12
+
+
+def test_record_scorer_refuses_a_coarse_basis():
+    # tol 1e-5 still reads arg D (steps under pi/2 of phase), but its
+    # dense basis is ~1e-4 off at the quadrature nodes
+    inputs = scaled_inputs(
+        u=-0.11, v=-1.1, T=50.0, resolution=1.3, x_start=0.3, x_end=-0.5,
+        record=SinusoidRecord(0.3, 1.7, 0.2),
+    )
+    scorer = record_scorer(inputs, tol=1e-5)
+    with pytest.raises(ToleranceNotMetError, match="Wronskian"):
+        scorer.log_amplitude(inputs.record)
