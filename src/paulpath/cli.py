@@ -27,7 +27,6 @@ import io
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -375,15 +374,14 @@ def axis_inputs(scenario: Scenario, axis: Axis) -> PropagatorInputs:
 def check_phase_budget(inputs: PropagatorInputs, budget: float) -> float:
     """Estimate the total oscillation phase of the window and guard it.
 
-    The estimate is T * sqrt(max |w_tilde^2|), the phase a constant
-    stiffness at the window's stiffest point would accumulate.  Above
-    the budget, direct time-domain integration is refused rather than
-    silently returned with unknown accuracy.
+    The estimate is T * sqrt(max |w_tilde^2|) (``peak_stiffness``, exact),
+    the phase a constant stiffness at the window's stiffest point would
+    accumulate.  Above the budget, direct time-domain integration is
+    refused rather than silently returned with unknown accuracy.
     """
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
-    t = np.linspace(inputs.bc.t_start, inputs.bc.t_end, 4097)
-    w2 = np.abs(np.asarray(spec.w_squared(t)))
-    estimate = float(np.sqrt(w2.max()) * inputs.bc.duration)
+    peak = spec.peak_stiffness(inputs.bc.t_start, inputs.bc.t_end)
+    estimate = math.sqrt(peak) * inputs.bc.duration
     if estimate > budget:
         raise PhaseBudgetError(
             f"estimated window phase {estimate:.3e} rad exceeds the budget"
@@ -496,7 +494,6 @@ def cmd_prob(args) -> int:
         records,
         z_base=z_base,
         record_ids=ids,
-        threads=args.threads,
         tol=tol,
     )
     header = ["record_id", "log_p_x", "log_p_z", "log_p_joint", "log_odds"]
@@ -642,11 +639,7 @@ def cmd_sweep(args) -> int:
         return lx, lz
 
     points = list(itertools.product(*grids)) if grids else []
-    if args.threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(pt) for pt in points]
+    results = [run_point(pt) for pt in points]
     header = ["point"] + list(params) + ["log_p_x", "log_p_z", "log_p_joint"]
     rows = [
         [i, *pt, lx, lz, lx + lz]
@@ -690,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario file (path or bundled name)")
     common.add_argument("--out", default="stdout", help="output CSV path, or stdout")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1, help="ignored; runs are serial")
     common.add_argument("--tol", type=float, default=None, help="override numerics.tol")
 
     parser = argparse.ArgumentParser(

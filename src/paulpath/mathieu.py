@@ -195,6 +195,10 @@ class TruncationStiffness:
         fdd = evaluate_f_second_derivative(self.coefficients, s)
         return -((0.5 * self.drive_omega) ** 2) * fdd / f
 
+    def peak_stiffness(self, t0: float, t1: float) -> float:
+        """max |w2_eff| over 257 samples of [t0, t1] (it has poles)."""
+        return float(np.max(np.abs(self.w_squared(np.linspace(t0, t1, 257)))))
+
 
 @dataclass(frozen=True)
 class OdeSolution:

@@ -15,7 +15,6 @@ candidate rather than absolute probabilities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,9 +107,8 @@ def rank_records(
     :func:`~paulpath.propagator.record_scorer` at ``tol``, and every
     candidate then costs O(n) linear algebra over its grid, with no ODE
     pass.  Ties keep the input order of the records, so duplicated
-    candidates come out adjacent and stable.  With ``threads > 1`` the
-    candidates are evaluated concurrently; the merge is by input index,
-    so the output is identical to the serial run.
+    candidates come out adjacent and stable.  ``threads`` is ignored:
+    scoring is serial, which beats a thread pool at this cost.
     """
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
@@ -132,11 +130,7 @@ def rank_records(
             return lx, math.nan
         return lx, 2.0 * score_z.log_amplitude(record).real
 
-    if threads > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, records))
-    else:
-        scores = [score(r) for r in records]
+    scores = [score(r) for r in records]
 
     totals = [
         (lx if math.isnan(lz) else lx + lz) for lx, lz in scores

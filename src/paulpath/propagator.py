@@ -19,8 +19,8 @@ so the module provides three ingredients and an assembler:
   initial value solution (exact for a linear system, up to integrator
   tolerance);
 * the fluctuation prefactor, in two independent forms: the robust
-  route integrates D'' + w2 D = 0 with D(t') = 0, D'(t') = 1 and
-  evaluates sqrt(m / (2 pi i hbar D(t''))) on the square-root branch
+  route takes D'' + w2 D = 0, D(t') = 0, D'(t') = 1 from the scorer's
+  basis pass and evaluates sqrt(m / (2 pi i hbar D(t''))) on the branch
   fixed by one rule, arg D read at the integrator's accepted steps with
   each zero of D (a caustic) advancing it by pi (see :func:`_step_arg`);
   the endpoint route evaluates
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,10 +96,12 @@ _MAX_STEP_PHASE = 0.5 * math.pi
 #: maps; their errors are raised to the power N with the maps
 _FLOQUET_TOL = 1e-12
 
-#: most oscillation phase h * sqrt(max |w2|) one quadrature panel of the
-#: record scorer may span; 8 Gauss-Legendre nodes then integrate the
-#: basis far below the integrator's tolerance
+#: a quadrature panel of the record scorer spans at most _PANEL_PHASE of
+#: oscillation phase p = h * sqrt(max |w2|), with the fewest Gauss-Legendre
+#: nodes n whose first inexact Taylor term (p/2)**(2n) / (2n)! is at most
+#: _GAUSS_RTOL (7 nodes at p = 0.5)
 _PANEL_PHASE = 0.5
+_GAUSS_RTOL = 1e-16
 
 #: largest |h0 h1' - h0' h1 - 1| the scorer accepts at its nodes; the
 #: Wronskian of the basis is exactly 1, and the same 1e-6 bounds the
@@ -161,14 +164,6 @@ class ClassicalSolution:
         return self._mismatch
 
 
-def _stage_scales(bc: BoundaryConditions, w_max: float, f_max: float, mass: float):
-    """Rough per-component magnitudes for absolute-tolerance floors."""
-    T = bc.duration
-    rate = max(math.sqrt(w_max), 1.0 / T)
-    x_scale = max(abs(bc.x_start), abs(bc.x_end), f_max / (mass * rate * rate), 1e-30)
-    return T, rate, x_scale
-
-
 def classical_trajectory(
     spec: EffectiveFrequencySpec,
     drive: Forcing,
@@ -202,9 +197,10 @@ def classical_trajectory(
     m = params.mass
     t0, t1 = bc.t_start, bc.t_end
     grid = np.linspace(t0, t1, n_points)
-    w_max = float(np.max(np.abs(spec.w_squared(grid))))
+    T = bc.duration
+    rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / T)
     f_max = float(np.max(np.abs(drive.values))) if drive.values.size else 0.0
-    T, rate, x_scale = _stage_scales(bc, w_max, f_max, m)
+    x_scale = max(abs(bc.x_start), abs(bc.x_end), f_max / (m * rate * rate), 1e-30)
 
     def rhs_basis(t, y):
         w2 = spec.w_squared(t)
@@ -399,12 +395,12 @@ def prefactor_track(
 ) -> PrefactorTrack:
     """Integrate the determinant equation and track its phase.
 
-    D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1.  The prefactor is
-    sqrt(m / (2 pi i hbar D(t''))) with arg D carried from the left edge
-    along the integrator's steps, which keeps the square root on the
-    physical branch through caustics (each zero of D advances arg D by
-    pi when the measurement damping Im w2 < 0, and the same continuation
-    is the standard one for real stiffness).
+    D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1 is h1 of the scorer's basis
+    pass.  The prefactor is sqrt(m / (2 pi i hbar D(t''))) with arg D
+    carried from the left edge along the integrator's steps, which keeps
+    the square root on the physical branch through caustics (each zero
+    of D advances arg D by pi when the measurement damping Im w2 < 0, and
+    the same continuation is the standard one for real stiffness).
 
     Raises
     ------
@@ -414,29 +410,38 @@ def prefactor_track(
         If the integrator gives up, or its steps are too long to read
         arg D from (see :func:`_step_arg`).
     """
+    return _homogeneous_solve(params, spec, window, tol)[2]
+
+
+def _homogeneous_solve(params: TrapParameters, spec, window, tol: float):
+    """(basis, rate, prefactor): the basis (h0, h0', h1, h1'), unit value
+    and unit slope at t', from one adaptive pass; rate max(sqrt(max |w2|),
+    1/T); the prefactor with D = h1, checked for a conjugate point.
+    ``spec`` needs ``w_squared`` and ``peak_stiffness``."""
     t0, t1 = window
     if not t1 > t0:
         raise OutOfRangeError("window must have positive duration", field="window")
     T = t1 - t0
+    rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / T)
 
     def rhs(t, y):
-        return np.array([y[1], -spec.w_squared(t) * y[0]], dtype=complex)
+        w2 = spec.w_squared(t)
+        return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]], dtype=complex)
 
-    w_max = float(np.max(np.abs(spec.w_squared(np.linspace(t0, t1, 257)))))
-    rate = max(math.sqrt(w_max), 1.0 / T)
-    d_scale = min(T, 1.0 / rate)
-    sol = solve_complex_ivp(
+    scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
+    basis = solve_complex_ivp(
         rhs,
-        (t0, t1),
-        np.array([0.0, 1.0], dtype=complex),
+        window,
+        np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
         rtol=tol,
-        atol=tol * 1e-3 * np.array([d_scale, 1.0]),
+        atol=tol * 1e-3 * scales,
     )
-    d = sol.y[0]
-    _check_not_conjugate(d)
-    return _prefactor(
-        complex(d[-1]), _step_arg(sol.t, d, rate), params.mass, params.hbar
+    h1 = basis.y[2]
+    _check_not_conjugate(h1)
+    track = _prefactor(
+        complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
     )
+    return basis, rate, track
 
 
 def _zero_free_or_raise(t, f_vals):
@@ -727,13 +732,22 @@ def restricted_propagator(
 # --- record scorer ----------------------------------------------------------
 
 
+def _panel_layout(dt: float, rate: float) -> tuple[int, int]:
+    """Panels per record segment of length ``dt``, and nodes per panel."""
+    per_segment = max(1, math.ceil(dt * rate / _PANEL_PHASE))
+    x = 0.5 * dt * rate / per_segment
+    return per_segment, next(
+        n for n in itertools.count(1) if x ** (2 * n) / math.factorial(2 * n) <= _GAUSS_RTOL
+    )
+
+
 @functools.cache
-def _gauss_panel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8 Gauss-Legendre nodes and weights on [-1, 1], and the matrix
+def _gauss_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [-1, 1], and the matrix
     whose row j integrates the polynomial through the nodes from -1 to
     node j.  Built on first use: ``leggauss`` starts LAPACK, which the
     other routes never need."""
-    nodes, weights = legendre.leggauss(8)
+    nodes, weights = legendre.leggauss(n)
     cumulative = legendre.legval(
         nodes, legendre.legint(np.eye(nodes.size), lbnd=-1)
     ).T @ np.linalg.inv(legendre.legvander(nodes, nodes.size - 1))
@@ -769,10 +783,10 @@ class RecordScorer:
         identity S = (m/2) (x'' q'(t'') - x' c) + (1/2) int F q.
 
         Every record segment is cut into panels of at most
-        ``_PANEL_PHASE`` oscillation phase with 8 Gauss-Legendre nodes
-        each; F is linear on a segment, so the rule is exact in F.  A1
-        at the nodes comes from prefix sums over panels plus the in-panel
-        integration matrix.
+        ``_PANEL_PHASE`` oscillation phase with the Gauss-Legendre nodes
+        their phase needs; F is linear on a segment, so the rule is exact
+        in F.  A1 at the nodes comes from prefix sums over panels plus the
+        in-panel integration matrix.
 
         Raises
         ------
@@ -785,8 +799,8 @@ class RecordScorer:
         params, meas, bc = self.inputs.params, self.inputs.meas, self.inputs.bc
         m = params.mass
         drive = record_forcing(record, meas, params)
-        gl_nodes, gl_weights, gl_cumulative = _gauss_panel()
-        per_segment = max(1, math.ceil(record.dt * self.rate / _PANEL_PHASE))
+        per_segment, n_nodes = _panel_layout(record.dt, self.rate)
+        gl_nodes, gl_weights, gl_cumulative = _gauss_panel(n_nodes)
         h = record.dt / per_segment
         n_panels = (record.n_samples - 1) * per_segment
         starts = record.t_start + h * np.arange(n_panels)
@@ -841,27 +855,9 @@ def record_scorer(inputs: PropagatorInputs, tol: float = 1e-11) -> RecordScorer:
         arg D from (see :func:`_step_arg`).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
-    params = inputs.params
-    spec = effective_frequency(inputs.coeffs, inputs.meas, params)
-    T = inputs.bc.duration
-    rate = max(math.sqrt(abs(spec.u_tilde) + abs(spec.v)), 1.0 / T)
-
-    def rhs(t, y):
-        w2 = spec.w_squared(t)
-        return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]], dtype=complex)
-
-    scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
-    basis = solve_complex_ivp(
-        rhs,
-        (inputs.bc.t_start, inputs.bc.t_end),
-        np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
-        rtol=tol,
-        atol=tol * 1e-3 * scales,
-    )
-    h1 = basis.y[2]
-    _check_not_conjugate(h1)
-    track = _prefactor(
-        complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    basis, rate, track = _homogeneous_solve(
+        inputs.params, spec, (inputs.bc.t_start, inputs.bc.t_end), tol
     )
     return RecordScorer(inputs=inputs, basis=basis, rate=rate, prefactor=track)
 
@@ -914,7 +910,7 @@ def _affine_map(spec, force: complex, mass: float, t0: float, span: float):
     accumulator; they are integrated together as one 9-component system.
     Returns the 4x4 matrix and the dense solution.
     """
-    rate = max(math.sqrt(abs(spec.u_tilde) + abs(spec.v)), 1.0 / span)
+    rate = max(math.sqrt(spec.peak_stiffness(t0, t0 + span)), 1.0 / span)
     d_scale = min(span, 1.0 / rate)
     x_scale = max(abs(force) / (mass * rate * rate), 1e-30)
 
@@ -996,7 +992,7 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     period = 2.0 * math.pi / spec.drive_omega
     n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
-    rate = math.sqrt(abs(spec.u_tilde) + abs(spec.v))
+    rate = math.sqrt(spec.peak_stiffness(t0, t1))
 
     tail = np.eye(4, dtype=complex)
     if rem > 0.0:

@@ -170,6 +170,18 @@ class EffectiveFrequencySpec:
             return complex(out)
         return out
 
+    def peak_stiffness(self, t0: float, t1: float) -> float:
+        """Exact max |w2| over [t0, t1].  |u_tilde - v c| is convex in
+        c = cos(omega t), so it peaks at an extreme of the cosine on the
+        window: an edge value, or +1 (-1) if an even (odd) multiple of pi
+        lies in [omega t0, omega t1]."""
+        s0, s1 = self.drive_omega * t0, self.drive_omega * t1
+        ends = [math.cos(s0), math.cos(s1)]
+        for shift, c in ((0.0, 1.0), (math.pi, -1.0)):
+            if math.floor((s1 - shift) / math.tau) >= math.ceil((s0 - shift) / math.tau):
+                ends.append(c)
+        return max(abs(self.u_tilde - self.v * c) for c in ends)
+
 
 @dataclass(frozen=True)
 class DimensionlessParams:

@@ -2,8 +2,10 @@
 determinism of the sweep output."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,11 +284,15 @@ def test_dump_scenario_round_trips(tmp_path):
 
 def test_console_entry_point_smoke(tmp_path):
     out = tmp_path / "prop.csv"
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "paulpath.cli", "propagate",
          "--scenario", SHORT, "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

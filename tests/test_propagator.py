@@ -535,11 +535,21 @@ def test_record_scorer_conjugate_point_raises():
 
 def test_record_scorer_converged_in_panel_size(monkeypatch):
     base = _short_base(Axis.X, "sinusoid")
-    rec = render(_FAMILIES["sinusoid"], base.meas, n_samples=65)
     scorer = record_scorer(base)
-    coarse = scorer.log_amplitude(rec)
-    monkeypatch.setattr(propagator, "_PANEL_PHASE", 0.5 * propagator._PANEL_PHASE)
-    assert abs(scorer.log_amplitude(rec) - coarse) < 1e-12
+    for n_samples in (17, 65, 2001):
+        rec = render(_FAMILIES["sinusoid"], base.meas, n_samples=n_samples)
+        coarse = scorer.log_amplitude(rec)
+        panels, nodes = propagator._panel_layout(rec.dt, scorer.rate)
+        with monkeypatch.context() as patch:
+            # four times the panels per segment, and more nodes in each of
+            # them than the default rule gives the coarse, longer panels
+            patch.setattr(
+                propagator, "_PANEL_PHASE", 0.25 * rec.dt * scorer.rate / panels
+            )
+            patch.setattr(propagator, "_GAUSS_RTOL", 1e-30)
+            fine_panels, fine_nodes = propagator._panel_layout(rec.dt, scorer.rate)
+            assert fine_panels >= 4 * panels and fine_nodes > nodes
+            assert abs(scorer.log_amplitude(rec) - coarse) < 1e-12, n_samples
 
 
 def test_record_scorer_refuses_a_coarse_basis():

@@ -21,7 +21,7 @@ from paulpath import (
     with_resolution,
 )
 from paulpath.mathieu import mathieu_series
-from paulpath.trapmodel import whole_periods
+from paulpath.trapmodel import EffectiveFrequencySpec, whole_periods
 
 REF = TrapParameters(
     charge=1.602176634e-19,
@@ -179,3 +179,52 @@ def test_whole_periods_split():
     assert n == 2 and rem == pytest.approx(0.25 * period, rel=1e-12)
     n, rem = whole_periods(30.0, omega)
     assert n == 9549296 and rem / period == pytest.approx(0.5855, abs=1e-4)
+
+
+def _sampled_peak(spec, t0, t1, n=200_001):
+    return float(np.max(np.abs(spec.w_squared(np.linspace(t0, t1, n)))))
+
+
+#: np.cos and math.cos may differ in the last bit at the same edge
+_ROUNDING = 1.0 - 4.0 * np.finfo(float).eps
+
+
+# (u_tilde, v, phase window [s0, s1] in omega t)
+PEAK_CASES = {
+    "short, monotone cosine": (0.3 - 0.05j, 1.1, 0.3, 1.2),
+    "short, cosine at -1 inside": (0.3 - 0.05j, 1.1, 2.5, 4.0),
+    "short, cosine at +1 inside": (-0.11 - 0.02j, -1.1, 5.9, 6.6),
+    "negative start": (0.3 - 0.05j, -0.7, -0.7, 0.4),
+    "negative window": (1.0 - 0.3j, 0.4, -9.0, -8.0),
+    "v = 0": (0.8 - 0.1j, 0.0, 0.2, 0.9),
+    "across 2 pi boundaries": (-0.4 - 1e-3j, 1.3, 3.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_CASES))
+def test_peak_stiffness_is_the_sampled_maximum(case):
+    u_tilde, v, s0, s1 = PEAK_CASES[case]
+    omega = 1.7
+    spec = EffectiveFrequencySpec(u_tilde=u_tilde, v=v, drive_omega=omega)
+    t0, t1 = s0 / omega, s1 / omega
+    peak = spec.peak_stiffness(t0, t1)
+    sampled = _sampled_peak(spec, t0, t1)
+    assert sampled * _ROUNDING <= peak <= sampled * (1.0 + 1e-9)
+    if case in ("short, monotone cosine", "v = 0", "negative window"):
+        # the maximum sits on an edge, which the samples hold exactly
+        assert peak == pytest.approx(sampled, rel=1e-14)
+    if v == 0.0:
+        assert peak == abs(u_tilde)
+
+
+def test_peak_stiffness_bounds_random_windows():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        u_tilde = complex(rng.uniform(-2, 2), -rng.uniform(0, 0.5))
+        v = rng.uniform(-2, 2)
+        spec = EffectiveFrequencySpec(u_tilde=u_tilde, v=v, drive_omega=2.3)
+        t0 = rng.uniform(-10, 10)
+        t1 = t0 + rng.uniform(1e-3, 6.0)
+        peak = spec.peak_stiffness(t0, t1)
+        sampled = _sampled_peak(spec, t0, t1, n=100_001)
+        assert sampled * _ROUNDING <= peak <= sampled * (1.0 + 1e-8)
