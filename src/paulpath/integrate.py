@@ -43,7 +43,7 @@ class ComplexIvpSolution:
         return y[: self._n] + 1j * y[self._n :]
 
 
-def solve_complex_ivp(rhs, span, y0, rtol=1e-11, atol=1e-14, max_step=np.inf):
+def solve_complex_ivp(rhs, span, y0, rtol=1e-11, atol=1e-14):
     """Integrate dy/dt = rhs(t, y) for complex y.
 
     Parameters
@@ -76,7 +76,6 @@ def solve_complex_ivp(rhs, span, y0, rtol=1e-11, atol=1e-14, max_step=np.inf):
         rtol=rtol,
         atol=atol_arr,
         dense_output=True,
-        max_step=max_step,
     )
     if not sol.success:
         raise ToleranceNotMetError(f"integrator failed on {span}: {sol.message}")

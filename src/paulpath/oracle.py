@@ -33,7 +33,10 @@ dimensionless pivots
             - (2/(T da^2)) * eps * sum_k a_k^2,
 
 the last line being the record-norm weight at the same midpoints.  All
-per-pivot logs are principal; the pivot product is never formed.
+per-pivot logs are principal; the pivot product is never formed.  The
+pivots run sequentially in fixed-size chunks of Python complex numbers,
+each chunk's logs summed in one vectorised call; b^T P^{-1} b, which
+carries no branch, comes from a row-pivoted LAPACK tridiagonal solve.
 
 :func:`periodic_propagator` evaluates the same integral on a lattice
 tied to the drive period, for windows of millions of periods.
@@ -46,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgtsv
 
 from .errors import BadGridError, ConfigError, SingularSliceError
 from .propagator import PropagatorInputs, _nearest_branch
@@ -55,6 +59,10 @@ from .trapmodel import effective_frequency, whole_periods
 #: pivot magnitudes below this, relative to the slice scale 2, are a
 #: discrete caustic
 _PIVOT_RTOL = 1e-12
+
+#: pivots per Python-list chunk of the sequential recurrence; it bounds
+#: the Python complex objects alive at once on fine lattices
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -96,41 +104,46 @@ class SlicedLattice:
 
 
 def _eliminate(diag: np.ndarray, b: np.ndarray):
-    """Pivots and P^{-1} b for the unit-offdiagonal tridiagonal form.
+    """Log-pivot sum and b^T Q^-1 b for Q = tridiag(-1, d_j, -1).
 
-    diag holds d_j; the matrix is (m/eps) tridiag(-1, d_j, -1), but the
-    m/eps scale is factored out by the caller, so here the off-diagonal
-    entries are exactly -1.  Returns (sum of Log pivots, b^T P^-1 b in
-    the scaled metric), i.e. everything still carries the caller's
-    m/eps bookkeeping.
+    diag holds d_j; the caller's matrix is P = (m/eps) Q, and the m/eps
+    scale stays with the caller.  Returns (sum of Log pivots, b^T Q^-1 b).
+
+    The pivots delta_j = d_j - 1/delta_{j-1} run sequentially over
+    Python complex numbers, ``_CHUNK`` at a time, since each needs the
+    previous one.  Each chunk is then screened for a discrete caustic
+    and summed as principal logs in one ``np.log`` call (the same
+    branch as ``cmath.log``): the branch of log K lives in these
+    per-pivot logs, and the pivot product is never formed.  The
+    quadratic form carries no branch, so it comes from one row-pivoted
+    LAPACK tridiagonal solve.
     """
     n = diag.size
-    delta = np.empty(n, dtype=complex)
-    g = np.empty(n, dtype=complex)
-    log_sum = 0.0 + 0.0j
-    prev = 0.0 + 0.0j
-    prev_g = 0.0 + 0.0j
-    for j in range(n):
-        piv = diag[j] - (1.0 / prev if j else 0.0)
-        if abs(piv) < _PIVOT_RTOL * 2.0:
+    log_sum = 0j
+    prev = math.inf  # 1/prev = 0 makes delta_1 = d_1
+    for lo in range(0, n, _CHUNK):
+        piv = []
+        try:
+            for d in diag[lo : lo + _CHUNK].tolist():
+                prev = d - 1.0 / prev
+                piv.append(prev)
+        except ZeroDivisionError:
+            pass  # piv ends on an exact zero, which the screen below names
+        piv = np.array(piv, dtype=complex)
+        bad = np.flatnonzero(np.abs(piv) < _PIVOT_RTOL * 2.0)
+        if bad.size:
+            k = bad[0]
             raise SingularSliceError(
-                f"elimination pivot {j + 1} of {n} underflowed: {piv:.3e}"
+                f"elimination pivot {lo + k + 1} of {n} underflowed: {piv[k]:.3e}"
             )
-        # forward substitution for L z = b with unit lower off-diagonal -1/prev
-        z = b[j] + (prev_g / prev if j else 0.0)
-        delta[j] = piv
-        g[j] = z
-        log_sum += cmath.log(piv)
-        prev = piv
-        prev_g = z
-    # back substitution for U y = z, U upper bidiagonal with -1 off-diagonal
-    quad = 0.0 + 0.0j
-    nxt = 0.0 + 0.0j
-    for j in range(n - 1, -1, -1):
-        y = (g[j] + nxt) / delta[j]
-        quad += y * b[j]
-        nxt = y
-    return log_sum, quad
+        log_sum += complex(np.sum(np.log(piv)))
+    if n == 1:  # gtsv takes no empty off-diagonals
+        return log_sum, complex(b[0] * b[0] / diag[0])
+    off = np.full(n - 1, -1.0 + 0j)
+    _, _, _, y, info = zgtsv(off, diag, off, b)
+    if info:
+        raise SingularSliceError(f"tridiagonal solve hit a zero pivot at row {info} of {n}")
+    return log_sum, complex(np.dot(b, y))
 
 
 def discrete_propagator(
@@ -168,7 +181,6 @@ def discrete_propagator(
     f = -1j * scale * a
 
     xa, xb = inputs.bc.x_start, inputs.bc.x_end
-    n_int = n_slices - 1
     if sampling == "midpoint":
         diag = 2.0 - (eps**2) * (w[:-1] + w[1:]) / 2.0
         b = (eps / 2.0) * (f[:-1] + f[1:])
@@ -181,17 +193,16 @@ def discrete_propagator(
         # left rule: potential/drive attach to x_k for k = 0..N-1, so the
         # interior j = 1..N-1 sees only w_j, and x'' carries no potential
         diag = 2.0 - (eps**2) * w[1:]
-        b = eps * f[1:].astype(complex)
+        b = eps * f[1:]
         c = (
             m / (2.0 * eps) * (xa**2 + xb**2)
             - eps * (m / 2.0) * w[0] * xa**2
             + eps * f[0] * xa
         )
-    b = b.astype(complex)
     b[0] -= (m / eps) * xa
     b[-1] -= (m / eps) * xb
 
-    log_sum, quad_scaled = _eliminate(diag.astype(complex), b)
+    log_sum, quad_scaled = _eliminate(np.asarray(diag, dtype=complex), b)
     # quad_scaled is b^T Q^{-1} b with Q = tridiag(-1, d, -1); P = (m/eps) Q
     quad = (eps / m) * quad_scaled
 

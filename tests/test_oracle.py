@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.linalg import spsolve
 
 from conftest import scaled_inputs
 
@@ -19,6 +21,7 @@ from paulpath import (
     restricted_propagator,
     richardson,
 )
+from paulpath.oracle import _CHUNK, _eliminate
 from paulpath.records import ConstantRecord, SinusoidRecord
 
 
@@ -121,6 +124,77 @@ def test_singular_slice_raises():
     inputs = scaled_inputs(u=8.0, v=0.0, T=1.0, x_start=0.1, x_end=0.2)
     with pytest.raises(SingularSliceError):
         discrete_propagator(inputs, 2)
+
+
+def _pivots(diag):
+    """Pivots delta_j = d_j - 1/delta_{j-1}, one Python division each."""
+    out = []
+    for d in diag.tolist():
+        out.append(d - 1.0 / out[-1] if out else d)
+    return out
+
+
+def _elimination_reference(diag, b):
+    """Log-pivot sum by a per-pivot ``cmath.log`` loop; b^T Q^-1 b from a
+    dense solve (sparse direct above 300 rows) of Q = tridiag(-1, d, -1)."""
+    log_sum = 0j
+    for piv in _pivots(diag):
+        log_sum += cmath.log(piv)
+    n = diag.size
+    ones = -np.ones(n - 1)
+    q = scipy.sparse.diags([ones, diag, ones], [-1, 0, 1], shape=(n, n), format="csc")
+    y = np.linalg.solve(q.toarray(), b) if n <= 300 else spsolve(q, b)
+    return log_sum, b @ y
+
+
+def _slice_diag(n, phase_per_slice, damping, seed):
+    """Damped oscillatory entries 2 - eps^2 w with complex w, as the
+    midpoint rule forms them, and a random complex right-hand side.
+    The damping keeps Q well away from singular, so two backward-stable
+    solves agree to rounding."""
+    rng = np.random.default_rng(seed)
+    w = (1.0 + 0.3 * rng.uniform(-1, 1, n)) * (1.0 - 1j * damping)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return 2.0 - phase_per_slice**2 * w, b
+
+
+@pytest.mark.parametrize(
+    "n", [1, 5, 300, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 1]
+)
+def test_eliminate_matches_reference(n):
+    diag, b = _slice_diag(n, 0.05, 0.5, seed=n)
+    log_sum, quad = _eliminate(diag, b)
+    ref_log, ref_quad = _elimination_reference(diag, b)
+    assert abs(log_sum - ref_log) <= 1e-12 * abs(ref_log)
+    assert abs(quad - ref_quad) <= 1e-12 * abs(ref_quad)
+
+
+def test_eliminate_keeps_the_branch_past_two_pi():
+    # ~38 zeros of the discrete solution: the pivot args add up to far
+    # more than 2 pi, so Log det(Q) is not the sum of the pivot logs
+    n = 3 * _CHUNK + 1
+    diag, b = _slice_diag(n, 0.01, 0.1, seed=7)
+    log_sum, quad = _eliminate(diag, b)
+    ref_log, ref_quad = _elimination_reference(diag, b)
+    assert abs(log_sum.imag) > 20 * math.pi
+    assert abs(cmath.phase(cmath.exp(log_sum)) - log_sum.imag) > math.pi
+    assert abs(log_sum - ref_log) <= 1e-12 * abs(ref_log)
+    assert abs(quad - ref_quad) <= 1e-12 * abs(ref_quad)
+
+
+def test_eliminate_names_an_exact_zero_pivot():
+    # delta_2 = 0.5 - 1/2 = 0 exactly; delta_3 would divide by it
+    diag = np.array([2.0, 0.5, 2.0, 2.0, 2.0], dtype=complex)
+    with pytest.raises(SingularSliceError, match="pivot 2 of 5 "):
+        _eliminate(diag, np.ones(5, dtype=complex))
+
+
+def test_eliminate_names_a_tiny_pivot_in_the_second_chunk():
+    n, k = 2 * _CHUNK + 10, _CHUNK + 17
+    diag, b = _slice_diag(n, 0.01, 0.05, seed=3)
+    diag[k] = 1.0 / _pivots(diag[:k])[-1] + 1e-14
+    with pytest.raises(SingularSliceError, match=f"pivot {k + 1} of {n} "):
+        _eliminate(diag, b)
 
 
 def test_measured_constant_record_extrapolates_to_pipeline():
