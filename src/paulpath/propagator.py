@@ -36,7 +36,8 @@ so the module provides three ingredients and an assembler:
   variation of parameters in O(n) numpy over its grid.  The direct route
   keeps its own forced passes as the independent check of it;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
-  stiffness and a constant record over any number of drive periods.
+  stiffness and a constant record over any number of drive periods,
+  from the scorer's basis pass and map over one period and the remainder.
 
 All outputs stay in log space: at realistic monitoring strengths the
 record term alone spans hundreds of decades.
@@ -69,6 +70,7 @@ from .records import (
     MeasurementRecord,
     check_spans_window,
     forcing as record_forcing,
+    misses_window,
     record_norm_integral,
 )
 from .trapmodel import (
@@ -85,28 +87,29 @@ from .trapmodel import (
 #: conjugate point (the one-unknown boundary solve is singular there).
 _CONJUGATE_RTOL = 1e-10
 
-#: relative slack when comparing the boundary window to the measurement window
-_WINDOW_RTOL = 1e-9
-
 #: most oscillation phase h * sqrt(max |w2|) one accepted step of the
 #: integrator may span where arg D is read from the step values
 _MAX_STEP_PHASE = 0.5 * math.pi
 
 #: integrator tolerance of the Floquet route's one-period and remainder
-#: maps; their errors are raised to the power N with the maps
+#: basis passes; their errors are raised to the power N with the maps
 _FLOQUET_TOL = 1e-12
 
-#: a quadrature panel of the record scorer spans at most _PANEL_PHASE of
+#: a quadrature panel of :func:`_affine_map` spans at most _PANEL_PHASE of
 #: oscillation phase p = h * sqrt(max |w2|), with the fewest Gauss-Legendre
 #: nodes n whose first inexact Taylor term (p/2)**(2n) / (2n)! is at most
 #: _GAUSS_RTOL (7 nodes at p = 0.5)
 _PANEL_PHASE = 0.5
 _GAUSS_RTOL = 1e-16
 
-#: largest |h0 h1' - h0' h1 - 1| the scorer accepts at its nodes; the
+#: largest |h0 h1' - h0' h1 - 1| _affine_map accepts at its nodes; the
 #: Wronskian of the basis is exactly 1, and the same 1e-6 bounds the
 #: trajectory pass's endpoint miss
 _WRONSKIAN_ATOL = 1e-6
+
+#: samples on which the endpoint and closed-form prefactors check that
+#: their reference solution f has no zero on the window
+_ZERO_CHECK_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ class ClassicalSolution:
     ``d_arg`` is arg D(t''), read at the accepted steps of that solve
     (see :func:`_step_arg`).
 
-    :func:`floquet_propagator` samples only the two window edges, where
-    ``boundary_action`` still applies.
+    :func:`floquet_propagator` samples only the two window edges, and
+    its ``action`` is the endpoint identity's (see :func:`_boundary`).
     """
 
     grid: np.ndarray
@@ -413,14 +416,11 @@ def prefactor_track(
     return _homogeneous_solve(params, spec, window, tol)[2]
 
 
-def _homogeneous_solve(params: TrapParameters, spec, window, tol: float):
-    """(basis, rate, prefactor): the basis (h0, h0', h1, h1'), unit value
-    and unit slope at t', from one adaptive pass; rate max(sqrt(max |w2|),
-    1/T); the prefactor with D = h1, checked for a conjugate point.
-    ``spec`` needs ``w_squared`` and ``peak_stiffness``."""
-    t0, t1 = window
-    if not t1 > t0:
-        raise OutOfRangeError("window must have positive duration", field="window")
+def _basis_pass(spec, t0: float, t1: float, tol: float):
+    """(basis, rate): the basis (h0, h0', h1, h1'), unit value and unit
+    slope at t0, from one adaptive pass over [t0, t1]; rate
+    max(sqrt(max |w2|), 1/(t1 - t0)).  ``spec`` needs ``w_squared`` and
+    ``peak_stiffness``."""
     T = t1 - t0
     rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / T)
 
@@ -431,11 +431,21 @@ def _homogeneous_solve(params: TrapParameters, spec, window, tol: float):
     scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
     basis = solve_complex_ivp(
         rhs,
-        window,
+        (t0, t1),
         np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
         rtol=tol,
         atol=tol * 1e-3 * scales,
     )
+    return basis, rate
+
+
+def _homogeneous_solve(params: TrapParameters, spec, window, tol: float):
+    """(basis, rate, prefactor): :func:`_basis_pass` over the window and
+    the prefactor with D = h1, checked for a conjugate point."""
+    t0, t1 = window
+    if not t1 > t0:
+        raise OutOfRangeError("window must have positive duration", field="window")
+    basis, rate = _basis_pass(spec, t0, t1, tol)
     h1 = basis.y[2]
     _check_not_conjugate(h1)
     track = _prefactor(
@@ -467,7 +477,6 @@ def fluctuation_prefactor_from_f(
     f_source: str = "ode",
     n_terms: int = 2,
     tol: float = 1e-11,
-    n_check: int = 2001,
 ) -> complex:
     """Endpoint-product prefactor sqrt(m / (2 pi i hbar f' f'' int f**-2)).
 
@@ -518,7 +527,7 @@ def fluctuation_prefactor_from_f(
             field="numerics.f_source",
         )
 
-    t_grid = np.linspace(t0, t1, n_check)
+    t_grid = np.linspace(t0, t1, _ZERO_CHECK_SAMPLES)
     f_vals = f_eval(t_grid)
     _zero_free_or_raise(t_grid, f_vals)
 
@@ -621,7 +630,7 @@ def closed_form_prefactor(
     omega = spec.drive_omega
     s0, s1 = 0.5 * omega * t0, 0.5 * omega * t1
 
-    grid = np.linspace(s0, s1, 2001)
+    grid = np.linspace(s0, s1, _ZERO_CHECK_SAMPLES)
     f_vals = np.cos(grid) + alpha * np.cos(3.0 * grid)
     _zero_free_or_raise(grid, f_vals)
 
@@ -683,9 +692,7 @@ class PropagatorResult:
 
 
 def _check_windows_consistent(bc: BoundaryConditions, meas: MeasurementConfig):
-    scale = max(abs(meas.t_start), abs(meas.t_end), meas.duration)
-    tol = _WINDOW_RTOL * scale
-    if abs(bc.t_start - meas.t_start) > tol or abs(bc.t_end - meas.t_end) > tol:
+    if misses_window(bc.t_start, bc.t_end, meas):
         raise ConfigError(
             f"boundary window [{bc.t_start}, {bc.t_end}] does not match"
             f" measurement window [{meas.t_start}, {meas.t_end}]",
@@ -709,18 +716,23 @@ def restricted_propagator(
     its h1 basis solution), so no extra integration runs.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
-    check_spans_window(inputs.record, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
     drive = record_forcing(inputs.record, inputs.meas, inputs.params)
     sol = classical_trajectory(spec, drive, inputs.bc, inputs.params, tol=tol)
     track = _prefactor(
         complex(sol.d_function[-1]), sol.d_arg, inputs.params.mass, inputs.params.hbar
     )
+    return _result(inputs, sol, track)
+
+
+def _result(
+    inputs: PropagatorInputs, sol: ClassicalSolution, track: PrefactorTrack
+) -> PropagatorResult:
+    """Add the record, action and prefactor terms of one axis."""
     record_term = -inputs.meas.weight_rate * record_norm_integral(inputs.record)
     action_term = 1j * sol.action / inputs.params.hbar
-    log_amplitude = record_term + action_term + track.log_value
     return PropagatorResult(
-        log_amplitude=log_amplitude,
+        log_amplitude=record_term + action_term + track.log_value,
         action_term=action_term,
         prefactor_term=track.log_value,
         record_term=record_term,
@@ -754,6 +766,77 @@ def _gauss_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, cumulative
 
 
+def _affine_map(basis: ComplexIvpSolution, rate: float, drive: Forcing, m: float):
+    """4x4 map of (q, q', 1, int F q dt) over the span of ``drive``, from
+    the homogeneous ``basis`` (h0, h0', h1, h1') that starts at its start
+    and ends at its end, by variation of parameters.
+
+    With A_k = int F h_k dt and W = h0 h1' - h0' h1 = 1, the
+    zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
+    qp' = (h1' A0 - h0' A1)/m, and int F qp dt = (A0 A1 - 2 J)/m with
+    J = int F h0 A1(t) dt, A1(t) = int_{t0}^{t} F h1.
+
+    Every drive segment is cut into panels of at most ``_PANEL_PHASE``
+    oscillation phase with the Gauss-Legendre nodes their phase needs; F
+    is linear on a segment, so the rule is exact in F.  A1 at the nodes
+    comes from prefix sums over panels plus the in-panel integration
+    matrix.
+
+    Raises
+    ------
+    ToleranceNotMetError
+        If the basis Wronskian at the nodes is off 1 by more than
+        ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
+    """
+    per_segment, n_nodes = _panel_layout(drive.dt, rate)
+    gl_nodes, gl_weights, gl_cumulative = _gauss_panel(n_nodes)
+    h = drive.dt / per_segment
+    n_panels = (drive.values.size - 1) * per_segment
+    starts = drive.t_start + h * np.arange(n_panels)
+    nodes = (starts[:, None] + 0.5 * h * (gl_nodes + 1.0)).ravel()
+    h0, dh0, h1, dh1 = basis.dense(nodes)
+    wronskian = float(np.max(np.abs(h0 * dh1 - dh0 * h1 - 1.0)))
+    if wronskian > _WRONSKIAN_ATOL:
+        raise ToleranceNotMetError(
+            f"basis Wronskian off 1 by {wronskian:.3e} at the quadrature"
+            " nodes; the homogeneous solve is too coarse"
+        )
+    f = drive(nodes)
+    g0 = (f * h0).reshape(n_panels, -1)
+    g1 = (f * h1).reshape(n_panels, -1)
+    weights = 0.5 * h * gl_weights
+    panel1 = g1 @ weights
+    a0 = complex(np.sum(g0 @ weights))
+    a1 = complex(np.sum(panel1))
+    a1_start = np.concatenate(([0.0], np.cumsum(panel1)[:-1]))
+    a1_nodes = a1_start[:, None] + 0.5 * h * (g1 @ gl_cumulative.T)
+    j = complex(np.sum((g0 * a1_nodes) @ weights))
+
+    e0, e0_dot, e1, e1_dot = (complex(v) for v in basis.y_end)
+    return np.array(
+        [[e0, e1, (e1 * a0 - e0 * a1) / m, 0.0],
+         [e0_dot, e1_dot, (e1_dot * a0 - e0_dot * a1) / m, 0.0],
+         [0.0, 0.0, 1.0, 0.0],
+         [a0, a1, (a0 * a1 - 2.0 * j) / m, 1.0]],
+        dtype=complex,
+    )
+
+
+def _boundary(total: np.ndarray, bc: BoundaryConditions, m: float):
+    """(c, q(t''), q'(t''), int F q, S) of the trajectory through the
+    endpoints of ``bc``, from the :func:`_affine_map` ``total`` of the
+    window: the slope c = q'(t') solves q(t'') = x'', and the action is
+    the boundary identity S = (m/2) [q q']_{t'}^{t''} + (1/2) int F q."""
+    (e0, e1, qp), (e0_dot, e1_dot, qp_dot), (a0, a1, fqp) = total[[0, 1, 3], :3].tolist()
+    xa = bc.x_start
+    c = (bc.x_end - xa * e0 - qp) / e1
+    q_end = xa * e0 + c * e1 + qp
+    slope_end = xa * e0_dot + c * e1_dot + qp_dot
+    forcing_integral = xa * a0 + c * a1 + fqp
+    action = 0.5 * m * (q_end * slope_end - xa * c) + 0.5 * forcing_integral
+    return c, q_end, slope_end, forcing_integral, action
+
+
 @dataclass(frozen=True)
 class RecordScorer:
     """Restricted propagators of many records on one axis, from one
@@ -771,22 +854,9 @@ class RecordScorer:
     prefactor: PrefactorTrack
 
     def log_amplitude(self, record: MeasurementRecord) -> complex:
-        """log K of ``record`` by variation of parameters, no ODE pass.
-
-        With A_k = int F h_k dt over the window and W = h0 h1' - h0' h1
-        = 1, the zero-initial-data forced solution ends at
-        qp = (h1 A0 - h0 A1)/m, qp' = (h1' A0 - h0' A1)/m, and
-        int F qp dt = (A0 A1 - 2 J)/m with J = int F h0 A1(t) dt,
-        A1(t) = int_{t'}^{t} F h1.  The trajectory slope
-        c = (x'' - x' h0 - qp)/h1 at t'' then gives
-        int F q = x' A0 + c A1 + int F qp and the action from the boundary
-        identity S = (m/2) (x'' q'(t'') - x' c) + (1/2) int F q.
-
-        Every record segment is cut into panels of at most
-        ``_PANEL_PHASE`` oscillation phase with the Gauss-Legendre nodes
-        their phase needs; F is linear on a segment, so the rule is exact
-        in F.  A1 at the nodes comes from prefix sums over panels plus the
-        in-panel integration matrix.
+        """log K of ``record`` by variation of parameters, no ODE pass:
+        the :func:`_affine_map` of its drive over the window, then the
+        :func:`_boundary` solve and action.
 
         Raises
         ------
@@ -796,42 +866,11 @@ class RecordScorer:
             If the basis Wronskian at the nodes is off 1 by more than
             ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
         """
-        params, meas, bc = self.inputs.params, self.inputs.meas, self.inputs.bc
-        m = params.mass
-        drive = record_forcing(record, meas, params)
-        per_segment, n_nodes = _panel_layout(record.dt, self.rate)
-        gl_nodes, gl_weights, gl_cumulative = _gauss_panel(n_nodes)
-        h = record.dt / per_segment
-        n_panels = (record.n_samples - 1) * per_segment
-        starts = record.t_start + h * np.arange(n_panels)
-        nodes = (starts[:, None] + 0.5 * h * (gl_nodes + 1.0)).ravel()
-        h0, dh0, h1, dh1 = self.basis.dense(nodes)
-        wronskian = float(np.max(np.abs(h0 * dh1 - dh0 * h1 - 1.0)))
-        if wronskian > _WRONSKIAN_ATOL:
-            raise ToleranceNotMetError(
-                f"basis Wronskian off 1 by {wronskian:.3e} at the quadrature"
-                " nodes; the homogeneous solve is too coarse"
-            )
-        f = drive(nodes)
-        g0 = (f * h0).reshape(n_panels, -1)
-        g1 = (f * h1).reshape(n_panels, -1)
-        weights = 0.5 * h * gl_weights
-        panel1 = g1 @ weights
-        a0 = complex(np.sum(g0 @ weights))
-        a1 = complex(np.sum(panel1))
-        a1_start = np.concatenate(([0.0], np.cumsum(panel1)[:-1]))
-        a1_nodes = a1_start[:, None] + 0.5 * h * (g1 @ gl_cumulative.T)
-        j = complex(np.sum((g0 * a1_nodes) @ weights))
-
-        e0, e0_dot, e1, e1_dot = (complex(v) for v in self.basis.y_end)
-        qp = (e1 * a0 - e0 * a1) / m
-        qp_dot = (e1_dot * a0 - e0_dot * a1) / m
-        xa, xb = bc.x_start, bc.x_end
-        c = (xb - xa * e0 - qp) / e1
-        slope_end = xa * e0_dot + c * e1_dot + qp_dot
-        forcing_integral = xa * a0 + c * a1 + (a0 * a1 - 2.0 * j) / m
-        action = 0.5 * m * (xb * slope_end - xa * c) + 0.5 * forcing_integral
-        record_term = -meas.weight_rate * record_norm_integral(record)
+        params = self.inputs.params
+        drive = record_forcing(record, self.inputs.meas, params)
+        total = _affine_map(self.basis, self.rate, drive, params.mass)
+        action = _boundary(total, self.inputs.bc, params.mass)[-1]
+        record_term = -self.inputs.meas.weight_rate * record_norm_integral(record)
         return record_term + 1j * action / params.hbar + self.prefactor.log_value
 
 
@@ -902,58 +941,17 @@ def _floquet_solution(mono: np.ndarray) -> tuple[complex, complex]:
     return best
 
 
-def _affine_map(spec, force: complex, mass: float, t0: float, span: float):
-    """Map of (q, q', 1, integral q dt) over [t0, t0 + span] for constant F.
-
-    Columns are the homogeneous solutions h0, h1 (unit value, unit
-    slope), the forced solution with zero initial data, and the
-    accumulator; they are integrated together as one 9-component system.
-    Returns the 4x4 matrix and the dense solution.
-    """
-    rate = max(math.sqrt(spec.peak_stiffness(t0, t0 + span)), 1.0 / span)
-    d_scale = min(span, 1.0 / rate)
-    x_scale = max(abs(force) / (mass * rate * rate), 1e-30)
-
-    def rhs(t, y):
-        w2 = spec.w_squared(t)
-        return np.array(
-            [y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + force / mass,
-             y[0], y[2], y[4]],
-            dtype=complex,
-        )
-
-    init = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-    scales = np.array(
-        [1.0, rate, d_scale, 1.0, x_scale, x_scale * rate,
-         span, span * d_scale, span * x_scale]
-    )
-    sol = solve_complex_ivp(
-        rhs, (t0, t0 + span), init, rtol=_FLOQUET_TOL,
-        atol=_FLOQUET_TOL * 1e-3 * scales,
-    )
-    y = sol.y_end
-    step = np.array(
-        [[y[0], y[2], y[4], 0.0],
-         [y[1], y[3], y[5], 0.0],
-         [0.0, 0.0, 1.0, 0.0],
-         [y[6], y[7], y[8], 1.0]],
-        dtype=complex,
-    )
-    return step, sol
-
-
 def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     """Restricted propagator over any number of drive periods.
 
     For a constant record the drive F is constant and w2 has the drive
-    period P, so the affine map of (q, q', 1, integral q dt) over each
-    whole period is the same 4x4 matrix E.  With the window split into
-    N whole periods and a remainder r, the map over the window is
-    E_r E**N, where E and E_r come from one integration over [t', t' + P]
-    and one over [t', t' + r] (the remainder starting at t' + N P sees
-    the same stiffness).  D(t'') is its (q, q') entry; the boundary
-    solve and the action follow as in the direct route, with the action
-    taken from the boundary identity S = (m/2) [q q'] + (1/2) F int q.
+    period P, so the :func:`_affine_map` of (q, q', 1, integral F q dt)
+    over each whole period is the same 4x4 matrix E.  With the window
+    split into N whole periods and a remainder r, the map over the
+    window is E_r E**N, where E and E_r come from one basis pass over
+    [t', t' + P] and one over [t', t' + r] (the remainder starting at
+    t' + N P sees the same stiffness).  D(t'') is its (q, q') entry; the
+    boundary solve and the action are the scorer's (:func:`_boundary`).
 
     arg D is read at the integrator's steps (:func:`_step_arg`) over the
     first period only.  After that, the arg change of the
@@ -976,7 +974,8 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     NumericalError
         If no Floquet solution has Im(f'/f) > 0.
     ToleranceNotMetError
-        If an integrator step is too long to read arg from.
+        If an integrator step is too long to read arg from, or a block's
+        basis is too coarse to integrate (see :func:`_affine_map`).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     check_spans_window(inputs.record, inputs.meas)
@@ -992,31 +991,35 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     period = 2.0 * math.pi / spec.drive_omega
     n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
-    rate = math.sqrt(spec.peak_stiffness(t0, t1))
+
+    def block(span):
+        basis, rate = _basis_pass(spec, t0, t0 + span, _FLOQUET_TOL)
+        drive = Forcing(t_start=t0, dt=span, values=np.full(2, force))
+        return basis, rate, _affine_map(basis, rate, drive, m)
 
     tail = np.eye(4, dtype=complex)
     if rem > 0.0:
-        tail, tail_sol = _affine_map(spec, force, m, t0, rem)
+        tail_basis, tail_rate, tail = block(rem)
     if n_periods == 0:
         total = tail
-        d = tail_sol.y[2]
-        theta = _step_arg(tail_sol.t, d, rate)
+        d = tail_basis.y[2]
+        theta = _step_arg(tail_basis.t, d, tail_rate)
         log_top = math.log(float(np.max(np.abs(d))))
     else:
-        step, step_sol = _affine_map(spec, force, m, t0, period)
-        d = step_sol.y[2]
+        basis, rate, step = block(period)
+        d = basis.y[2]
         theta_first = _nearest_branch(
-            _step_arg(step_sol.t, d, rate), cmath.phase(step[0, 1])
+            _step_arg(basis.t, d, rate), cmath.phase(step[0, 1])
         )
         lam, z_star = _floquet_solution(step[:2, :2])
         mu = _nearest_branch(
-            _step_arg(step_sol.t, step_sol.y[0] + z_star * d, rate), cmath.phase(lam)
+            _step_arg(basis.t, basis.y[0] + z_star * d, rate), cmath.phase(lam)
         )
         mu_r = 0.0
         if rem > 0.0:
+            f_tail = tail_basis.y[0] + z_star * tail_basis.y[2]
             mu_r = _nearest_branch(
-                _step_arg(tail_sol.t, tail_sol.y[0] + z_star * tail_sol.y[2], rate),
-                cmath.phase(tail[0, 0] + tail[0, 1] * z_star),
+                _step_arg(tail_basis.t, f_tail, tail_rate), cmath.phase(f_tail[-1])
             )
         rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
         z_first = step[1, 1] / step[0, 1]
@@ -1039,30 +1042,15 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
             f"D(t'') = {d_end:.3e} against window scale {math.exp(log_top):.3e};"
             " the endpoints are conjugate"
         )
-    xa, xb = inputs.bc.x_start, inputs.bc.x_end
-    slope = (xb - total[0, 0] * xa - total[0, 2]) / d_end
-    q_end = total[0, 0] * xa + d_end * slope + total[0, 2]
-    slope_end = total[1, 0] * xa + total[1, 1] * slope + total[1, 2]
-    forcing_integral = force * (total[3, 0] * xa + total[3, 1] * slope + total[3, 2])
-    action = 0.5 * m * (q_end * slope_end - xa * slope) + 0.5 * forcing_integral
+    slope, q_end, slope_end, forcing_integral, action = _boundary(total, inputs.bc, m)
     sol = ClassicalSolution(
         grid=np.array([t0, t1]),
-        q=np.array([xa, q_end], dtype=complex),
+        q=np.array([inputs.bc.x_start, q_end], dtype=complex),
         q_dot=np.array([slope, slope_end], dtype=complex),
-        action=complex(action),
-        forcing_integral=complex(forcing_integral),
+        action=action,
+        forcing_integral=forcing_integral,
         d_function=np.array([0.0, d_end], dtype=complex),
         d_arg=float(theta),
-        _mismatch=float(abs(q_end - xb)),
+        _mismatch=abs(q_end - inputs.bc.x_end),
     )
-    track = _prefactor(d_end, sol.d_arg, m, params.hbar)
-    record_term = -inputs.meas.weight_rate * record_norm_integral(inputs.record)
-    action_term = 1j * sol.action / params.hbar
-    return PropagatorResult(
-        log_amplitude=record_term + action_term + track.log_value,
-        action_term=action_term,
-        prefactor_term=track.log_value,
-        record_term=record_term,
-        classical=sol,
-        prefactor=track,
-    )
+    return _result(inputs, sol, _prefactor(d_end, sol.d_arg, m, params.hbar))

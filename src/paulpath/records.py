@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadGridError, OutOfRangeError, RecordWindowError
 from .trapmodel import MeasurementConfig, TrapParameters
 
-#: relative slack when checking that a record spans a measurement window
+#: relative slack when checking that a record or boundary spans a measurement window
 _WINDOW_RTOL = 1e-9
 
 
@@ -118,10 +118,16 @@ def render(spec: RecordSpec, meas: MeasurementConfig, n_samples: int = 2001) -> 
     return MeasurementRecord(t_start=meas.t_start, dt=dt, samples=vals)
 
 
+def misses_window(t_start: float, t_end: float, meas: MeasurementConfig) -> bool:
+    """Whether an edge of [t_start, t_end] is off the measurement window
+    by more than ``_WINDOW_RTOL`` of max(|t'|, |t''|, T)."""
+    tol = _WINDOW_RTOL * max(abs(meas.t_start), abs(meas.t_end), meas.duration)
+    return abs(t_start - meas.t_start) > tol or abs(t_end - meas.t_end) > tol
+
+
 def check_spans_window(rec: MeasurementRecord, meas: MeasurementConfig) -> None:
     """Raise unless the record covers exactly the measurement window."""
-    tol = _WINDOW_RTOL * max(abs(meas.t_start), abs(meas.t_end), meas.duration)
-    if abs(rec.t_start - meas.t_start) > tol or abs(rec.t_end - meas.t_end) > tol:
+    if misses_window(rec.t_start, rec.t_end, meas):
         raise RecordWindowError(
             f"record spans [{rec.t_start}, {rec.t_end}], window is "
             f"[{meas.t_start}, {meas.t_end}]",

@@ -225,15 +225,11 @@ def effective_frequency(
 ) -> EffectiveFrequencySpec:
     """Dress the stiffness with the measurement term.
 
-    u_tilde = u - 4i hbar / (m T da**2); the imaginary part is exactly
-    zero when the resolution is infinite.
+    u_tilde = u - 2i hbar w / m = u - 4i hbar / (m T da**2) with the weight
+    rate w = 2/(T da**2), which is exactly zero at infinite resolution.
     """
-    if math.isinf(meas.resolution):
-        shift = 0.0
-    else:
-        shift = 4.0 * params.hbar / (params.mass * meas.duration * meas.resolution**2)
     return EffectiveFrequencySpec(
-        u_tilde=coeffs.u - 1j * shift,
+        u_tilde=coeffs.u - 2j * params.hbar * meas.weight_rate / params.mass,
         v=coeffs.v,
         drive_omega=params.drive_omega,
     )

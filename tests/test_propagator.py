@@ -428,6 +428,33 @@ def test_floquet_needs_a_solution_in_the_upper_half_plane():
         floquet_propagator(inputs)
 
 
+@pytest.mark.parametrize(
+    "n_periods, sizes", [(10.37, [4, 4]), (0.4, [4]), (3.0, [4])],
+    ids=["periods-and-remainder", "remainder-only", "whole-periods"],
+)
+def test_floquet_runs_one_basis_pass_per_block(monkeypatch, n_periods, sizes):
+    # one homogeneous pass per block (one period, the remainder); the
+    # forced part comes from quadrature over the basis, with no ODE pass
+    calls = []
+    solve = propagator.solve_complex_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "solve_complex_ivp", counted)
+    floquet_propagator(_driven_window(X_LIKE, n_periods, amplitude=1.0))
+    assert calls == sizes
+
+
+def test_floquet_refuses_a_coarse_basis(monkeypatch):
+    # at 1e-5 the one-period basis is ~1e-6 off in its Wronskian at the
+    # quadrature nodes, and the window's log K ~1e-5 off
+    monkeypatch.setattr(propagator, "_FLOQUET_TOL", 1e-5)
+    with pytest.raises(ToleranceNotMetError, match="Wronskian"):
+        floquet_propagator(_driven_window(X_LIKE, 10.37, amplitude=1.0))
+
+
 def test_monotone_arg_counts_each_half_turn_forward():
     from paulpath.propagator import _monotone_arg
 
