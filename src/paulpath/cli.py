@@ -22,12 +22,13 @@ Exit codes: 0 ok, 2 config error, 3 numerical singularity or guard,
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import io
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .errors import (
     PhaseBudgetError,
     ZeroQError,
 )
+from .integrate import DEFAULT_TOL
 from .mathieu import integrate_mathieu_ode, evaluate_f, mathieu_series
 from .oracle import discrete_propagator, richardson
 from .probability import rank_records
@@ -60,7 +62,6 @@ from .records import (
 )
 from .trapmodel import (
     Axis,
-    HBAR_SI,
     MeasurementConfig,
     TrapParameters,
     derive_frequency_coefficients,
@@ -80,18 +81,38 @@ VALIDATE_PHASE_ATOL = 1e-3
 
 @dataclass(frozen=True)
 class Numerics:
-    """Knobs that tune accuracy and cost, not physics."""
+    """Knobs that tune accuracy and cost, not physics.
 
-    tol: float = 1e-11
+    ``n_samples`` is checked where an analytic record is rendered and
+    ``oracle_n`` where the sliced lattice is built.
+    """
+
+    tol: float = DEFAULT_TOL
     n_samples: int = 2001
     oracle_n: int = 2048
     f_source: str = "ode"
     phase_budget_rad: float = 5.0e4
 
+    def __post_init__(self):
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tol must be positive and finite", field="numerics.tol")
+        if not self.phase_budget_rad > 0:
+            raise ConfigError(
+                "phase budget must be positive (inf allowed)",
+                field="numerics.phase_budget_rad",
+            )
+        if self.f_source not in ("ode", "series"):
+            raise ConfigError(
+                f"f_source must be ode|series, got {self.f_source!r}", field="numerics.f_source"
+            )
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete two-axis job description parsed from one file."""
+    """Complete two-axis job description parsed from one file.
+
+    The attribute names are the file's top-level section names.
+    """
 
     trap: TrapParameters
     measurement_x: MeasurementConfig
@@ -103,70 +124,109 @@ class Scenario:
     numerics: Numerics
 
 
-def _section(raw: dict, name: str) -> dict:
-    node = raw.get(name)
-    if not isinstance(node, dict):
-        raise ConfigError("missing or non-mapping section", field=name)
-    return node
+#: YAML key -> dataclass attribute, one table per kind of section.  The
+#: parser, its unknown-key check and ``dump_scenario`` read only these.
+#: A key left out of a file takes the attribute's dataclass default and
+#: is missing if there is none.
+_AMPLITUDE = {"amplitude_m": "amplitude"}
+_KEYS: dict[type, dict[str, str]] = {
+    TrapParameters: {
+        "charge_c": "charge",
+        "mass_kg": "mass",
+        "half_gap_m": "half_gap",
+        "dc_voltage_v": "dc_voltage",
+        "ac_voltage_v": "ac_voltage",
+        "drive_omega_rad_s": "drive_omega",
+        "hbar_js": "hbar",
+    },
+    MeasurementConfig: {"t_start_s": "t_start", "t_end_s": "t_end", "resolution_m": "resolution"},
+    BoundaryConditions: {"x_start_m": "x_start", "x_end_m": "x_end"},
+    ConstantRecord: _AMPLITUDE,
+    SinusoidRecord: {**_AMPLITUDE, "omega_rad_s": "omega", "phase_rad": "phase"},
+    Numerics: {f.name: f.name for f in fields(Numerics)},
+}
+#: Record keys outside the tables: the kind, the samples of kind
+#: ``samples`` and the file of kind ``csv``.
+_KIND, _VALUES, _PATH = "kind", "values_m", "path"
 
 
-def _float(node: dict, section: str, key: str, default=None) -> float:
-    if key not in node:
-        if default is not None:
-            return default
-        raise ConfigError("missing value", field=f"{section}.{key}")
-    v = node[key]
+def _float(v, field: str) -> float:
     if isinstance(v, str) and v.strip().lower() in ("inf", ".inf", "infinity"):
         return math.inf
     try:
         return float(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"not a number: {v!r}", field=f"{section}.{key}") from None
+        raise ConfigError(f"not a number: {v!r}", field=field) from None
 
 
-def _int(node: dict, section: str, key: str, default=None) -> int:
-    v = _float(node, section, key, default)
-    if v != int(v):
-        raise ConfigError(f"not an integer: {v!r}", field=f"{section}.{key}")
+def _int(v, field: str) -> int:
+    v = _float(v, field)
+    if not (math.isfinite(v) and v == int(v)):
+        raise ConfigError(f"not an integer: {v!r}", field=field)
     return int(v)
 
 
-def _known_keys(node: dict, section: str, allowed: set[str]) -> None:
+#: Attribute type -> reader of its YAML value.  Strings pass as they are;
+#: their dataclass checks the domain.
+_READERS = {float: _float, int: _int, str: lambda v, field: v}
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str, type], ...]:
+    """(YAML key, attribute, attribute type) for each row of ``cls``' table."""
+    hints = typing.get_type_hints(cls)
+    return tuple((key, attr, hints[attr]) for key, attr in _KEYS[cls].items())
+
+
+def _known_keys(node: dict, section: str, allowed) -> None:
     for key in node:
         if key not in allowed:
             raise ConfigError("unknown key", field=f"{section}.{key}")
 
 
+def _section(raw: dict, name: str, optional: bool = False) -> dict:
+    node = raw.get(name, {} if optional else None)
+    if not isinstance(node, dict):
+        message = "non-mapping section" if optional else "missing or non-mapping section"
+        raise ConfigError(message, field=name)
+    return node
+
+
+def _build(cls, node: dict, section: str, **given):
+    """``cls`` from ``node`` read through its key table; ``given`` holds
+    the attributes that come from elsewhere in the scenario."""
+    _known_keys(node, section, _KEYS[cls])
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for key, attr, kind in _schema(cls):
+        field = f"{section}.{key}"
+        if key in node:
+            given[attr] = _READERS[kind](node[key], field)
+        elif attr in required:
+            raise ConfigError("missing value", field=field)
+    return cls(**given)
+
+
 def _parse_record(raw: dict, section: str, base_dir: Path):
-    node = _section(raw, section)
-    kind = node.get("kind")
-    if kind == "constant":
-        _known_keys(node, section, {"kind", "amplitude_m"})
-        return ConstantRecord(amplitude=_float(node, section, "amplitude_m"))
-    if kind == "sinusoid":
-        _known_keys(node, section, {"kind", "amplitude_m", "omega_rad_s", "phase_rad"})
-        return SinusoidRecord(
-            amplitude=_float(node, section, "amplitude_m"),
-            omega=_float(node, section, "omega_rad_s"),
-            phase=_float(node, section, "phase_rad", 0.0),
-        )
-    if kind == "samples":
-        _known_keys(node, section, {"kind", "values_m"})
-        values = node.get("values_m")
+    node = dict(_section(raw, section))
+    kind = node.pop(_KIND, None)
+    for cls in (ConstantRecord, SinusoidRecord):
+        if kind == cls.kind:
+            return _build(cls, node, section)
+    if kind == SampledRecord.kind:
+        _known_keys(node, section, {_VALUES})
+        values = node.get(_VALUES)
         if not isinstance(values, list) or len(values) < 2:
-            raise ConfigError(
-                "need a list of >= 2 numbers", field=f"{section}.values_m"
-            )
+            raise ConfigError("need a list of >= 2 numbers", field=f"{section}.{_VALUES}")
         return SampledRecord(values=tuple(float(v) for v in values))
     if kind == "csv":
-        _known_keys(node, section, {"kind", "path"})
-        path = node.get("path")
+        _known_keys(node, section, {_PATH})
+        path = node.get(_PATH)
         if not isinstance(path, str):
-            raise ConfigError("missing csv path", field=f"{section}.path")
+            raise ConfigError("missing csv path", field=f"{section}.{_PATH}")
         return read_record_csv(base_dir / path)
     raise ConfigError(
         f"kind must be constant|sinusoid|samples|csv, got {kind!r}",
-        field=f"{section}.kind",
+        field=f"{section}.{_KIND}",
     )
 
 
@@ -174,95 +234,34 @@ def build_scenario(raw: dict, base_dir: Path) -> Scenario:
     """Validate a parsed mapping and assemble the typed scenario."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario file is not a mapping", field="(root)")
-    _known_keys(
-        raw,
-        "(root)",
-        {
-            "trap",
-            "measurement_x",
-            "measurement_z",
-            "boundary_x",
-            "boundary_z",
-            "record_x",
-            "record_z",
-            "numerics",
-        },
-    )
-    t = _section(raw, "trap")
-    _known_keys(
-        t,
-        "trap",
-        {
-            "charge_c",
-            "mass_kg",
-            "half_gap_m",
-            "dc_voltage_v",
-            "ac_voltage_v",
-            "drive_omega_rad_s",
-            "hbar_js",
-        },
-    )
-    trap = TrapParameters(
-        charge=_float(t, "trap", "charge_c"),
-        mass=_float(t, "trap", "mass_kg"),
-        half_gap=_float(t, "trap", "half_gap_m"),
-        dc_voltage=_float(t, "trap", "dc_voltage_v"),
-        ac_voltage=_float(t, "trap", "ac_voltage_v"),
-        drive_omega=_float(t, "trap", "drive_omega_rad_s"),
-        hbar=_float(t, "trap", "hbar_js", HBAR_SI),
-    )
+    _known_keys(raw, "(root)", {f.name for f in fields(Scenario)})
 
-    def meas(section: str) -> MeasurementConfig:
-        node = _section(raw, section)
-        _known_keys(node, section, {"t_start_s", "t_end_s", "resolution_m"})
-        return MeasurementConfig(
-            t_start=_float(node, section, "t_start_s"),
-            t_end=_float(node, section, "t_end_s"),
-            resolution=_float(node, section, "resolution_m"),
-        )
+    def part(cls, section: str, **given):
+        # Every Numerics field has a default, so its section may be left out.
+        return _build(cls, _section(raw, section, optional=cls is Numerics), section, **given)
 
-    measurement_x = meas("measurement_x")
-    measurement_z = meas("measurement_z")
-
-    def bound(section: str, window: MeasurementConfig) -> BoundaryConditions:
-        node = _section(raw, section)
-        _known_keys(node, section, {"x_start_m", "x_end_m"})
-        return BoundaryConditions(
-            x_start=_float(node, section, "x_start_m"),
-            x_end=_float(node, section, "x_end_m"),
-            t_start=window.t_start,
-            t_end=window.t_end,
-        )
-
-    n = raw.get("numerics", {})
-    if not isinstance(n, dict):
-        raise ConfigError("non-mapping section", field="numerics")
-    _known_keys(
-        n,
-        "numerics",
-        {"tol", "n_samples", "oracle_n", "f_source", "phase_budget_rad"},
-    )
-    f_source = n.get("f_source", "ode")
-    if f_source not in ("ode", "series"):
-        raise ConfigError(
-            f"f_source must be ode|series, got {f_source!r}", field="numerics.f_source"
-        )
-    numerics = Numerics(
-        tol=_float(n, "numerics", "tol", 1e-11),
-        n_samples=_int(n, "numerics", "n_samples", 2001),
-        oracle_n=_int(n, "numerics", "oracle_n", 2048),
-        f_source=f_source,
-        phase_budget_rad=_float(n, "numerics", "phase_budget_rad", 5.0e4),
-    )
+    trap = part(TrapParameters, "trap")
+    measurement_x = part(MeasurementConfig, "measurement_x")
+    measurement_z = part(MeasurementConfig, "measurement_z")
     return Scenario(
         trap=trap,
         measurement_x=measurement_x,
         measurement_z=measurement_z,
-        boundary_x=bound("boundary_x", measurement_x),
-        boundary_z=bound("boundary_z", measurement_z),
+        boundary_x=part(
+            BoundaryConditions,
+            "boundary_x",
+            t_start=measurement_x.t_start,
+            t_end=measurement_x.t_end,
+        ),
+        boundary_z=part(
+            BoundaryConditions,
+            "boundary_z",
+            t_start=measurement_z.t_start,
+            t_end=measurement_z.t_end,
+        ),
         record_x=_parse_record(raw, "record_x", base_dir),
         record_z=_parse_record(raw, "record_z", base_dir),
-        numerics=numerics,
+        numerics=part(Numerics, "numerics"),
     )
 
 
@@ -280,77 +279,36 @@ def _resolve_scenario_path(name: str) -> Path:
     raise ConfigError(f"scenario file not found: {name}", field="--scenario")
 
 
-def load_scenario_dict(name: str) -> tuple[dict, Path]:
-    """Raw mapping plus the directory used to resolve relative paths."""
+def load_scenario(name: str) -> Scenario:
+    """Parse a scenario file; relative record paths resolve against its directory."""
     path = _resolve_scenario_path(name)
     try:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as e:
         raise ConfigError(f"cannot parse scenario file: {e}", field=str(path)) from e
-    return raw, path.parent
+    return build_scenario(raw, path.parent)
 
 
-def load_scenario(name: str) -> Scenario:
-    raw, base_dir = load_scenario_dict(name)
-    return build_scenario(raw, base_dir)
+def _node(part) -> dict:
+    """One parsed section as its YAML mapping."""
+    return {key: kind(getattr(part, attr)) for key, attr, kind in _schema(type(part))}
 
 
 def _record_node(spec) -> dict:
-    if isinstance(spec, ConstantRecord):
-        return {"kind": "constant", "amplitude_m": float(spec.amplitude)}
-    if isinstance(spec, SinusoidRecord):
-        return {
-            "kind": "sinusoid",
-            "amplitude_m": float(spec.amplitude),
-            "omega_rad_s": float(spec.omega),
-            "phase_rad": float(spec.phase),
-        }
-    if isinstance(spec, SampledRecord):
-        return {"kind": "samples", "values_m": [float(v) for v in spec.values]}
-    # Rendered (for instance csv-backed) records dump as effective samples.
-    return {"kind": "samples", "values_m": [float(v) for v in spec.samples]}
+    if type(spec) in _KEYS:
+        return {_KIND: spec.kind, **_node(spec)}
+    # Sampled and rendered (for instance csv-backed) records dump as samples.
+    values = spec.values if isinstance(spec, SampledRecord) else spec.samples
+    return {_KIND: SampledRecord.kind, _VALUES: [float(v) for v in values]}
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize the effective scenario; re-parsing gives an equivalent one."""
-    doc = {
-        "trap": {
-            "charge_c": scenario.trap.charge,
-            "mass_kg": scenario.trap.mass,
-            "half_gap_m": scenario.trap.half_gap,
-            "dc_voltage_v": scenario.trap.dc_voltage,
-            "ac_voltage_v": scenario.trap.ac_voltage,
-            "drive_omega_rad_s": scenario.trap.drive_omega,
-            "hbar_js": scenario.trap.hbar,
-        },
-        "measurement_x": {
-            "t_start_s": scenario.measurement_x.t_start,
-            "t_end_s": scenario.measurement_x.t_end,
-            "resolution_m": scenario.measurement_x.resolution,
-        },
-        "measurement_z": {
-            "t_start_s": scenario.measurement_z.t_start,
-            "t_end_s": scenario.measurement_z.t_end,
-            "resolution_m": scenario.measurement_z.resolution,
-        },
-        "boundary_x": {
-            "x_start_m": scenario.boundary_x.x_start,
-            "x_end_m": scenario.boundary_x.x_end,
-        },
-        "boundary_z": {
-            "x_start_m": scenario.boundary_z.x_start,
-            "x_end_m": scenario.boundary_z.x_end,
-        },
-        "record_x": _record_node(scenario.record_x),
-        "record_z": _record_node(scenario.record_z),
-        "numerics": {
-            "tol": scenario.numerics.tol,
-            "n_samples": scenario.numerics.n_samples,
-            "oracle_n": scenario.numerics.oracle_n,
-            "f_source": scenario.numerics.f_source,
-            "phase_budget_rad": scenario.numerics.phase_budget_rad,
-        },
-    }
+    doc = {}
+    for f in fields(Scenario):
+        part = getattr(scenario, f.name)
+        is_record = isinstance(part, RecordSpec | MeasurementRecord)
+        doc[f.name] = _record_node(part) if is_record else _node(part)
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
@@ -430,9 +388,16 @@ def _meta(args, extra: str = "") -> list[str]:
 # subcommands
 
 
-def cmd_propagate(args) -> int:
+def _load(args) -> Scenario:
+    """The ``--scenario`` file with ``--tol`` applied.  The override meets
+    the same ``Numerics`` domain check as the file's value."""
     scenario = load_scenario(args.scenario)
-    tol = args.tol if args.tol is not None else scenario.numerics.tol
+    if args.tol is None:
+        return scenario
+    return replace(scenario, numerics=replace(scenario.numerics, tol=args.tol))
+
+
+def cmd_propagate(args, scenario: Scenario) -> int:
     header = [
         "axis",
         "log_modulus",
@@ -448,7 +413,7 @@ def cmd_propagate(args) -> int:
     for axis in (Axis.X, Axis.Z):
         inputs = axis_inputs(scenario, axis)
         check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
-        res = restricted_propagator(inputs, tol=tol)
+        res = restricted_propagator(inputs, tol=scenario.numerics.tol)
         rows.append(
             [
                 axis.value,
@@ -466,9 +431,7 @@ def cmd_propagate(args) -> int:
     return 0
 
 
-def cmd_prob(args) -> int:
-    scenario = load_scenario(args.scenario)
-    tol = args.tol if args.tol is not None else scenario.numerics.tol
+def cmd_prob(args, scenario: Scenario) -> int:
     x_base = axis_inputs(scenario, Axis.X)
     z_base = axis_inputs(scenario, Axis.Z)
     if (scenario.measurement_x.t_start, scenario.measurement_x.t_end) != (
@@ -494,7 +457,7 @@ def cmd_prob(args) -> int:
         records,
         z_base=z_base,
         record_ids=ids,
-        tol=tol,
+        tol=scenario.numerics.tol,
     )
     header = ["record_id", "log_p_x", "log_p_z", "log_p_joint", "log_odds"]
     rows = [[r.record_id, r.log_p_x, r.log_p_z, r.log_p, r.log_odds] for r in ranked]
@@ -518,9 +481,7 @@ def _identifications(scenario: Scenario) -> list[str]:
     return lines
 
 
-def cmd_validate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    tol = args.tol if args.tol is not None else scenario.numerics.tol
+def cmd_validate(args, scenario: Scenario) -> int:
     if args.levels:
         try:
             levels = [int(v) for v in args.levels.split(",")]
@@ -530,7 +491,7 @@ def cmd_validate(args) -> int:
         levels = [scenario.numerics.oracle_n // 2, scenario.numerics.oracle_n]
     inputs = axis_inputs(scenario, Axis.X)
     check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
-    pipe = restricted_propagator(inputs, tol=tol).log_amplitude
+    pipe = restricted_propagator(inputs, tol=scenario.numerics.tol).log_amplitude
     oracle = {n: discrete_propagator(inputs, n) for n in levels}
     header = [
         "n_slices",
@@ -575,15 +536,14 @@ def cmd_validate(args) -> int:
     return 0 if all_pass else 4
 
 
+#: Every sinusoid-record and measurement key of either axis but the
+#: window endpoints.
 _SWEEPABLE = {
-    "record_x.amplitude_m",
-    "record_x.omega_rad_s",
-    "record_x.phase_rad",
-    "record_z.amplitude_m",
-    "record_z.omega_rad_s",
-    "record_z.phase_rad",
-    "measurement_x.resolution_m",
-    "measurement_z.resolution_m",
+    f"{section}_{axis}.{key}"
+    for axis in "xz"
+    for section, cls in (("record", SinusoidRecord), ("measurement", MeasurementConfig))
+    for key, attr in _KEYS[cls].items()
+    if attr not in ("t_start", "t_end")
 }
 
 
@@ -595,10 +555,7 @@ def _expand_sweep_path(path: str) -> list[str]:
     return [path]
 
 
-def cmd_sweep(args) -> int:
-    raw, base_dir = load_scenario_dict(args.scenario)
-    scenario = build_scenario(raw, base_dir)  # validate before sweeping
-    tol = args.tol if args.tol is not None else scenario.numerics.tol
+def cmd_sweep(args, scenario: Scenario) -> int:
     params = args.param or []
     value_lists = args.values or []
     if len(params) != len(value_lists):
@@ -618,15 +575,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("values must be comma-separated numbers", field="--values")
 
     def point_scenario(values: tuple[float, ...]) -> Scenario:
-        doc = copy.deepcopy(raw)
+        sc = scenario
         for pth, val in zip(params, values):
             for leaf in _expand_sweep_path(pth):
                 section, key = leaf.split(".", 1)
-                node = doc.get(section)
-                if not isinstance(node, dict):
-                    raise ConfigError("missing section for sweep", field=leaf)
-                node[key] = val
-        return build_scenario(doc, base_dir)
+                part = getattr(sc, section)
+                attr = _KEYS.get(type(part), {}).get(key)
+                if attr is None:  # for instance omega_rad_s of a constant record
+                    raise ConfigError("unknown key", field=leaf)
+                sc = replace(sc, **{section: replace(part, **{attr: val})})
+        return sc
 
     def run_point(values: tuple[float, ...]):
         sc = point_scenario(values)
@@ -634,8 +592,8 @@ def cmd_sweep(args) -> int:
         z_in = axis_inputs(sc, Axis.Z)
         check_phase_budget(x_in, sc.numerics.phase_budget_rad)
         check_phase_budget(z_in, sc.numerics.phase_budget_rad)
-        lx = 2.0 * restricted_propagator(x_in, tol=tol).log_amplitude.real
-        lz = 2.0 * restricted_propagator(z_in, tol=tol).log_amplitude.real
+        lx = 2.0 * restricted_propagator(x_in, tol=sc.numerics.tol).log_amplitude.real
+        lz = 2.0 * restricted_propagator(z_in, tol=sc.numerics.tol).log_amplitude.real
         return lx, lz
 
     points = list(itertools.product(*grids)) if grids else []
@@ -649,8 +607,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_mathieu(args) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_mathieu(args, scenario: Scenario) -> int:
     spec = effective_frequency(
         derive_frequency_coefficients(scenario.trap, Axis.X),
         scenario.measurement_x,
@@ -720,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load(args))
     except (ConfigError, ZeroQError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,6 +18,9 @@ from scipy.integrate import solve_ivp
 
 from .errors import ToleranceNotMetError
 
+#: Default relative tolerance of every adaptive solve in the package.
+DEFAULT_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class ComplexIvpSolution:
@@ -43,7 +46,7 @@ class ComplexIvpSolution:
         return y[: self._n] + 1j * y[self._n :]
 
 
-def solve_complex_ivp(rhs, span, y0, rtol=1e-11, atol=1e-14):
+def solve_complex_ivp(rhs, span, y0, rtol, atol):
     """Integrate dy/dt = rhs(t, y) for complex y.
 
     Parameters

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRangeError, ToleranceNotMetError, ZeroQError
-from .integrate import solve_complex_ivp
+from .integrate import DEFAULT_TOL, solve_complex_ivp
 from .trapmodel import DimensionlessParams
 
 _MAX_TERMS = 4
@@ -146,10 +146,7 @@ def residual_coefficients(coeffs: SeriesCoefficients) -> dict[int, complex]:
         cm = kept.get(m, 0.0)
         below = kept.get(1, 0.0) if m == 1 else kept.get(m - 2, 0.0)
         above = kept.get(m + 2, 0.0)
-        if m == 1:
-            r = (p - 1.0) * cm - q * below - q * above
-        else:
-            r = (p - m * m) * cm - q * below - q * above
+        r = (p - m * m) * cm - q * below - q * above
         if r != 0:
             out[m] = complex(r)
     return out
@@ -220,7 +217,7 @@ def integrate_mathieu_ode(
     params: DimensionlessParams,
     span: tuple[float, float],
     init: tuple[complex, complex],
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
     n_points: int = 257,
 ) -> OdeSolution:
     """Integrate psi'' + [p - 2 q cos(2 t)] psi = 0 numerically.

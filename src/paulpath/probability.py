@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import RecordWindowError
+from .integrate import DEFAULT_TOL
 from .propagator import PropagatorInputs, record_scorer, restricted_propagator
 from .records import MeasurementRecord
 
@@ -36,7 +37,7 @@ class LogProbability:
     window: Optional[tuple[float, float]] = None
 
 
-def probability_x(inputs: PropagatorInputs, tol: float = 1e-11) -> LogProbability:
+def probability_x(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> LogProbability:
     """log_p of the record in ``inputs`` via the transverse pipeline."""
     res = restricted_propagator(inputs, tol=tol)
     return LogProbability(
@@ -45,7 +46,7 @@ def probability_x(inputs: PropagatorInputs, tol: float = 1e-11) -> LogProbabilit
     )
 
 
-def probability_z(inputs: PropagatorInputs, tol: float = 1e-11) -> LogProbability:
+def probability_z(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> LogProbability:
     """log_p of the record in ``inputs`` on the axial direction.
 
     The pipeline is identical to :func:`probability_x`; the axial physics
@@ -97,7 +98,7 @@ def rank_records(
     z_base: Optional[PropagatorInputs] = None,
     record_ids: Optional[Sequence[str]] = None,
     threads: int = 1,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
 ) -> list[RankedRecord]:
     """Score candidate records and order them by descending log_p.
 

@@ -63,7 +63,7 @@ from .errors import (
     OutOfRangeError,
     ToleranceNotMetError,
 )
-from .integrate import ComplexIvpSolution, solve_complex_ivp
+from .integrate import DEFAULT_TOL, ComplexIvpSolution, solve_complex_ivp
 from .mathieu import evaluate_f, mathieu_series
 from .records import (
     Forcing,
@@ -172,7 +172,7 @@ def classical_trajectory(
     drive: Forcing,
     bc: BoundaryConditions,
     params: TrapParameters,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
     n_points: int = 513,
 ) -> ClassicalSolution:
     """Solve m q'' + m w2(t) q = F(t) with q(t') = x', q(t'') = x''.
@@ -394,7 +394,7 @@ def prefactor_track(
     params: TrapParameters,
     spec: EffectiveFrequencySpec,
     window: tuple[float, float],
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
 ) -> PrefactorTrack:
     """Integrate the determinant equation and track its phase.
 
@@ -476,7 +476,7 @@ def fluctuation_prefactor_from_f(
     window: tuple[float, float],
     f_source: str = "ode",
     n_terms: int = 2,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
 ) -> complex:
     """Endpoint-product prefactor sqrt(m / (2 pi i hbar f' f'' int f**-2)).
 
@@ -702,7 +702,7 @@ def _check_windows_consistent(bc: BoundaryConditions, meas: MeasurementConfig):
 
 def restricted_propagator(
     inputs: PropagatorInputs,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
 ) -> PropagatorResult:
     """Assemble the full restricted propagator for one axis.
 
@@ -874,7 +874,7 @@ class RecordScorer:
         return record_term + 1j * action / params.hbar + self.prefactor.log_value
 
 
-def record_scorer(inputs: PropagatorInputs, tol: float = 1e-11) -> RecordScorer:
+def record_scorer(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> RecordScorer:
     """One homogeneous solve of the axis in ``inputs``, ready to score
     records with :meth:`RecordScorer.log_amplitude`.
 

@@ -99,9 +99,13 @@ class TrapParameters:
             )
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ConfigError("hbar must be positive and finite", field="trap.hbar_js")
-        for name in ("charge", "dc_voltage", "ac_voltage"):
+        for name, key in (
+            ("charge", "charge_c"),
+            ("dc_voltage", "dc_voltage_v"),
+            ("ac_voltage", "ac_voltage_v"),
+        ):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite", field=f"trap.{name}")
+                raise ConfigError(f"{name} must be finite", field=f"trap.{key}")
 
 
 @dataclass(frozen=True)

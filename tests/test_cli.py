@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
-from paulpath import Axis, cli, render, restricted_propagator
-from paulpath.cli import axis_inputs, dump_scenario, load_scenario
+from paulpath import HBAR_SI, Axis, ConfigError, cli, render, restricted_propagator
+from paulpath.cli import Numerics, axis_inputs, build_scenario, dump_scenario, load_scenario
 from paulpath.records import ConstantRecord, SampledRecord, write_record_csv
 
 SHORT = "barium_short_window.scenario"
@@ -130,6 +133,73 @@ def test_missing_field_names_the_field(tmp_path, capsys):
     rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
     assert rc == 2
     assert "trap.mass_kg" in capsys.readouterr().err
+
+
+def test_non_finite_voltage_names_the_key(tmp_path, capsys):
+    doc = CONJUGATE_YAML.replace("  dc_voltage_v: 1.0\n", "  dc_voltage_v: .nan\n")
+    sc = tmp_path / "nandc.scenario"
+    sc.write_text(doc)
+    rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
+    assert rc == 2
+    assert "trap.dc_voltage_v" in capsys.readouterr().err
+
+
+def _conjugate_doc(**numerics):
+    raw = yaml.safe_load(CONJUGATE_YAML)
+    raw["numerics"].update(numerics)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tol", -1.0),
+        ("tol", 0.0),
+        ("tol", math.nan),
+        ("tol", math.inf),
+        ("phase_budget_rad", math.nan),
+        ("phase_budget_rad", 0.0),
+        ("phase_budget_rad", -5.0),
+        ("n_samples", math.nan),
+        ("n_samples", math.inf),
+        ("n_samples", 2.5),
+        ("oracle_n", math.nan),
+        ("f_source", "rk4"),
+    ],
+)
+def test_out_of_domain_numerics_names_the_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"numerics.{key}"):
+        build_scenario(_conjugate_doc(**{key: value}), tmp_path)
+
+
+def test_numerics_defaults_and_unbounded_phase_budget(tmp_path):
+    raw = _conjugate_doc(phase_budget_rad=math.inf)
+    assert build_scenario(raw, tmp_path).numerics.phase_budget_rad == math.inf
+    del raw["numerics"]
+    sc = build_scenario(raw, tmp_path)
+    assert sc.numerics == Numerics()
+    assert sc.trap.hbar == HBAR_SI
+
+
+def test_tol_override_meets_the_numerics_check(capsys):
+    rc = cli.main(["propagate", "--scenario", SHORT, "--out", "stdout", "--tol", "-1"])
+    assert rc == 2
+    assert "numerics.tol" in capsys.readouterr().err
+
+
+def test_nan_phase_budget_refused_before_the_direct_route(tmp_path, monkeypatch, capsys):
+    raw = yaml.safe_load(dump_scenario(load_scenario(REFERENCE)))
+    raw["numerics"]["phase_budget_rad"] = math.nan
+    sc = tmp_path / "nan_budget.scenario"
+    sc.write_text(yaml.safe_dump(raw))
+
+    def direct_route(*args, **kwargs):
+        raise AssertionError("the direct route started")
+
+    monkeypatch.setattr(cli, "restricted_propagator", direct_route)
+    rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
+    assert rc == 2
+    assert "numerics.phase_budget_rad" in capsys.readouterr().err
 
 
 def test_unknown_key_names_the_field(tmp_path, capsys):
@@ -254,6 +324,16 @@ def test_sweep_rejects_unknown_parameter(capsys):
     assert "not sweepable" in capsys.readouterr().err
 
 
+def test_sweep_rejects_key_of_other_record_kind(capsys):
+    # record.omega_rad_s reaches record_z, a constant record in SHORT
+    rc = cli.main(
+        ["sweep", "--scenario", SHORT, "--out", "stdout",
+         "--param", "record.omega_rad_s", "--values", "1.0e6"]
+    )
+    assert rc == 2
+    assert "record_z.omega_rad_s: unknown key" in capsys.readouterr().err
+
+
 def test_mathieu_dump(tmp_path):
     out = tmp_path / "mathieu.csv"
     rc = cli.main(
@@ -280,6 +360,49 @@ def test_dump_scenario_round_trips(tmp_path):
     assert cli.main(["propagate", "--scenario", str(path), "--out", str(out2)]) == 0
     # metadata lines name the scenario, so compare the data rows only
     assert _rows(_read(out1)) == _rows(_read(out2))
+
+
+RECORD_NODES = {
+    "constant": {"kind": "constant", "amplitude_m": -2.5e-7},
+    "sinusoid": {
+        "kind": "sinusoid", "amplitude_m": 1.5e-7, "omega_rad_s": 3.0, "phase_rad": -0.7,
+    },
+    "samples": {"kind": "samples", "values_m": [0.0, 1.0e-7, -3.0e-7, 2.0e-7]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind_x, kind_z",
+    [("constant", "sinusoid"), ("sinusoid", "samples"), ("samples", "constant")],
+)
+def test_dump_scenario_round_trips_every_key(tmp_path, kind_x, kind_z):
+    raw = yaml.safe_load(CONJUGATE_YAML)
+    raw["trap"]["hbar_js"] = 0.5
+    raw["record_x"] = RECORD_NODES[kind_x]
+    raw["record_z"] = RECORD_NODES[kind_z]
+    raw["numerics"] = {
+        "tol": 1.0e-9,
+        "n_samples": 513,
+        "oracle_n": 256,
+        "f_source": "series",
+        "phase_budget_rad": 1.0e3,
+    }
+    sc = build_scenario(raw, tmp_path)
+    for f in dataclasses.fields(Numerics):
+        assert getattr(sc.numerics, f.name) != f.default, f.name
+    assert build_scenario(yaml.safe_load(dump_scenario(sc)), tmp_path) == sc
+
+
+def test_dump_scenario_writes_csv_record_as_its_samples(tmp_path):
+    raw = yaml.safe_load(CONJUGATE_YAML)
+    meas = build_scenario(raw, tmp_path).measurement_x
+    rec = render(SampledRecord(values=(0.0, 2.0e-7, -1.0e-7)), meas, n_samples=3)
+    write_record_csv(rec, tmp_path / "cand.csv")
+    raw["record_x"] = {"kind": "csv", "path": "cand.csv"}
+    sc = build_scenario(raw, tmp_path)
+    again = build_scenario(yaml.safe_load(dump_scenario(sc)), tmp_path)
+    assert again.record_x == SampledRecord(values=tuple(sc.record_x.samples))
+    assert np.array_equal(again.record_x.values, rec.samples)
 
 
 def test_console_entry_point_smoke(tmp_path):
