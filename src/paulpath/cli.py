@@ -194,7 +194,9 @@ def _section(raw: dict, name: str, optional: bool = False) -> dict:
 
 def _build(cls, node: dict, section: str, **given):
     """``cls`` from ``node`` read through its key table; ``given`` holds
-    the attributes that come from elsewhere in the scenario."""
+    the attributes that come from elsewhere in the scenario.  A domain
+    error of ``cls`` names ``section`` and the key the user wrote, not the
+    attribute."""
     _known_keys(node, section, _KEYS[cls])
     required = {f.name for f in fields(cls) if f.default is MISSING}
     for key, attr, kind in _schema(cls):
@@ -203,7 +205,14 @@ def _build(cls, node: dict, section: str, **given):
             given[attr] = _READERS[kind](node[key], field)
         elif attr in required:
             raise ConfigError("missing value", field=field)
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        if exc.field is None:
+            raise
+        name = exc.field.rpartition(".")[2]
+        key = {attr: key for key, attr in _KEYS[cls].items()}.get(name, name)
+        raise type(exc)(exc.reason, field=f"{section}.{key}") from None
 
 
 def _parse_record(raw: dict, section: str, base_dir: Path):
@@ -214,10 +223,11 @@ def _parse_record(raw: dict, section: str, base_dir: Path):
             return _build(cls, node, section)
     if kind == SampledRecord.kind:
         _known_keys(node, section, {_VALUES})
+        field = f"{section}.{_VALUES}"
         values = node.get(_VALUES)
         if not isinstance(values, list) or len(values) < 2:
-            raise ConfigError("need a list of >= 2 numbers", field=f"{section}.{_VALUES}")
-        return SampledRecord(values=tuple(float(v) for v in values))
+            raise ConfigError("need a list of >= 2 numbers", field=field)
+        return SampledRecord(values=tuple(_float(v, field) for v in values))
     if kind == "csv":
         _known_keys(node, section, {_PATH})
         path = node.get(_PATH)
@@ -620,7 +630,9 @@ def cmd_mathieu(args, scenario: Scenario) -> int:
         f = evaluate_f(coeffs, t)
     else:
         f0 = complex(sum(coeffs.coefficients))
-        sol = integrate_mathieu_ode(params, (0.0, float(args.t_max)), (f0, 0.0))
+        sol = integrate_mathieu_ode(
+            params, (0.0, float(args.t_max)), (f0, 0.0), tol=scenario.numerics.tol
+        )
         f = sol.evaluate(t)[0]
     comments = _meta(args, "cmd=mathieu")
     comments.append(f"p = {params.p.real:.12e} {params.p.imag:+.12e}j, q = {params.q:.12e}")

@@ -16,11 +16,13 @@ class PaulpathError(Exception):
 class ConfigError(PaulpathError):
     """A scenario or parameter value is malformed or out of domain.
 
-    ``field`` names the offending entry so front ends can point at it.
+    ``field`` names the offending entry so front ends can point at it;
+    ``reason`` is the message without it.
     """
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
+        self.reason = message
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)

@@ -32,6 +32,7 @@ numerically exact solution the series is judged against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,7 +246,8 @@ def integrate_mathieu_ode(
     p, q = params.p, params.q
 
     def rhs(t, y):
-        return np.array([y[1], -(p - 2.0 * q * np.cos(2.0 * t)) * y[0]])
+        psi, dpsi = y.tolist()
+        return np.array([dpsi, -(p - 2.0 * q * math.cos(2.0 * t)) * psi], dtype=complex)
 
     scale = max(abs(init[0]), abs(init[1]), 1.0)
     sol = solve_complex_ivp(

@@ -208,9 +208,9 @@ def classical_trajectory(
     def rhs_basis(t, y):
         w2 = spec.w_squared(t)
         f = drive(t)
+        h0, dh0, h1, dh1, p, dp = y.tolist()
         return np.array(
-            [y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + f / m],
-            dtype=complex,
+            [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + f / m], dtype=complex
         )
 
     init = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex)
@@ -228,8 +228,9 @@ def classical_trajectory(
     def rhs_traj(t, y):
         w2 = spec.w_squared(t)
         f = drive(t)
-        lagr = 0.5 * m * y[1] * y[1] - 0.5 * m * w2 * y[0] * y[0] + f * y[0]
-        return np.array([y[1], -w2 * y[0] + f / m, lagr, f * y[0]], dtype=complex)
+        q, dq, _, _ = y.tolist()
+        lagr = 0.5 * m * dq * dq - 0.5 * m * w2 * q * q + f * q
+        return np.array([dq, -w2 * q + f / m, lagr, f * q], dtype=complex)
 
     q_scale = max(x_scale, abs(c) * min(T, 1.0 / rate))
     s_scale = max(m * q_scale**2 * rate, 1e-60)
@@ -426,7 +427,8 @@ def _basis_pass(spec, t0: float, t1: float, tol: float):
 
     def rhs(t, y):
         w2 = spec.w_squared(t)
-        return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]], dtype=complex)
+        h0, dh0, h1, dh1 = y.tolist()
+        return np.array([dh0, -w2 * h0, dh1, -w2 * h1], dtype=complex)
 
     scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
     basis = solve_complex_ivp(
@@ -508,7 +510,8 @@ def fluctuation_prefactor_from_f(
     elif f_source == "ode":
 
         def rhs(t, y):
-            return np.array([y[1], -spec.w_squared(t) * y[0]], dtype=complex)
+            f, df = y.tolist()
+            return np.array([df, -spec.w_squared(t) * f], dtype=complex)
 
         sol = solve_complex_ivp(
             rhs,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -155,7 +156,31 @@ class Forcing:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.values.size)
 
+    @cached_property
+    def _nodes(self) -> tuple[memoryview, memoryview]:
+        """The times and the samples as (re, im) pairs, as memoryviews for
+        scalar evaluation: an item is a Python float, and no object per
+        sample is kept (long records would fragment the small-object heap)."""
+        pairs = np.ascontiguousarray(self.values, dtype=complex).view(float)
+        return memoryview(self.times), memoryview(pairs)
+
     def __call__(self, t):
+        if isinstance(t, float):
+            # complex np.interp's formula on Python floats: slope * (t - t_j)
+            # + f_j, slope = (f_{j+1} - f_j) * (1 / (t_{j+1} - t_j))
+            ts, f = self._nodes
+            t = float(t)  # np.float64 arithmetic is several times slower
+            j = bisect_right(ts, t) - 1
+            if j < 0:
+                return complex(f[0], f[1])
+            k = 2 * j
+            if j == len(ts) - 1 or ts[j] == t:
+                return complex(f[k], f[k + 1])
+            inv_dt, s = 1.0 / (ts[j + 1] - ts[j]), t - ts[j]
+            return complex(
+                (f[k + 2] - f[k]) * inv_dt * s + f[k],
+                (f[k + 3] - f[k + 1]) * inv_dt * s + f[k + 1],
+            )
         out = np.interp(np.asarray(t, dtype=float), self.times, self.values)
         if out.ndim == 0:
             return complex(out)

@@ -168,6 +168,8 @@ class EffectiveFrequencySpec:
 
     def w_squared(self, t):
         """Evaluate the complex effective stiffness at time(s) ``t``."""
+        if isinstance(t, float):
+            return self.u_tilde - self.v * math.cos(self.drive_omega * t)
         t = np.asarray(t, dtype=float)
         out = np.asarray(self.u_tilde - self.v * np.cos(self.drive_omega * t), dtype=complex)
         if out.ndim == 0:

@@ -144,6 +144,39 @@ def test_non_finite_voltage_names_the_key(tmp_path, capsys):
     assert "trap.dc_voltage_v" in capsys.readouterr().err
 
 
+def test_non_number_sample_names_the_key(tmp_path, capsys):
+    doc = CONJUGATE_YAML.replace(
+        "record_z:\n  kind: constant\n  amplitude_m: 0.0\n",
+        "record_z:\n  kind: samples\n  values_m: [0.0, abc]\n",
+    )
+    sc = tmp_path / "badsample.scenario"
+    sc.write_text(doc)
+    rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
+    assert rc == 2
+    assert "record_z.values_m: not a number: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("  resolution_m: .inf\n\nmeasurement_z", "  resolution_m: -1\n\nmeasurement_z",
+         "measurement_x.resolution_m"),
+        ("  t_end_s: {T}\n  resolution_m: .inf\n\nboundary_x".format(T=math.pi),
+         "  t_end_s: -1.0\n  resolution_m: .inf\n\nboundary_x", "measurement_z.window"),
+        ("  x_end_m: 0.2\n", "  x_end_m: .nan\n", "boundary_x.x_end_m"),
+        ("  x_start_m: 0.0\n", "  x_start_m: .inf\n", "boundary_z.x_start_m"),
+    ],
+    ids=["resolution", "window", "boundary-x-end", "boundary-z-start"],
+)
+def test_domain_errors_name_the_section_and_key(tmp_path, capsys, old, new, field):
+    assert old in CONJUGATE_YAML
+    sc = tmp_path / "domain.scenario"
+    sc.write_text(CONJUGATE_YAML.replace(old, new))
+    rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
+    assert rc == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def _conjugate_doc(**numerics):
     raw = yaml.safe_load(CONJUGATE_YAML)
     raw["numerics"].update(numerics)
@@ -348,6 +381,24 @@ def test_mathieu_dump(tmp_path):
     alpha_line = next(l for l in comments if l.startswith("# alpha = "))
     assert alpha_line.split()[3].startswith("-2.62152200829")
     assert any(l.startswith("# c7 = ") for l in comments)
+
+
+def test_mathieu_passes_the_tolerance_to_the_solve(monkeypatch, tmp_path):
+    seen = []
+    solve = cli.integrate_mathieu_ode
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_mathieu_ode", spy)
+    outs = []
+    for extra in ([], ["--tol", "1e-5"]):
+        out = tmp_path / f"mathieu{len(outs)}.csv"
+        assert cli.main(["mathieu", "--scenario", REFERENCE, "--out", str(out), *extra]) == 0
+        outs.append(_read(out))
+    assert seen == [load_scenario(REFERENCE).numerics.tol, 1e-5]
+    assert outs[0] != outs[1]
 
 
 def test_dump_scenario_round_trips(tmp_path):

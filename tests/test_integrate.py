@@ -1,0 +1,125 @@
+"""The adaptive kernel: stored DOP853 interpolant and integrator counts.
+
+``ComplexIvpSolution.dense`` re-implements the evaluation of scipy's
+``OdeSolution`` over per-step coefficients stored in blocks.  These tests
+pin it to scipy bit for bit, so a scipy release that changes the DOP853
+dense output layout or its segment rule shows up here.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from paulpath import integrate
+from paulpath.errors import OutOfRangeError
+from paulpath.integrate import solve_complex_ivp
+from paulpath.records import Forcing
+from paulpath.trapmodel import EffectiveFrequencySpec
+
+SPEC = EffectiveFrequencySpec(u_tilde=0.37 - 0.011j, v=1.3, drive_omega=2.7)
+DRIVE = Forcing(t_start=0.0, dt=0.25, values=np.exp(0.3j * np.arange(49)) - 0.5j)
+SPAN = (0.0, 12.0)
+
+
+def _basis_rhs(t, y):
+    w2 = SPEC.w_squared(t)
+    h0, dh0, h1, dh1 = y.tolist()
+    return np.array([dh0, -w2 * h0, dh1, -w2 * h1], dtype=complex)
+
+
+def _forced_rhs(t, y):
+    w2 = SPEC.w_squared(t)
+    h0, dh0, h1, dh1, p, dp = y.tolist()
+    return np.array(
+        [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + DRIVE(t)], dtype=complex
+    )
+
+
+CASES = {
+    "basis-4": (_basis_rhs, [1, 0, 0, 1], np.array([1.0, 2.7, 0.37, 1.0])),
+    "forced-6": (_forced_rhs, [1, 0, 0, 1, 0, 0], np.array([1.0, 2.7, 0.37, 1.0, 0.5, 1.4])),
+}
+
+
+def _scipy_reference(rhs, y0, atol):
+    """The same solve through ``solve_ivp``: state packed as (re, im) per
+    component, atol repeated for both parts."""
+
+    def packed(t, y):
+        return rhs(t, y.view(complex)).view(float)
+
+    y0 = np.array(y0, dtype=complex).view(float)
+    return solve_ivp(
+        packed, SPAN, y0, method="DOP853", rtol=1e-11, atol=np.repeat(atol, 2),
+        dense_output=True,
+    )
+
+
+def _as_complex(y_packed):
+    """scipy's (2n, m) or (2n,) packed output as complex (n, m) or (n,)."""
+    return np.ascontiguousarray(y_packed.T).view(complex).T
+
+
+@pytest.mark.parametrize("block", [512, 16], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_dense_matches_scipy_bit_for_bit(monkeypatch, case, block):
+    # the interpolant is stored in blocks of accepted steps; a small block
+    # size puts the ~150 steps of these solves in ten blocks
+    monkeypatch.setattr(integrate, "_BLOCK", block)
+    rhs, y0, scales = CASES[case]
+    atol = 1e-14 * scales
+    sol = solve_complex_ivp(rhs, SPAN, np.array(y0, dtype=complex), rtol=1e-11, atol=atol)
+    ref = _scipy_reference(rhs, y0, atol)
+    assert np.array_equal(sol.t, ref.t)
+    assert np.array_equal(sol.y, _as_complex(ref.y))
+    mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+    outside = [SPAN[0] - 1e-3, SPAN[0] - 1e-12, SPAN[1] + 1e-12, SPAN[1] + 1e-3]
+    t = np.concatenate([sol.t, mid, np.linspace(*SPAN, 301), outside])
+    assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
+    assert np.array_equal(sol.dense(t[::-1]), _as_complex(ref.sol(t[::-1])))
+    for scalar in (SPAN[0], SPAN[1], sol.t[7], mid[3], 5.4321, SPAN[1] + 0.01):
+        got = sol.dense(scalar)
+        assert got.shape == (len(y0),)
+        assert np.array_equal(got, _as_complex(ref.sol(scalar)))
+
+
+@pytest.mark.parametrize("block", [512, 16], ids=["one-block", "many-blocks"])
+def test_dense_matches_scipy_on_a_backward_window(monkeypatch, block):
+    monkeypatch.setattr(integrate, "_BLOCK", block)
+    span = (3.0, -5.0)
+    atol = 1e-14 * CASES["basis-4"][2]
+    sol = solve_complex_ivp(_basis_rhs, span, np.array([1, 0, 0, 1], dtype=complex), 1e-11, atol)
+
+    def packed(t, y):
+        return _basis_rhs(t, y.view(complex)).view(float)
+
+    ref = solve_ivp(
+        packed, span, np.array([1, 0, 0, 1], dtype=complex).view(float), method="DOP853",
+        rtol=1e-11, atol=np.repeat(atol, 2), dense_output=True,
+    )
+    t = np.concatenate([sol.t, np.linspace(-5.1, 3.1, 211)])
+    assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
+    for scalar in (-5.0, 3.0, 0.123, -5.5):
+        assert np.array_equal(sol.dense(scalar), _as_complex(ref.sol(scalar)))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_solution_counts_the_integrator_work(case):
+    rhs, y0, scales = CASES[case]
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    sol = solve_complex_ivp(counted, SPAN, np.array(y0, dtype=complex), 1e-11, 1e-14 * scales)
+    assert sol.rhs_evals == len(calls)
+    assert sol.steps == sol.t.size - 1 > 0
+    assert sol.min_step == np.min(np.diff(sol.t)) > 0
+    # DOP853: 2 calls to start, 12 per step attempt, 3 per interpolant
+    assert (sol.rhs_evals - 2 - 15 * sol.steps) % 12 == 0
+
+
+def test_zero_length_window_is_refused():
+    with pytest.raises(OutOfRangeError, match="zero length"):
+        solve_complex_ivp(_basis_rhs, (1.0, 1.0), np.ones(4, dtype=complex), 1e-11, 1e-14)

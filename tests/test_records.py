@@ -20,7 +20,7 @@ from paulpath import (
     render,
     write_record_csv,
 )
-from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
+from paulpath.records import ConstantRecord, Forcing, SampledRecord, SinusoidRecord
 
 REF = TrapParameters(
     charge=1.602176634e-19,
@@ -114,6 +114,29 @@ def test_forcing_interpolates_linearly():
     scale = record_forcing_scale(meas, params)
     assert drive(0.25) == pytest.approx(-1j * scale * 0.5, rel=1e-14)
     assert drive(0.75) == pytest.approx(-1j * scale * 0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 400])
+def test_forcing_scalar_branch_is_np_interp_bit_for_bit(n):
+    # the right-hand sides call the drive with one float per step stage;
+    # that branch must give exactly what the array (np.interp) path gives
+    rng = np.random.default_rng(n)
+    values = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 3.7e-20
+    values[n // 2] = 0.0
+    drive = Forcing(t_start=-0.31, dt=0.0137, values=values)
+    nodes = drive.times
+    span = nodes[-1] - nodes[0]
+    t = np.concatenate([
+        nodes,
+        nodes[:-1] + 0.5 * drive.dt,
+        [nodes[0] - 1.0, nodes[0] - 1e-15, nodes[-1] + 1e-15, nodes[-1] + 1.0],
+        rng.uniform(nodes[0] - 0.01 * span, nodes[-1] + 0.01 * span, 2000),
+    ])
+    array = drive(t)
+    for kind in (float, np.float64):
+        scalar = np.array([drive(kind(tt)) for tt in t])
+        assert np.array_equal(scalar.view(float), array.view(float)), kind
+    assert all(type(drive(kind(t[0]))) is complex for kind in (float, np.float64))
 
 
 def test_render_rejects_too_few_values():

@@ -99,6 +99,21 @@ def test_w_squared_scalar_and_array():
     assert w_scalar == pytest.approx(expected, rel=1e-14)
 
 
+def test_w_squared_scalar_branch_agrees_with_the_array_path():
+    # the scalar branch (math.cos, one call per right-hand side) and the
+    # array branch (np.cos) may differ only in the last bits of the cosine
+    rng = np.random.default_rng(3)
+    for u_tilde, v, omega in ((0.37 - 0.011j, 1.3, 2.7), (-4.1e10 - 2.2e8j, 3.3e11, 6.3e7)):
+        spec = EffectiveFrequencySpec(u_tilde=u_tilde, v=v, drive_omega=omega)
+        t = np.concatenate([[0.0, -1.0], rng.uniform(-1e3, 1e3, 4000) / omega])
+        array = spec.w_squared(t)
+        ulp = np.spacing(max(abs(u_tilde), abs(v)))
+        for kind in (float, np.float64):
+            scalar = np.array([spec.w_squared(kind(tt)) for tt in t])
+            assert np.max(np.abs(scalar.real - array.real)) <= 2 * ulp
+            assert np.max(np.abs(scalar.imag - array.imag)) <= 2 * ulp
+
+
 def test_dimensionless_map():
     spec = effective_frequency(
         derive_frequency_coefficients(REF, Axis.X), REF_MEAS, REF
