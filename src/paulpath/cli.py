@@ -462,13 +462,7 @@ def cmd_prob(args, scenario: Scenario) -> int:
         # (x candidate applied to both axes, like any other candidate).
         ids = ["scenario"]
         records = [x_base.record]
-    ranked = rank_records(
-        x_base,
-        records,
-        z_base=z_base,
-        record_ids=ids,
-        tol=scenario.numerics.tol,
-    )
+    ranked = rank_records(x_base, records, z_base=z_base, record_ids=ids)
     header = ["record_id", "log_p_x", "log_p_z", "log_p_joint", "log_odds"]
     rows = [[r.record_id, r.log_p_x, r.log_p_z, r.log_p, r.log_odds] for r in ranked]
     write_csv(args.out, header, _meta(args, "cmd=prob"), rows)

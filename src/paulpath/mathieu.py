@@ -28,20 +28,49 @@ At p = a_1(q) the recurrence is the Fourier series of ce_1 and the
 residual shrinks.  The residual helpers quantify exactly how wrong each
 truncation is, and :func:`integrate_mathieu_ode` provides the
 numerically exact solution the series is judged against.
+
+The same three-term recurrence, taken over all harmonics and at the
+right exponent, converges: :func:`hill_basis` builds the homogeneous
+basis of the complex stiffness w2 = u~ - v cos(w t) from its Floquet
+solutions f+(t) = e^{i nu t} sum_n c_n e^{i n w t} and f-(t) = f+(-t)
+(Hill's method; Deconinck & Kutz, J. Comput. Phys. 219 (2006) 296; DLMF
+§28.12), with no adaptive pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import OutOfRangeError, ToleranceNotMetError, ZeroQError
 from .integrate import DEFAULT_TOL, solve_complex_ivp
-from .trapmodel import DimensionlessParams
+from .trapmodel import DimensionlessParams, EffectiveFrequencySpec
 
 _MAX_TERMS = 4
+
+#: Hill basis: a Fourier coefficient at most this fraction of the largest
+#: one is below rounding, and so is the series past it
+_HILL_TAIL = float(np.finfo(float).eps)
+
+#: most harmonics on each side of the centre the Hill basis may use; the
+#: continued fractions start at _FIRST_DEPTH and double up to it
+_MAX_HARMONICS = 256
+_FIRST_DEPTH = 16
+
+#: largest |h0 h1' - h0' h1 - 1| the Hill basis accepts on its grid
+_HILL_WRONSKIAN_ATOL = 1e-10
+
+#: oscillation phase h * rate of one step of the Hill basis' grid, half
+#: the pi/2 up to which arg D is read from step values
+_GRID_PHASE = 0.25 * math.pi
+
+#: rows of Hill's determinant beyond the harmonic nearest sqrt(a)/2 on
+#: each side, and Newton steps allowed on the continued fraction
+_SEED_ROWS = 40
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -260,3 +289,235 @@ def integrate_mathieu_ode(
     grid = np.linspace(span[0], span[1], n_points)
     y = sol.dense(grid)
     return OdeSolution(grid=grid, psi=y[0], psi_dot=y[1], _dense=sol.dense)
+
+
+# --- Hill-Floquet basis -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HillBasis:
+    """The homogeneous basis (h0, h0', h1, h1') of w2 = u~ - v cos(w t),
+    unit value and unit slope at t', from its Floquet solutions.
+
+    ``t`` is a uniform grid over the window whose steps span at most
+    ``_GRID_PHASE`` of oscillation phase h * ``rate``, and ``y`` the basis
+    there, one row per component, exactly (1, 0, 0, 1) at t'.  ``dense``
+    evaluates it anywhere.
+
+    Diagnostics: ``nu`` is the Floquet exponent of f+, ``coefficients``
+    its Fourier coefficients c_n (n = -N..N, c_0 = 1), ``tail`` the
+    largest |c_n| / max |c| at the depth of the continued fractions, and
+    ``wronskian_residual`` the largest |h0 h1' - h0' h1 - 1| on the grid.
+    Build it with :func:`hill_basis`.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    rate: float
+    nu: complex
+    coefficients: np.ndarray
+    tail: float
+    wronskian_residual: float
+    drive_omega: float
+    _terms: np.ndarray = field(repr=False)
+
+    @property
+    def y_end(self) -> np.ndarray:
+        return self.y[:, -1]
+
+    @property
+    def harmonics(self) -> int:
+        """Number of Fourier terms of f+."""
+        return self.coefficients.size
+
+    @property
+    def multiplier(self) -> float:
+        """|lambda| = |e^{i nu P}| >= 1 over one drive period P: the
+        growth of the faster-growing Floquet solution."""
+        return math.exp(abs(self.nu.imag) * 2.0 * math.pi / self.drive_omega)
+
+    def dense(self, t):
+        """The basis at time(s) ``t``: shape (4,) for a scalar, (4, len(t))
+        for an array.
+
+        With s = t - t', each component is e^{i nu s} times a Fourier sum
+        of f+ plus e^{-i nu s} times one of f- (rows 0-3 and 4-7 of
+        ``_terms``, over the powers z^n, n = -N..N, of z = e^{i w t}, which
+        are running products).  Without a drive (v = 0) it is cos(nu s)
+        and sin(nu s) / nu, which stays exact at nu = 0.
+        """
+        t = np.asarray(t, dtype=float)
+        s = t - self.t[0]
+        if self.coefficients.size == 1:
+            h0 = np.cos(self.nu * s)
+            h1 = s * np.sinc(self.nu * s / math.pi)
+            return np.array([h0, -self.nu * self.nu * h1, h1, h0])
+        depth = self.coefficients.size // 2
+        z = np.exp(1j * self.drive_omega * t.reshape(-1))
+        powers = np.empty((2 * depth + 1, z.size), dtype=complex)
+        powers[depth] = 1.0
+        for n in range(depth):
+            np.multiply(powers[depth + n], z, out=powers[depth + n + 1])
+        np.conjugate(powers[:depth:-1], out=powers[:depth])
+        sums = self._terms @ powers
+        grow = np.exp(1j * self.nu * s.reshape(-1))
+        sums[:4] *= grow
+        sums[4:] /= grow
+        return (sums[:4] + sums[4:]).reshape((4,) + t.shape)
+
+
+def _hill_seed(u: complex, v: float, omega: float) -> complex:
+    """A Floquet exponent of w2 = u - v cos(omega t) from Hill's
+    determinant, good enough to start Newton on.
+
+    In Mathieu form (a = 4u/omega^2, q = 2v/omega^2) the exponent
+    nu = (omega/2) nu_z solves cos(pi nu_z) = 1 - 2 Delta sin^2(pi sqrt(a)/2),
+    Delta the determinant with unit diagonal and q/((2n)^2 - a) beside it
+    in row n (Whittaker & Watson §19.42).  A row is singular at
+    a = (2n)^2, where the product stays finite; the seed then nudges a,
+    and Newton removes the nudge.
+    """
+    a, q = 4.0 * u / omega**2, 2.0 * v / omega**2
+    rows = _SEED_ROWS + math.ceil(0.5 * math.sqrt(abs(a)))
+    n2 = 4.0 * np.arange(-rows, rows + 1) ** 2
+    if np.min(np.abs(n2 - a)) < 1e-9 * max(1.0, abs(a)):
+        a += 1e-7 * max(1.0, abs(a))
+    xi = (q / (n2 - a)).tolist()
+    before, det = 1.0, 1.0
+    for left, right in zip(xi, xi[1:]):
+        before, det = det, det - left * right * before
+    cos_pi_nu = 1.0 - 2.0 * det * cmath.sin(0.5 * math.pi * cmath.sqrt(a)) ** 2
+    return 0.5 * omega * cmath.acos(cos_pi_nu) / math.pi
+
+
+def _continued_fractions(nu: complex, u: complex, v: float, omega: float, depth: int):
+    """(G, dG/dnu, right, left) at ``nu``: ``right`` holds c_n / c_{n-1}
+    for n = 1..depth and ``left`` c_{-n} / c_{-n+1}, each from the outward
+    continued fraction of (u - (nu + n omega)^2) c_n = (v/2)(c_{n-1} + c_{n+1})
+    started at c_{+-(depth+1)} = 0; G is the n = 0 row with c_0 = 1,
+    zero at a Floquet exponent."""
+    half = 0.5 * v
+    g = u - nu * nu
+    dg = -2.0 * nu
+    sides = []
+    for sign in (1.0, -1.0):
+        ratio, d_ratio, ratios = 0.0, 0.0, []
+        for n in range(depth, 0, -1):
+            k = nu + sign * n * omega
+            ratio_next = half / (u - k * k - half * ratio)
+            d_ratio = -ratio_next * ratio_next / half * (-2.0 * k - half * d_ratio)
+            ratio = ratio_next
+            ratios.append(ratio)
+        g -= half * ratio
+        dg -= half * d_ratio
+        sides.append(ratios[::-1])
+    return g, dg, sides[0], sides[1]
+
+
+def _floquet_coefficients(u: complex, v: float, omega: float, nu: complex, depth: int):
+    """(nu, c): the exponent refined to rounding by Newton on the n = 0
+    row, shifted by whole multiples of omega until c_0 is the largest
+    coefficient (the continued fractions then run down both decaying
+    sides), and c_n for n = -depth..depth with c_0 = 1."""
+    step = math.inf
+    for _ in range(_NEWTON_STEPS):
+        try:
+            g, dg, right, left = _continued_fractions(nu, u, v, omega, depth)
+            # done once the last step or the row itself is at rounding; near
+            # a band edge dG/dnu is small and the steps stall at rounding
+            if abs(step) > 4.0 * _HILL_TAIL * (abs(nu) + omega) and abs(g) > (
+                16.0 * _HILL_TAIL * (abs(u) + abs(nu) ** 2 + abs(v))
+            ):
+                step = g / dg
+                nu -= step
+                continue
+        except ZeroDivisionError:
+            raise ToleranceNotMetError(
+                f"Hill continued fraction singular at nu = {nu:.6e}"
+            ) from None
+        c = np.concatenate(
+            (np.cumprod(left)[::-1], [1.0], np.cumprod(right))
+        ).astype(complex)
+        mags = np.abs(c)
+        centre = int(np.argmax(mags)) - depth
+        # a tie within a factor 2 (Re nu at a band edge's multiple of
+        # omega/2 makes c_n and c_{-1-n} alike) keeps c_0
+        if mags[centre + depth] <= 2.0:
+            return nu, c
+        nu, step = nu + centre * omega, math.inf
+    raise ToleranceNotMetError(
+        f"the Floquet exponent did not converge in {_NEWTON_STEPS} Newton steps"
+        f" (nu ~ {nu:.6e}); the drive is at or near a band edge"
+    )
+
+
+def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> HillBasis:
+    """The homogeneous basis of ``spec`` over ``window`` from its Floquet
+    solutions, with no adaptive pass.
+
+    nu is seeded from Hill's determinant (:func:`_hill_seed`), refined on
+    the continued fraction and centred (:func:`_floquet_coefficients`);
+    the continued fractions deepen until the coefficient tail is below
+    rounding.  With f-(t) = f+(-t) (w2 is even in t), h0 and h1 are the
+    combinations of f+ and f- with unit value and unit slope at t'.
+    There is no tolerance: the series is as exact as rounding allows,
+    and the checks below refuse it where it is not.
+
+    Raises
+    ------
+    ToleranceNotMetError
+        If the tail is still above rounding at ``_MAX_HARMONICS``
+        harmonics on each side, Newton does not converge, or the basis
+        Wronskian on the grid is off 1 by more than
+        ``_HILL_WRONSKIAN_ATOL`` (near a band edge f+ and f- coincide).
+    """
+    t0, t1 = window
+    u, v, omega = complex(spec.u_tilde), float(spec.v), float(spec.drive_omega)
+    rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / (t1 - t0))
+    grid = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) * rate / _GRID_PHASE)) + 1)
+    if v == 0.0:
+        nu, c, tail = cmath.sqrt(u), np.ones(1, dtype=complex), 0.0
+        terms = np.ones((8, 1), dtype=complex)
+    else:
+        nu, depth = _hill_seed(u, v, omega), min(_FIRST_DEPTH, _MAX_HARMONICS)
+        while True:
+            nu, c = _floquet_coefficients(u, v, omega, nu, depth)
+            mags = np.abs(c)
+            tail = float(max(mags[0], mags[-1]) / mags[depth])
+            if tail <= _HILL_TAIL:
+                break
+            if depth >= _MAX_HARMONICS:
+                raise ToleranceNotMetError(
+                    f"Hill series tail {tail:.3e} above rounding at"
+                    f" {_MAX_HARMONICS} harmonics on each side"
+                )
+            depth = min(2 * depth, _MAX_HARMONICS)
+        kept = int(np.max(np.abs(np.nonzero(mags > _HILL_TAIL * mags[depth])[0] - depth)))
+        c = c[depth - kept: depth + kept + 1]
+        slope = 1j * (nu + omega * np.arange(-kept, kept + 1)) * c
+        # f+ and f+' on the powers z^n of z = e^{i w t}; f- and f-' on the
+        # same powers, reversed
+        raw_plus, raw_minus = np.array([c, slope]), np.array([c[::-1], -slope[::-1]])
+        z0 = np.exp(1j * omega * t0 * np.arange(-kept, kept + 1))
+        (fp, dfp), (fm, dfm) = raw_plus @ z0, raw_minus @ z0
+        wronskian = fp * dfm - dfp * fm
+        # rows of the inverse of [[f+, f-], [f+', f-']] at t'
+        first, second = np.array([dfm, -fm]) / wronskian, np.array([-dfp, fp]) / wronskian
+        terms = np.concatenate([
+            first[0] * raw_plus, first[1] * raw_plus,
+            second[0] * raw_minus, second[1] * raw_minus,
+        ])
+    basis = HillBasis(
+        t=grid, y=np.empty((4, grid.size), dtype=complex), rate=rate, nu=complex(nu),
+        coefficients=c, tail=tail, wronskian_residual=0.0, drive_omega=omega,
+        _terms=terms,
+    )
+    y = basis.dense(grid)
+    y[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    residual = float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)))
+    if residual > _HILL_WRONSKIAN_ATOL:
+        raise ToleranceNotMetError(
+            f"Hill basis Wronskian off 1 by {residual:.3e} on its grid;"
+            " the Floquet solutions are too close to degenerate"
+        )
+    return replace(basis, y=y, wronskian_residual=residual)

@@ -76,20 +76,25 @@ def joint_probability(px: LogProbability, pz: LogProbability) -> LogProbability:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedRecord:
     """One row of a record ranking.
 
     log_p_z is NaN when the ranking ran on a single axis, in which case
     log_p equals log_p_x.  log_odds is log_p minus the best candidate's
-    log_p, hence 0 for the winner and negative elsewhere.
+    log_p, hence 0 for the winner and negative elsewhere.  log_p is
+    derived, not stored: a row holds four values in 64 bytes.
     """
 
     record_id: str
     log_p_x: float
     log_p_z: float
-    log_p: float
     log_odds: float
+
+    @property
+    def log_p(self) -> float:
+        """Joint log-probability: log_p_x + log_p_z, or log_p_x alone."""
+        return self.log_p_x if math.isnan(self.log_p_z) else self.log_p_x + self.log_p_z
 
 
 def rank_records(
@@ -98,18 +103,18 @@ def rank_records(
     z_base: Optional[PropagatorInputs] = None,
     record_ids: Optional[Sequence[str]] = None,
     threads: int = 1,
-    tol: float = DEFAULT_TOL,
 ) -> list[RankedRecord]:
     """Score candidate records and order them by descending log_p.
 
     Each record is scored on the axis of ``x_base`` (and of ``z_base``
     when given, applying the same candidate to both axes); the record
     inside a base is not read.  Each axis is solved once, by
-    :func:`~paulpath.propagator.record_scorer` at ``tol``, and every
-    candidate then costs O(n) linear algebra over its grid, with no ODE
-    pass.  Ties keep the input order of the records, so duplicated
-    candidates come out adjacent and stable.  ``threads`` is ignored:
-    scoring is serial, which beats a thread pool at this cost.
+    :func:`~paulpath.propagator.record_scorer` in closed form (the
+    Hill-Floquet basis: no ODE pass and no tolerance), and every
+    candidate then costs O(n) linear algebra over its grid.  Ties keep
+    the input order of the records, so duplicated candidates come out
+    adjacent and stable.  ``threads`` is ignored: scoring is serial,
+    which beats a thread pool at this cost.
     """
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
@@ -122,8 +127,8 @@ def rank_records(
     if not records:
         return []
 
-    score_x = record_scorer(x_base, tol=tol)
-    score_z = None if z_base is None else record_scorer(z_base, tol=tol)
+    score_x = record_scorer(x_base)
+    score_z = None if z_base is None else record_scorer(z_base)
 
     def score(record: MeasurementRecord) -> tuple[float, float]:
         lx = 2.0 * score_x.log_amplitude(record).real
@@ -143,7 +148,6 @@ def rank_records(
             record_id=ids[i],
             log_p_x=scores[i][0],
             log_p_z=scores[i][1],
-            log_p=totals[i],
             log_odds=totals[i] - best,
         )
         for i in order

@@ -19,10 +19,10 @@ so the module provides three ingredients and an assembler:
   initial value solution (exact for a linear system, up to integrator
   tolerance);
 * the fluctuation prefactor, in two independent forms: the robust
-  route takes D'' + w2 D = 0, D(t') = 0, D'(t') = 1 from the scorer's
-  basis pass and evaluates sqrt(m / (2 pi i hbar D(t''))) on the branch
-  fixed by one rule, arg D read at the integrator's accepted steps with
-  each zero of D (a caustic) advancing it by pi (see :func:`_step_arg`);
+  route takes D'' + w2 D = 0, D(t') = 0, D'(t') = 1 from a homogeneous
+  basis and evaluates sqrt(m / (2 pi i hbar D(t''))) on the branch
+  fixed by one rule, arg D read at the basis' steps with each zero of D
+  (a caustic) advancing it by pi (see :func:`_step_arg`);
   the endpoint route evaluates
   sqrt(m / (2 pi i hbar f(t') f(t'') integral f**-2 dt)) for any
   zero-free homogeneous solution f, which equals the same D by
@@ -32,12 +32,17 @@ so the module provides three ingredients and an assembler:
 * :func:`restricted_propagator`, which adds the three log-domain parts
   and never exponentiates;
 * :func:`record_scorer`, the same assembly for many records on one
-  axis: one adaptive pass of the homogeneous basis, then each record by
-  variation of parameters in O(n) numpy over its grid.  The direct route
-  keeps its own forced passes as the independent check of it;
+  axis: the closed-form Hill-Floquet basis of the axis
+  (:func:`~paulpath.mathieu.hill_basis`, no ODE pass), then each record
+  by variation of parameters in O(n) numpy over its grid.  The direct
+  route keeps its own DOP853 passes, and :func:`prefactor_track` and
+  :func:`floquet_propagator` the adaptive basis pass
+  (:func:`_basis_pass`); they are the independent checks of the Hill
+  basis;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
   stiffness and a constant record over any number of drive periods,
-  from the scorer's basis pass and map over one period and the remainder.
+  from the adaptive basis pass and the scorer's map over one period and
+  the remainder.
 
 All outputs stay in log space: at realistic monitoring strengths the
 record term alone spans hundreds of decades.
@@ -52,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import chebyshev, legendre
 from scipy.integrate import quad, simpson
 
 from .errors import (
@@ -63,8 +68,8 @@ from .errors import (
     OutOfRangeError,
     ToleranceNotMetError,
 )
-from .integrate import DEFAULT_TOL, ComplexIvpSolution, solve_complex_ivp
-from .mathieu import evaluate_f, mathieu_series
+from .integrate import DEFAULT_TOL, solve_complex_ivp
+from .mathieu import HillBasis, evaluate_f, hill_basis, mathieu_series
 from .records import (
     Forcing,
     MeasurementRecord,
@@ -107,9 +112,10 @@ _GAUSS_RTOL = 1e-16
 #: trajectory pass's endpoint miss
 _WRONSKIAN_ATOL = 1e-6
 
-#: samples on which the endpoint and closed-form prefactors check that
-#: their reference solution f has no zero on the window
-_ZERO_CHECK_SAMPLES = 2001
+#: a zero of the series reference solution f within this distance
+#: (scaled time, rad) of the window, or a root of its polynomial in
+#: cos(s) within it of [-1, 1], counts as a zero on the window
+_ZERO_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -352,18 +358,24 @@ def _step_arg(times: np.ndarray, values: np.ndarray, rate: float) -> float:
     Raises
     ------
     ToleranceNotMetError
-        If a step spans more than pi/2 of oscillation phase h * rate.
-        A longer step can cross a zero with too little margin left for
-        the [-pi/2, 3 pi/2) reading; a tighter tolerance shortens it.
+        If a step is too long to read from (see :func:`_check_step_phase`).
     """
+    _check_step_phase(times, rate)
+    live = values[values != 0]
+    return float(np.angle(live[0])) + _monotone_arg(live)
+
+
+def _check_step_phase(times: np.ndarray, rate: float) -> None:
+    """Raise ToleranceNotMetError if a step of ``times`` spans more than
+    pi/2 of oscillation phase h * rate (``rate`` bounds sqrt(max |w2|)).
+    A longer step can cross a zero of a solution with too little margin
+    left to see it from the step values; a tighter tolerance shortens it."""
     reach = float(np.max(np.diff(times))) * rate
     if reach > _MAX_STEP_PHASE:
         raise ToleranceNotMetError(
             f"an integrator step spans {reach:.2f} rad of oscillation phase;"
-            f" arg D is read from steps of at most {_MAX_STEP_PHASE:.2f} rad"
+            f" a solution is read from steps of at most {_MAX_STEP_PHASE:.2f} rad"
         )
-    live = values[values != 0]
-    return float(np.angle(live[0])) + _monotone_arg(live)
 
 
 def _check_not_conjugate(d: np.ndarray) -> None:
@@ -399,8 +411,10 @@ def prefactor_track(
 ) -> PrefactorTrack:
     """Integrate the determinant equation and track its phase.
 
-    D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1 is h1 of the scorer's basis
-    pass.  The prefactor is sqrt(m / (2 pi i hbar D(t''))) with arg D
+    D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1 is h1 of the adaptive basis
+    pass (:func:`_basis_pass`), which takes any stiffness with
+    ``w_squared`` and ``peak_stiffness``.  The prefactor is
+    sqrt(m / (2 pi i hbar D(t''))) with arg D
     carried from the left edge along the integrator's steps, which keeps
     the square root on the physical branch through caustics (each zero
     of D advances arg D by pi when the measurement damping Im w2 < 0, and
@@ -414,7 +428,11 @@ def prefactor_track(
         If the integrator gives up, or its steps are too long to read
         arg D from (see :func:`_step_arg`).
     """
-    return _homogeneous_solve(params, spec, window, tol)[2]
+    t0, t1 = window
+    if not t1 > t0:
+        raise OutOfRangeError("window must have positive duration", field="window")
+    basis, rate = _basis_pass(spec, t0, t1, tol)
+    return _determinant_prefactor(basis, rate, params)
 
 
 def _basis_pass(spec, t0: float, t1: float, tol: float):
@@ -441,22 +459,21 @@ def _basis_pass(spec, t0: float, t1: float, tol: float):
     return basis, rate
 
 
-def _homogeneous_solve(params: TrapParameters, spec, window, tol: float):
-    """(basis, rate, prefactor): :func:`_basis_pass` over the window and
-    the prefactor with D = h1, checked for a conjugate point."""
-    t0, t1 = window
-    if not t1 > t0:
-        raise OutOfRangeError("window must have positive duration", field="window")
-    basis, rate = _basis_pass(spec, t0, t1, tol)
+def _determinant_prefactor(basis, rate: float, params: TrapParameters) -> PrefactorTrack:
+    """The prefactor with D = h1 of ``basis`` (a :func:`_basis_pass` or a
+    :class:`~paulpath.mathieu.HillBasis`), arg D read at its steps,
+    checked for a conjugate point."""
     h1 = basis.y[2]
     _check_not_conjugate(h1)
-    track = _prefactor(
+    return _prefactor(
         complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
     )
-    return basis, rate, track
 
 
-def _zero_free_or_raise(t, f_vals):
+def _zero_free_or_raise(f_vals):
+    """Raise CausticOnWindowError if the step values ``f_vals`` of a
+    solution (steps of at most pi/2 phase) come near zero or change arg
+    so fast between two steps that a zero sits between them."""
     mags = np.abs(f_vals)
     top = float(mags.max())
     if top == 0.0 or float(mags.min()) < 1e-6 * top:
@@ -467,9 +484,36 @@ def _zero_free_or_raise(t, f_vals):
     jumps = np.minimum(jumps, 2.0 * np.pi - jumps)
     if float(jumps.max()) > 2.5:
         raise CausticOnWindowError(
-            "arg f jumps by more than 2.5 rad between adjacent samples;"
-            " a zero of f sits between grid points"
+            "arg f jumps by more than 2.5 rad between adjacent steps;"
+            " a zero of f sits between them"
         )
+
+
+def _series_zero_free_or_raise(coefficients, s0: float, s1: float) -> None:
+    """Raise CausticOnWindowError if the cosine series
+    f(s) = sum_k c_k cos((2k + 1) s) has a zero on the scaled window
+    [s0, s1], to within ``_ZERO_MARGIN``.
+
+    cos(m s) = T_m(cos s), so f is an odd Chebyshev series in x = cos s
+    (for two terms, x (1 + alpha (4 x^2 - 3))), and its real zeros are
+    s = +-arccos(x) + 2 pi k over its roots x in [-1, 1]: cos s = 0 always,
+    and the others when the series is real.  A root off [-1, 1] by at
+    most the margin counts too, since the measurement damping moves the
+    zeros of a real series only that far off the real axis.
+    """
+    cheb = np.zeros(2 * len(coefficients), dtype=complex)
+    cheb[1::2] = coefficients
+    for x in chebyshev.chebroots(cheb):
+        if abs(x.imag) > _ZERO_MARGIN or abs(x.real) > 1.0 + _ZERO_MARGIN:
+            continue
+        theta = math.acos(min(1.0, max(-1.0, x.real)))
+        for phase in (theta, -theta):
+            first = math.ceil((s0 - _ZERO_MARGIN - phase) / math.tau)
+            if first * math.tau + phase <= s1 + _ZERO_MARGIN:
+                raise CausticOnWindowError(
+                    f"reference solution f vanishes at scaled time"
+                    f" {first * math.tau + phase:.6f}, on the window [{s0}, {s1}]"
+                )
 
 
 def fluctuation_prefactor_from_f(
@@ -491,6 +535,9 @@ def fluctuation_prefactor_from_f(
     error; "series" uses the truncated cosine series of
     :mod:`paulpath.mathieu` (n_terms harmonics), which solves a slightly
     different stiffness, so its prefactor carries the truncation error.
+    f must have no zero on the window: the series is checked in closed
+    form (:func:`_series_zero_free_or_raise`), the ODE solution at the
+    integrator's steps under the step-phase guard of :func:`_step_arg`.
 
     The square root is the principal branch; on windows that stay short
     of the first caustic this coincides with the tracked branch of the
@@ -507,6 +554,8 @@ def fluctuation_prefactor_from_f(
         def f_eval(t):
             return evaluate_f(coeffs, half_omega * np.asarray(t, dtype=float))
 
+        _series_zero_free_or_raise(coeffs.coefficients, half_omega * t0, half_omega * t1)
+
     elif f_source == "ode":
 
         def rhs(t, y):
@@ -520,6 +569,9 @@ def fluctuation_prefactor_from_f(
             rtol=tol,
             atol=tol * 1e-3,
         )
+        rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / (t1 - t0))
+        _check_step_phase(sol.t, rate)
+        _zero_free_or_raise(sol.y[0])
 
         def f_eval(t):
             return sol.dense(t)[0]
@@ -530,10 +582,6 @@ def fluctuation_prefactor_from_f(
             field="numerics.f_source",
         )
 
-    t_grid = np.linspace(t0, t1, _ZERO_CHECK_SAMPLES)
-    f_vals = f_eval(t_grid)
-    _zero_free_or_raise(t_grid, f_vals)
-
     def integrand_re(t):
         return float((1.0 / f_eval(t) ** 2).real)
 
@@ -543,7 +591,7 @@ def fluctuation_prefactor_from_f(
     eps = max(tol, 1e-13)
     re_part, _ = quad(integrand_re, t0, t1, epsabs=0.0, epsrel=eps, limit=200)
     im_part, _ = quad(integrand_im, t0, t1, epsabs=0.0, epsrel=eps, limit=200)
-    d_combo = complex(f_vals[0]) * complex(f_vals[-1]) * complex(re_part, im_part)
+    d_combo = complex(f_eval(t0)) * complex(f_eval(t1)) * complex(re_part, im_part)
     return cmath.sqrt(params.mass / (2.0j * math.pi * params.hbar * d_combo))
 
 
@@ -633,9 +681,7 @@ def closed_form_prefactor(
     omega = spec.drive_omega
     s0, s1 = 0.5 * omega * t0, 0.5 * omega * t1
 
-    grid = np.linspace(s0, s1, _ZERO_CHECK_SAMPLES)
-    f_vals = np.cos(grid) + alpha * np.cos(3.0 * grid)
-    _zero_free_or_raise(grid, f_vals)
+    _series_zero_free_or_raise((1.0, alpha), s0, s1)
 
     cubic = (3.0 * alpha - 1.0) * (3.0 * alpha**2 + 2.0 * alpha - 1.0)
     kappa = cubic / (2.0 * alpha)
@@ -643,7 +689,8 @@ def closed_form_prefactor(
     leading = cmath.sqrt(
         cubic * omega * params.mass / (8.0 * math.pi * alpha * params.hbar)
     )
-    endpoint = complex(f_vals[-1]) * complex(f_vals[0])
+    f0, f1 = (math.cos(s) + alpha * math.cos(3.0 * s) for s in (s0, s1))
+    endpoint = complex(f1 * f0)
     return leading / (cmath.sqrt(bracket) * cmath.sqrt(endpoint))
 
 
@@ -769,10 +816,11 @@ def _gauss_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, cumulative
 
 
-def _affine_map(basis: ComplexIvpSolution, rate: float, drive: Forcing, m: float):
+def _affine_map(basis, rate: float, drive: Forcing, m: float):
     """4x4 map of (q, q', 1, int F q dt) over the span of ``drive``, from
-    the homogeneous ``basis`` (h0, h0', h1, h1') that starts at its start
-    and ends at its end, by variation of parameters.
+    the homogeneous ``basis`` (h0, h0', h1, h1'; a :func:`_basis_pass` or
+    a :class:`~paulpath.mathieu.HillBasis`) that starts at its start and
+    ends at its end, by variation of parameters.
 
     With A_k = int F h_k dt and W = h0 h1' - h0' h1 = 1, the
     zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
@@ -845,15 +893,18 @@ class RecordScorer:
     """Restricted propagators of many records on one axis, from one
     homogeneous solve.
 
-    ``basis`` holds h0, h0', h1, h1' (unit value, unit slope at t') over
-    the window of ``inputs``, whose record is ignored; ``prefactor`` is
-    the record-independent determinant prefactor with D = h1.  Build it
-    with :func:`record_scorer`.
+    ``basis`` is the Hill-Floquet basis h0, h0', h1, h1' (unit value,
+    unit slope at t') over the window of ``inputs``, whose record is
+    ignored; it carries the solve's diagnostics: the Floquet exponent
+    ``nu``, the multiplier ``multiplier`` = |e^{i nu P}|, the harmonic
+    count ``harmonics``, the coefficient ``tail`` and the
+    ``wronskian_residual`` on its grid.  ``prefactor`` is the
+    record-independent determinant prefactor with D = h1.  Build it with
+    :func:`record_scorer`.
     """
 
     inputs: PropagatorInputs
-    basis: ComplexIvpSolution
-    rate: float
+    basis: HillBasis
     prefactor: PrefactorTrack
 
     def log_amplitude(self, record: MeasurementRecord) -> complex:
@@ -871,19 +922,22 @@ class RecordScorer:
         """
         params = self.inputs.params
         drive = record_forcing(record, self.inputs.meas, params)
-        total = _affine_map(self.basis, self.rate, drive, params.mass)
+        total = _affine_map(self.basis, self.basis.rate, drive, params.mass)
         action = _boundary(total, self.inputs.bc, params.mass)[-1]
         record_term = -self.inputs.meas.weight_rate * record_norm_integral(record)
         return record_term + 1j * action / params.hbar + self.prefactor.log_value
 
 
-def record_scorer(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> RecordScorer:
+def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     """One homogeneous solve of the axis in ``inputs``, ready to score
     records with :meth:`RecordScorer.log_amplitude`.
 
-    The record of ``inputs`` is not read.  The basis pass integrates
-    (h0, h0', h1, h1') at ``tol``; the conjugate-point check, arg D and
-    the prefactor are computed here once, as in
+    The record of ``inputs`` is not read.  The basis is the closed-form
+    Floquet solution of the Mathieu stiffness
+    (:func:`~paulpath.mathieu.hill_basis`): no ODE pass and no
+    tolerance, since its Fourier series is summed to rounding.  The
+    conjugate-point check, arg D (read on the basis' grid of steps of at
+    most pi/4 phase) and the prefactor are computed here once, as in
     :func:`restricted_propagator`.
 
     Raises
@@ -893,15 +947,14 @@ def record_scorer(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> RecordS
     ConjugatePointError
         If D(t'') = h1(t'') is consistent with zero at the window scale.
     ToleranceNotMetError
-        If the integrator gives up, or its steps are too long to read
-        arg D from (see :func:`_step_arg`).
+        If the Hill series does not converge within its harmonic cap, or
+        its Wronskian is off 1 (near a band edge of an undamped drive).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
-    basis, rate, track = _homogeneous_solve(
-        inputs.params, spec, (inputs.bc.t_start, inputs.bc.t_end), tol
-    )
-    return RecordScorer(inputs=inputs, basis=basis, rate=rate, prefactor=track)
+    basis = hill_basis(spec, (inputs.bc.t_start, inputs.bc.t_end))
+    track = _determinant_prefactor(basis, basis.rate, inputs.params)
+    return RecordScorer(inputs=inputs, basis=basis, prefactor=track)
 
 
 # --- Floquet route ----------------------------------------------------------

@@ -1,24 +1,36 @@
-"""Truncated cosine series, its residual, and the numeric ODE route for
-the scaled stability equation psi'' + [p - 2 q cos(2 t)] psi = 0."""
+"""Truncated cosine series, its residual, the numeric ODE route for
+the scaled stability equation psi'' + [p - 2 q cos(2 t)] psi = 0, and the
+Hill-Floquet basis of w2 = u~ - v cos(w t) against the adaptive one."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import scaled_inputs
+
 from paulpath import (
+    Axis,
     DimensionlessParams,
+    EffectiveFrequencySpec,
     OutOfRangeError,
+    ToleranceNotMetError,
     TruncationStiffness,
+    effective_frequency,
     evaluate_f,
     evaluate_f_derivative,
     evaluate_f_second_derivative,
+    hill_basis,
     integrate_mathieu_ode,
     mathieu_series,
     residual_bound,
     residual_coefficients,
     residual_max_magnitude,
+    with_resolution,
 )
+from paulpath import propagator
+from paulpath.cli import axis_inputs, load_scenario
 
 # The reference (p, q) of the monitored barium trap (the tiny imaginary
 # part of p is irrelevant for the series-structure checks below).
@@ -154,3 +166,136 @@ def test_truncation_stiffness_reproduces_minus_fpp_over_f():
         cs, t_tilde
     ) + stiff.w_squared(t) * evaluate_f(cs, t_tilde)
     assert np.max(np.abs(resid)) < 1e-15
+
+
+# --- Hill-Floquet basis -------------------------------------------------------
+
+_SHORT = load_scenario("barium_short_window.scenario")
+
+
+def _spec(inputs):
+    return effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+
+
+def _short(axis, measured=True):
+    base = axis_inputs(_SHORT, axis)
+    if not measured:
+        base = replace(base, meas=with_resolution(base.meas, math.inf))
+    return _spec(base), (base.bc.t_start, base.bc.t_end)
+
+
+def _scaled(**kw):
+    inputs = scaled_inputs(**kw)
+    return _spec(inputs), (0.0, inputs.bc.t_end)
+
+
+def _ladder_like(seed):
+    # the validate-ladder family: |p|, |q| <= 0.9, 1.2-2.8 drive
+    # half-periods, measurement shift Im p in 0.02-0.25
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(1.5, 3.0)
+    q = rng.uniform(0.15, 0.9) * rng.choice([-1.0, 1.0])
+    p = complex(rng.uniform(-0.8, 0.8), -rng.uniform(0.02, 0.25))
+    T = 2.0 * rng.uniform(1.2, 2.8) / omega
+    spec = EffectiveFrequencySpec(
+        u_tilde=p * omega**2 / 4.0, v=q * omega**2 / 2.0, drive_omega=omega
+    )
+    return spec, (0.0, T)
+
+
+_HILL_CASES = {
+    "short-x": lambda: _short(Axis.X),
+    "short-z": lambda: _short(Axis.Z),
+    "short-x-off": lambda: _short(Axis.X, measured=False),
+    "short-z-off": lambda: _short(Axis.Z, measured=False),
+    **{f"ladder-{s}": (lambda s=s: _ladder_like(s)) for s in range(6)},
+    # q = 5, first instability zone: |lambda| ~ 40 per period
+    "unstable-q5": lambda: _scaled(u=0.5, v=10.0, T=6.0),
+    "unstable-q5-measured": lambda: _scaled(u=0.5, v=10.0, T=6.0, resolution=2.0),
+    # a = 4 u / omega^2 = 16 = 4 * 2^2: a row of Hill's determinant is singular
+    "real-a-16": lambda: _scaled(u=1.0, v=0.9, omega=0.5, T=40.0),
+    "driven-zeros": lambda: _scaled(u=1.0, v=0.9, omega=0.5, T=40.0, resolution=3.0),
+    "q0-harmonic": lambda: _scaled(u=1.0, v=0.0, T=3.0),
+    "q0-measured": lambda: _scaled(u=1.0, v=0.0, T=3.0, resolution=1.3),
+    "q0-inverted": lambda: _scaled(u=-0.5, v=0.0, T=3.0),
+    "q0-free": lambda: _scaled(u=0.0, v=0.0, T=3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HILL_CASES))
+def test_hill_basis_matches_the_adaptive_basis(case):
+    spec, (t0, t1) = _HILL_CASES[case]()
+    hill = hill_basis(spec, (t0, t1))
+    dop, rate = propagator._basis_pass(spec, t0, t1, 1e-13)
+    assert hill.rate == rate
+    assert np.array_equal(hill.y[:, 0], [1.0, 0.0, 0.0, 1.0])
+    # the grid steps are short enough to read arg D from
+    assert np.max(np.diff(hill.t)) * rate <= 0.5 * math.pi
+    assert hill.wronskian_residual <= 1e-10 and hill.tail <= np.finfo(float).eps
+    times = np.linspace(t0, t1, 301)
+    expected = dop.dense(times)
+    scale = np.max(np.abs(expected), axis=1)
+    assert np.all(np.abs(hill.dense(times) - expected).T <= 1e-10 * scale), case
+    assert np.all(np.abs(hill.y_end - dop.y_end) <= 1e-10 * scale), case
+    assert np.all(np.abs(hill.y[:, 1:] - dop.dense(hill.t[1:])).T <= 1e-10 * scale)
+
+
+def test_hill_basis_is_exact_for_the_free_particle():
+    spec, _ = _scaled(u=0.0, v=0.0, T=3.0)
+    times = np.linspace(0.0, 3.0, 7)
+    h0, dh0, h1, dh1 = hill_basis(spec, (0.0, 3.0)).dense(times)
+    assert np.array_equal(h1, times) and np.array_equal(h0, np.ones(7))
+    assert np.array_equal(dh0, np.zeros(7)) and np.array_equal(dh1, np.ones(7))
+
+
+def test_hill_multiplier_is_the_monodromy_eigenvalue():
+    # e^{i nu P} against the eigenvalues of the adaptive one-period map
+    for axis in (Axis.X, Axis.Z):
+        spec, _ = _short(axis)
+        period = 2.0 * math.pi / spec.drive_omega
+        hill = hill_basis(spec, (0.0, period))
+        dop, _ = propagator._basis_pass(spec, 0.0, period, 1e-13)
+        mono = dop.y_end.reshape(2, 2).T
+        eig = np.linalg.eigvals(mono)
+        lam = np.exp(1j * hill.nu * period)
+        assert min(abs(e - lam) for e in eig) <= 1e-11 * abs(lam)
+        assert hill.multiplier == pytest.approx(max(abs(eig)), rel=1e-11)
+        # 8 harmonics on each side reach rounding at |q| = 0.55
+        assert hill.harmonics <= 17
+
+
+#: the undamped band edge b1(q = 0.5) of w2 = u - cos(2t) (a = u, q = 0.5),
+#: where the one-period monodromy has trace -2; found by bisection on the
+#: adaptive monodromy at tol 1e-13
+_B1 = 0.4706543549338568
+
+
+def _edge_spec(du):
+    return _scaled(u=_B1 + du, v=1.0, T=30.0)
+
+
+def test_band_edge_constant_is_the_edge():
+    spec, _ = _edge_spec(0.0)
+    dop, _ = propagator._basis_pass(spec, 0.0, math.pi, 1e-13)
+    assert abs(dop.y_end[0] + dop.y_end[3] + 2.0) < 1e-10
+
+
+@pytest.mark.parametrize("du", [-1e-12, 1e-12, 0.0])
+def test_hill_basis_refuses_an_undamped_band_edge(du):
+    # f+ and f- = f+(-t) coincide at the edge; the combination that
+    # gives h0, h1 loses the digits the Wronskian check asks for
+    spec, window = _edge_spec(du)
+    with pytest.raises(ToleranceNotMetError):
+        hill_basis(spec, window)
+
+
+@pytest.mark.parametrize("du", [-1e-6, 1e-6])
+def test_hill_basis_near_a_band_edge_holds_its_accuracy(du):
+    # a within 1e-6 of b1, either side: the Floquet pair is still apart
+    # enough for the basis to hold 1e-10 against the adaptive one
+    spec, (t0, t1) = _edge_spec(du)
+    times = np.linspace(t0, t1, 301)
+    expected = propagator._basis_pass(spec, t0, t1, 1e-13)[0].dense(times)
+    scale = np.max(np.abs(expected), axis=1)
+    found = hill_basis(spec, (t0, t1)).dense(times)
+    assert np.all(np.abs(found - expected).T <= 1e-10 * scale)

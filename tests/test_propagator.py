@@ -42,7 +42,7 @@ from paulpath import (
     richardson,
     with_resolution,
 )
-from paulpath import propagator
+from paulpath import mathieu, propagator
 from paulpath.cli import axis_inputs, load_scenario
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
@@ -221,6 +221,33 @@ def test_from_f_raises_on_window_with_zero():
     # f = cos(w0 t) vanishes at t = pi/8 < 0.6
     with pytest.raises(CausticOnWindowError):
         fluctuation_prefactor_from_f(params, spec, (0.0, 0.6), f_source="ode")
+
+
+def test_from_f_ode_refuses_zeros_between_fixed_samples():
+    # f = cos t over 2000 periods: 4000 zeros, which a fixed 2001-sample
+    # grid aliases away; the integrator's steps see each of them
+    params, spec = constant_frequency_spec(w0=1.0)
+    with pytest.raises(CausticOnWindowError):
+        fluctuation_prefactor_from_f(
+            params, spec, (0.0, 2000 * 2.0 * math.pi + 0.3), f_source="ode"
+        )
+
+
+@pytest.mark.parametrize("route", ["closed-form", "series"])
+def test_series_prefactors_refuse_zeros_between_fixed_samples(route):
+    # scaled window (0.05, 2000 * 2 pi (1 + 1e-7) + 0.35): cos s + alpha
+    # cos 3s vanishes at every pi/2 + k pi, and 2001 samples with a step
+    # of 2 pi (1 + 1e-7) all land near s = 0.05 (mod 2 pi)
+    spec = effective_frequency(
+        derive_frequency_coefficients(REF, Axis.X), REF_MEAS, REF
+    )
+    a, b = 0.05, 2000 * 2.0 * math.pi * (1.0 + 1e-7) + 0.35
+    window = (2.0 * a / REF.drive_omega, 2.0 * b / REF.drive_omega)
+    with pytest.raises(CausticOnWindowError):
+        if route == "closed-form":
+            closed_form_prefactor(REF, spec, window)
+        else:
+            fluctuation_prefactor_from_f(REF, spec, window, f_source="series")
 
 
 def test_from_f_matches_robust_on_reference_subwindow():
@@ -541,9 +568,44 @@ def test_record_scorer_matches_direct_route(axis, family):
     base = _short_base(axis, family)
     rec = render(_FAMILIES[family], base.meas, n_samples=65)
     scored = record_scorer(base).log_amplitude(rec)
-    direct = restricted_propagator(replace(base, record=rec)).log_amplitude
-    assert abs(scored.real - direct.real) <= 1e-8 * abs(direct.real)
-    assert abs(scored.imag - direct.imag) <= 1e-8
+    direct = restricted_propagator(replace(base, record=rec), tol=1e-13).log_amplitude
+    assert abs(scored.real - direct.real) <= 1e-10 * abs(direct.real)
+    assert abs(scored.imag - direct.imag) <= 1e-10
+
+
+_PREFACTOR_WINDOWS = {
+    "short-x": lambda: _short_base(Axis.X, "sinusoid"),
+    "short-z": lambda: _short_base(Axis.Z, "sinusoid"),
+    # w2 = 1 - 0.9 cos(t/2), monitored: 44 zeros of D on the window
+    "driven-44-caustics": lambda: scaled_inputs(
+        u=1.0, v=0.9, omega=0.5, T=150.0, resolution=30.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PREFACTOR_WINDOWS))
+def test_record_scorer_prefactor_matches_prefactor_track(case):
+    # the Hill basis' D, with arg D read on its own grid, against the
+    # adaptive pass' D read at the integrator's steps
+    inputs = _PREFACTOR_WINDOWS[case]()
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    window = (inputs.bc.t_start, inputs.bc.t_end)
+    track = prefactor_track(inputs.params, spec, window, tol=1e-13)
+    scored = record_scorer(inputs).prefactor
+    assert scored.caustic_count == track.caustic_count
+    assert abs(scored.log_value - track.log_value) <= 1e-10
+    if case.startswith("driven"):
+        assert track.caustic_count == 44
+
+
+def test_record_scorer_exposes_its_floquet_diagnostics():
+    basis = record_scorer(_short_base(Axis.X, "sinusoid")).basis
+    assert basis.nu.imag < 0.0 < basis.nu.real
+    assert basis.multiplier == pytest.approx(math.exp(-basis.nu.imag * math.pi / 1e6))
+    assert 1.0 < basis.multiplier < 1.001
+    assert basis.harmonics == basis.coefficients.size == 17
+    assert basis.tail <= np.finfo(float).eps
+    assert basis.wronskian_residual <= 1e-10
 
 
 def test_record_scorer_refuses_a_record_off_the_window():
@@ -566,26 +628,26 @@ def test_record_scorer_converged_in_panel_size(monkeypatch):
     for n_samples in (17, 65, 2001):
         rec = render(_FAMILIES["sinusoid"], base.meas, n_samples=n_samples)
         coarse = scorer.log_amplitude(rec)
-        panels, nodes = propagator._panel_layout(rec.dt, scorer.rate)
+        panels, nodes = propagator._panel_layout(rec.dt, scorer.basis.rate)
         with monkeypatch.context() as patch:
             # four times the panels per segment, and more nodes in each of
             # them than the default rule gives the coarse, longer panels
             patch.setattr(
-                propagator, "_PANEL_PHASE", 0.25 * rec.dt * scorer.rate / panels
+                propagator, "_PANEL_PHASE", 0.25 * rec.dt * scorer.basis.rate / panels
             )
             patch.setattr(propagator, "_GAUSS_RTOL", 1e-30)
-            fine_panels, fine_nodes = propagator._panel_layout(rec.dt, scorer.rate)
+            fine_panels, fine_nodes = propagator._panel_layout(rec.dt, scorer.basis.rate)
             assert fine_panels >= 4 * panels and fine_nodes > nodes
             assert abs(scorer.log_amplitude(rec) - coarse) < 1e-12, n_samples
 
 
-def test_record_scorer_refuses_a_coarse_basis():
-    # tol 1e-5 still reads arg D (steps under pi/2 of phase), but its
-    # dense basis is ~1e-4 off at the quadrature nodes
+def test_record_scorer_refuses_a_coarse_basis(monkeypatch):
+    # four harmonics on each side leave a Fourier tail ~1e-6 of the
+    # largest coefficient, far above rounding
     inputs = scaled_inputs(
         u=-0.11, v=-1.1, T=50.0, resolution=1.3, x_start=0.3, x_end=-0.5,
         record=SinusoidRecord(0.3, 1.7, 0.2),
     )
-    scorer = record_scorer(inputs, tol=1e-5)
-    with pytest.raises(ToleranceNotMetError, match="Wronskian"):
-        scorer.log_amplitude(inputs.record)
+    monkeypatch.setattr(mathieu, "_MAX_HARMONICS", 4)
+    with pytest.raises(ToleranceNotMetError, match="harmonics"):
+        record_scorer(inputs)
