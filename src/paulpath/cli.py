@@ -617,17 +617,20 @@ def cmd_mathieu(args, scenario: Scenario) -> int:
         scenario.measurement_x,
         scenario.trap,
     )
+    if args.samples < 0:
+        raise ConfigError(f"must be non-negative, got {args.samples}", field="--samples")
     params = dimensionless(spec)
     coeffs = mathieu_series(params, n_terms=args.n_terms)
-    t = np.linspace(0.0, args.t_max, args.samples)
     if scenario.numerics.f_source == "series":
+        t = np.linspace(0.0, args.t_max, args.samples)
         f = evaluate_f(coeffs, t)
     else:
         f0 = complex(sum(coeffs.coefficients))
         sol = integrate_mathieu_ode(
-            params, (0.0, float(args.t_max)), (f0, 0.0), tol=scenario.numerics.tol
+            params, (0.0, float(args.t_max)), (f0, 0.0),
+            tol=scenario.numerics.tol, n_points=args.samples,
         )
-        f = sol.evaluate(t)[0]
+        t, f = sol.grid, sol.psi
     comments = _meta(args, "cmd=mathieu")
     comments.append(f"p = {params.p.real:.12e} {params.p.imag:+.12e}j, q = {params.q:.12e}")
     comments.append(f"alpha = {params.alpha.real:.12e} {params.alpha.imag:+.12e}j")

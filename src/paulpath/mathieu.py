@@ -34,7 +34,8 @@ right exponent, converges: :func:`hill_basis` builds the homogeneous
 basis of the complex stiffness w2 = u~ - v cos(w t) from its Floquet
 solutions f+(t) = e^{i nu t} sum_n c_n e^{i n w t} and f-(t) = f+(-t)
 (Hill's method; Deconinck & Kutz, J. Comput. Phys. 219 (2006) 296; DLMF
-§28.12), with no adaptive pass.
+§28.12), with no adaptive pass.  :func:`_basis_pass` is the one adaptive
+solve of the same equation, for any stiffness.
 """
 
 from __future__ import annotations
@@ -252,10 +253,13 @@ def integrate_mathieu_ode(
 ) -> OdeSolution:
     """Integrate psi'' + [p - 2 q cos(2 t)] psi = 0 numerically.
 
+    psi = psi0 h0 + dpsi0 h1 of the adaptive basis pass
+    (:func:`_basis_pass`) of w2 = p - 2 q cos(2 t).
+
     Parameters
     ----------
     span : (t0, t1)
-        Scaled-time window.
+        Scaled-time window; t1 may lie before t0.
     init : (psi0, dpsi0)
         Initial value and slope at t0.
     tol : float
@@ -269,26 +273,22 @@ def integrate_mathieu_ode(
 
     Raises
     ------
+    OutOfRangeError
+        If the window is non-finite or has zero length.
     ToleranceNotMetError
         If the integrator fails to converge.
     """
-    p, q = params.p, params.q
+    spec = EffectiveFrequencySpec(u_tilde=params.p, v=2.0 * params.q, drive_omega=2.0)
+    basis, _ = _basis_pass(spec, span[0], span[1], tol)
+    a, b = init
+    mix = np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b]], dtype=complex)
 
-    def rhs(t, y):
-        psi, dpsi = y.tolist()
-        return np.array([dpsi, -(p - 2.0 * q * math.cos(2.0 * t)) * psi], dtype=complex)
+    def dense(t):
+        return mix @ basis.dense(t)
 
-    scale = max(abs(init[0]), abs(init[1]), 1.0)
-    sol = solve_complex_ivp(
-        rhs,
-        span,
-        np.array(init, dtype=complex),
-        rtol=tol,
-        atol=tol * scale * 1e-3,
-    )
     grid = np.linspace(span[0], span[1], n_points)
-    y = sol.dense(grid)
-    return OdeSolution(grid=grid, psi=y[0], psi_dot=y[1], _dense=sol.dense)
+    y = dense(grid)
+    return OdeSolution(grid=grid, psi=y[0], psi_dot=y[1], _dense=dense)
 
 
 # --- Hill-Floquet basis -----------------------------------------------------
@@ -521,3 +521,33 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
             " the Floquet solutions are too close to degenerate"
         )
     return replace(basis, y=y, wronskian_residual=residual)
+
+
+def _basis_pass(spec, t0: float, t1: float, tol: float):
+    """(basis, rate): the basis (h0, h0', h1, h1'), unit value and unit
+    slope at t0, from one adaptive DOP853 pass from t0 to t1 (either way);
+    rate max(sqrt(max |w2|), 1/|t1 - t0|) over the window.  ``spec``
+    needs only ``w_squared`` and ``peak_stiffness``.
+
+    Raises
+    ------
+    OutOfRangeError
+        If the window is non-finite or has zero length.
+    ToleranceNotMetError
+        If the integrator gives up.
+    """
+    length = abs(t1 - t0)
+    if not 0.0 < length < math.inf:
+        raise OutOfRangeError(
+            f"window ({t0}, {t1}) must be finite with nonzero length", field="span"
+        )
+    rate = max(math.sqrt(spec.peak_stiffness(min(t0, t1), max(t0, t1))), 1.0 / length)
+
+    def rhs(t, y):
+        w2 = spec.w_squared(t)
+        h0, dh0, h1, dh1 = y.tolist()
+        return np.array([dh0, -w2 * h0, dh1, -w2 * h1], dtype=complex)
+
+    init = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    scales = np.array([1.0, rate, min(length, 1.0 / rate), 1.0])
+    return solve_complex_ivp(rhs, (t0, t1), init, rtol=tol, atol=tol * 1e-3 * scales), rate

@@ -34,15 +34,15 @@ so the module provides three ingredients and an assembler:
 * :func:`record_scorer`, the same assembly for many records on one
   axis: the closed-form Hill-Floquet basis of the axis
   (:func:`~paulpath.mathieu.hill_basis`, no ODE pass), then each record
-  by variation of parameters in O(n) numpy over its grid.  The direct
-  route keeps its own DOP853 passes, and :func:`prefactor_track` and
-  :func:`floquet_propagator` the adaptive basis pass
-  (:func:`_basis_pass`); they are the independent checks of the Hill
-  basis;
+  by variation of parameters in O(n) numpy over its grid;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
   stiffness and a constant record over any number of drive periods,
-  from the adaptive basis pass and the scorer's map over one period and
-  the remainder.
+  from the Hill basis and the scorer's map over one period and the
+  remainder.
+
+The direct route's DOP853 passes and the adaptive basis pass
+(:func:`~paulpath.mathieu._basis_pass`, any stiffness) under
+:func:`prefactor_track` are the independent checks of the Hill basis.
 
 All outputs stay in log space: at realistic monitoring strengths the
 record term alone spans hundreds of decades.
@@ -69,7 +69,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .integrate import DEFAULT_TOL, solve_complex_ivp
-from .mathieu import HillBasis, evaluate_f, hill_basis, mathieu_series
+from .mathieu import HillBasis, _basis_pass, evaluate_f, hill_basis, mathieu_series
 from .records import (
     Forcing,
     MeasurementRecord,
@@ -95,10 +95,6 @@ _CONJUGATE_RTOL = 1e-10
 #: most oscillation phase h * sqrt(max |w2|) one accepted step of the
 #: integrator may span where arg D is read from the step values
 _MAX_STEP_PHASE = 0.5 * math.pi
-
-#: integrator tolerance of the Floquet route's one-period and remainder
-#: basis passes; their errors are raised to the power N with the maps
-_FLOQUET_TOL = 1e-12
 
 #: a quadrature panel of :func:`_affine_map` spans at most _PANEL_PHASE of
 #: oscillation phase p = h * sqrt(max |w2|), with the fewest Gauss-Legendre
@@ -345,13 +341,13 @@ def _nearest_branch(tracked: float, principal: float) -> float:
 def _step_arg(times: np.ndarray, values: np.ndarray, rate: float) -> float:
     """arg of a solution at its last step, continued along its step values.
 
-    ``values`` are the solution at the integrator's accepted steps
-    ``times``: D, which starts at 0 and is (t - t') > 0 just right of
-    t', or a Floquet solution, which starts at 1.  The arg is that of
-    the first nonzero value plus the :func:`_monotone_arg` steps over the
-    nonzero values, so each zero of the solution adds pi (the
-    Morette-Van Vleck/Maslov count).  An exact zero carries no arg and
-    is skipped.
+    ``values`` are the solution at ``times``, the integrator's accepted
+    steps or a Hill basis' grid: D, which starts at 0 and is (t - t') > 0
+    just right of t', or a Floquet solution, which starts at 1.  The arg
+    is that of the first nonzero value plus the :func:`_monotone_arg`
+    steps over the nonzero values, so each zero of the solution adds pi
+    (the Morette-Van Vleck/Maslov count).  An exact zero carries no arg
+    and is skipped.
 
     ``rate`` bounds sqrt(max |w2|) on the window.
 
@@ -412,8 +408,9 @@ def prefactor_track(
     """Integrate the determinant equation and track its phase.
 
     D'' + w2(t) D = 0, D(t') = 0, D'(t') = 1 is h1 of the adaptive basis
-    pass (:func:`_basis_pass`), which takes any stiffness with
-    ``w_squared`` and ``peak_stiffness``.  The prefactor is
+    pass (:func:`~paulpath.mathieu._basis_pass`), which takes any
+    stiffness with ``w_squared`` and ``peak_stiffness``, a
+    :class:`~paulpath.mathieu.TruncationStiffness` too.  The prefactor is
     sqrt(m / (2 pi i hbar D(t''))) with arg D
     carried from the left edge along the integrator's steps, which keeps
     the square root on the physical branch through caustics (each zero
@@ -435,33 +432,9 @@ def prefactor_track(
     return _determinant_prefactor(basis, rate, params)
 
 
-def _basis_pass(spec, t0: float, t1: float, tol: float):
-    """(basis, rate): the basis (h0, h0', h1, h1'), unit value and unit
-    slope at t0, from one adaptive pass over [t0, t1]; rate
-    max(sqrt(max |w2|), 1/(t1 - t0)).  ``spec`` needs ``w_squared`` and
-    ``peak_stiffness``."""
-    T = t1 - t0
-    rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / T)
-
-    def rhs(t, y):
-        w2 = spec.w_squared(t)
-        h0, dh0, h1, dh1 = y.tolist()
-        return np.array([dh0, -w2 * h0, dh1, -w2 * h1], dtype=complex)
-
-    scales = np.array([1.0, rate, min(T, 1.0 / rate), 1.0])
-    basis = solve_complex_ivp(
-        rhs,
-        (t0, t1),
-        np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
-        rtol=tol,
-        atol=tol * 1e-3 * scales,
-    )
-    return basis, rate
-
-
 def _determinant_prefactor(basis, rate: float, params: TrapParameters) -> PrefactorTrack:
-    """The prefactor with D = h1 of ``basis`` (a :func:`_basis_pass` or a
-    :class:`~paulpath.mathieu.HillBasis`), arg D read at its steps,
+    """The prefactor with D = h1 of ``basis`` (an adaptive basis pass or
+    a :class:`~paulpath.mathieu.HillBasis`), arg D read at its steps,
     checked for a conjugate point."""
     h1 = basis.y[2]
     _check_not_conjugate(h1)
@@ -530,11 +503,12 @@ def fluctuation_prefactor_from_f(
     (reduction of order shows f(t') f(t'') int f**-2 dt is exactly the
     D of the robust route, independent of which solution f is).
 
-    f_source selects the reference solution: "ode" integrates the true
-    stiffness from f(t') = 1, f'(t') = 0 and inherits only integrator
-    error; "series" uses the truncated cosine series of
-    :mod:`paulpath.mathieu` (n_terms harmonics), which solves a slightly
-    different stiffness, so its prefactor carries the truncation error.
+    f_source selects the reference solution: "ode" takes f = h0 (f(t') = 1,
+    f'(t') = 0) of the adaptive basis pass of the true stiffness and
+    inherits only integrator error; "series" uses the truncated cosine
+    series of :mod:`paulpath.mathieu` (n_terms harmonics), which solves a
+    slightly different stiffness, so its prefactor carries the truncation
+    error.
     f must have no zero on the window: the series is checked in closed
     form (:func:`_series_zero_free_or_raise`), the ODE solution at the
     integrator's steps under the step-phase guard of :func:`_step_arg`.
@@ -557,19 +531,7 @@ def fluctuation_prefactor_from_f(
         _series_zero_free_or_raise(coeffs.coefficients, half_omega * t0, half_omega * t1)
 
     elif f_source == "ode":
-
-        def rhs(t, y):
-            f, df = y.tolist()
-            return np.array([df, -spec.w_squared(t) * f], dtype=complex)
-
-        sol = solve_complex_ivp(
-            rhs,
-            (t0, t1),
-            np.array([1.0, 0.0], dtype=complex),
-            rtol=tol,
-            atol=tol * 1e-3,
-        )
-        rate = max(math.sqrt(spec.peak_stiffness(t0, t1)), 1.0 / (t1 - t0))
+        sol, rate = _basis_pass(spec, t0, t1, tol)
         _check_step_phase(sol.t, rate)
         _zero_free_or_raise(sol.y[0])
 
@@ -816,11 +778,10 @@ def _gauss_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, cumulative
 
 
-def _affine_map(basis, rate: float, drive: Forcing, m: float):
+def _affine_map(basis: HillBasis, drive: Forcing, m: float):
     """4x4 map of (q, q', 1, int F q dt) over the span of ``drive``, from
-    the homogeneous ``basis`` (h0, h0', h1, h1'; a :func:`_basis_pass` or
-    a :class:`~paulpath.mathieu.HillBasis`) that starts at its start and
-    ends at its end, by variation of parameters.
+    the homogeneous ``basis`` (h0, h0', h1, h1') that starts at its start
+    and ends at its end, by variation of parameters.
 
     With A_k = int F h_k dt and W = h0 h1' - h0' h1 = 1, the
     zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
@@ -839,7 +800,7 @@ def _affine_map(basis, rate: float, drive: Forcing, m: float):
         If the basis Wronskian at the nodes is off 1 by more than
         ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
     """
-    per_segment, n_nodes = _panel_layout(drive.dt, rate)
+    per_segment, n_nodes = _panel_layout(drive.dt, basis.rate)
     gl_nodes, gl_weights, gl_cumulative = _gauss_panel(n_nodes)
     h = drive.dt / per_segment
     n_panels = (drive.values.size - 1) * per_segment
@@ -922,7 +883,7 @@ class RecordScorer:
         """
         params = self.inputs.params
         drive = record_forcing(record, self.inputs.meas, params)
-        total = _affine_map(self.basis, self.basis.rate, drive, params.mass)
+        total = _affine_map(self.basis, drive, params.mass)
         action = _boundary(total, self.inputs.bc, params.mass)[-1]
         record_term = -self.inputs.meas.weight_rate * record_norm_integral(record)
         return record_term + 1j * action / params.hbar + self.prefactor.log_value
@@ -1004,22 +965,23 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     period P, so the :func:`_affine_map` of (q, q', 1, integral F q dt)
     over each whole period is the same 4x4 matrix E.  With the window
     split into N whole periods and a remainder r, the map over the
-    window is E_r E**N, where E and E_r come from one basis pass over
-    [t', t' + P] and one over [t', t' + r] (the remainder starting at
+    window is E_r E**N, where E and E_r come from the Hill basis
+    (:func:`~paulpath.mathieu.hill_basis`, no ODE pass) over
+    [t', t' + P] and over [t', t' + r] (the remainder starting at
     t' + N P sees the same stiffness).  D(t'') is its (q, q') entry; the
     boundary solve and the action are the scorer's (:func:`_boundary`).
 
-    arg D is read at the integrator's steps (:func:`_step_arg`) over the
-    first period only.  After that, the arg change of the
-    solution from slope ratio z = D'/D at t' + P is a continuous
-    function of z on the upper half plane, where Im w2 <= 0 keeps z;
-    it equals (N - 1) mu + mu_r for the Floquet solution (its arg change
-    mu per period has the integer part fixed by the same reading of its
-    steps through one period, mu_r over the remainder's steps likewise),
-    and the solution's
-    first component is affine in z, so moving z from the Floquet value
-    to D's value adds only the principal arg of the ratio of the two
-    end values.  See :func:`_floquet_solution`.
+    arg D is read on the basis' grid (:func:`_step_arg`, steps of at
+    most pi/4 phase) over the first period only.  After that, the arg
+    change of the solution from slope ratio z = D'/D at t' + P is a
+    continuous function of z on the upper half plane, where Im w2 <= 0
+    keeps z; it equals (N - 1) mu + mu_r for the Floquet solution (its
+    arg change mu per period has the integer part fixed by the same
+    reading of its grid through one period, mu_r over the remainder's
+    grid likewise), and the solution's first component is affine in z,
+    so moving z from the Floquet value to D's value adds only the
+    principal arg of the ratio of the two end values.  See
+    :func:`_floquet_solution`.
 
     Raises
     ------
@@ -1030,8 +992,9 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     NumericalError
         If no Floquet solution has Im(f'/f) > 0.
     ToleranceNotMetError
-        If an integrator step is too long to read arg from, or a block's
-        basis is too coarse to integrate (see :func:`_affine_map`).
+        If a block's Hill series does not converge within its harmonic
+        cap, or its Wronskian is off 1 (see
+        :func:`~paulpath.mathieu.hill_basis` and :func:`_affine_map`).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     check_spans_window(inputs.record, inputs.meas)
@@ -1049,33 +1012,33 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
 
     def block(span):
-        basis, rate = _basis_pass(spec, t0, t0 + span, _FLOQUET_TOL)
+        basis = hill_basis(spec, (t0, t0 + span))
         drive = Forcing(t_start=t0, dt=span, values=np.full(2, force))
-        return basis, rate, _affine_map(basis, rate, drive, m)
+        return basis, _affine_map(basis, drive, m)
 
     tail = np.eye(4, dtype=complex)
     if rem > 0.0:
-        tail_basis, tail_rate, tail = block(rem)
+        tail_basis, tail = block(rem)
     if n_periods == 0:
         total = tail
         d = tail_basis.y[2]
-        theta = _step_arg(tail_basis.t, d, tail_rate)
+        theta = _step_arg(tail_basis.t, d, tail_basis.rate)
         log_top = math.log(float(np.max(np.abs(d))))
     else:
-        basis, rate, step = block(period)
+        basis, step = block(period)
         d = basis.y[2]
         theta_first = _nearest_branch(
-            _step_arg(basis.t, d, rate), cmath.phase(step[0, 1])
+            _step_arg(basis.t, d, basis.rate), cmath.phase(step[0, 1])
         )
         lam, z_star = _floquet_solution(step[:2, :2])
         mu = _nearest_branch(
-            _step_arg(basis.t, basis.y[0] + z_star * d, rate), cmath.phase(lam)
+            _step_arg(basis.t, basis.y[0] + z_star * d, basis.rate), cmath.phase(lam)
         )
         mu_r = 0.0
         if rem > 0.0:
             f_tail = tail_basis.y[0] + z_star * tail_basis.y[2]
             mu_r = _nearest_branch(
-                _step_arg(tail_basis.t, f_tail, tail_rate), cmath.phase(f_tail[-1])
+                _step_arg(tail_basis.t, f_tail, tail_basis.rate), cmath.phase(f_tail[-1])
             )
         rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
         z_first = step[1, 1] / step[0, 1]

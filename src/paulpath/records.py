@@ -222,11 +222,14 @@ def write_record_csv(rec: MeasurementRecord, path: str | Path) -> None:
 def read_record_csv(path: str | Path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
-    The grid must be uniform; the header row is mandatory.
+    The grid must be uniform; the header row is mandatory.  A missing or
+    unreadable file is a BadGridError naming its path, as a bad header is.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    except OSError as exc:
+        raise BadGridError(f"cannot read: {exc.strerror or exc}", field=str(path)) from exc
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise BadGridError(
             f"first line must be the header {','.join(_CSV_HEADER)}", field=str(path)

@@ -383,6 +383,34 @@ def test_mathieu_dump(tmp_path):
     assert any(l.startswith("# c7 = ") for l in comments)
 
 
+@pytest.mark.parametrize("t_max", ["0", "inf", "nan"])
+def test_mathieu_refuses_an_empty_or_non_finite_span(t_max, capsys):
+    rc = cli.main(["mathieu", "--scenario", REFERENCE, "--out", "stdout", "--t-max", t_max])
+    assert rc == 2
+    assert "span" in capsys.readouterr().err
+
+
+def test_mathieu_runs_backward(tmp_path):
+    out = tmp_path / "mathieu.csv"
+    rc = cli.main(["mathieu", "--scenario", REFERENCE, "--out", str(out), "--t-max", "-1"])
+    assert rc == 0
+    _, rows = _rows(_read(out))
+    assert len(rows) == 257 and float(rows[-1][0]) == -1.0
+
+
+def test_mathieu_refuses_negative_samples(capsys):
+    rc = cli.main(["mathieu", "--scenario", REFERENCE, "--out", "stdout", "--samples", "-1"])
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_prob_refuses_a_missing_candidate_file(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    rc = cli.main(["prob", "--scenario", SHORT, "--out", "stdout", "--records", str(missing)])
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_mathieu_passes_the_tolerance_to_the_solve(monkeypatch, tmp_path):
     seen = []
     solve = cli.integrate_mathieu_ode

@@ -29,7 +29,7 @@ from paulpath import (
     residual_max_magnitude,
     with_resolution,
 )
-from paulpath import propagator
+from paulpath import mathieu
 from paulpath.cli import axis_inputs, load_scenario
 
 # The reference (p, q) of the monitored barium trap (the tiny imaginary
@@ -118,6 +118,17 @@ def test_ode_linearity():
     t = np.linspace(0.0, 2.0, 41)
     combo = a * s1.evaluate(t)[0] + b * s2.evaluate(t)[0]
     assert np.max(np.abs(combo - s3.evaluate(t)[0])) < 1e-9
+
+
+def test_ode_runs_backward():
+    # w2 = p - 2 q cos(2 t) is even, so from (1, 0) at 0 the solve over
+    # (0, -2) at -t is the solve over (0, 2) at t
+    params = DimensionlessParams(p=0.4 + 0.03j, q=0.8)
+    forward = integrate_mathieu_ode(params, (0.0, 2.0), (1.0, 0.0))
+    backward = integrate_mathieu_ode(params, (0.0, -2.0), (1.0, 0.0))
+    assert np.array_equal(backward.grid, -forward.grid)
+    assert np.max(np.abs(backward.psi - forward.psi)) < 1e-9
+    assert np.max(np.abs(backward.psi_dot + forward.psi_dot)) < 1e-9
 
 
 def test_ode_q_zero_is_trigonometric():
@@ -226,7 +237,7 @@ _HILL_CASES = {
 def test_hill_basis_matches_the_adaptive_basis(case):
     spec, (t0, t1) = _HILL_CASES[case]()
     hill = hill_basis(spec, (t0, t1))
-    dop, rate = propagator._basis_pass(spec, t0, t1, 1e-13)
+    dop, rate = mathieu._basis_pass(spec, t0, t1, 1e-13)
     assert hill.rate == rate
     assert np.array_equal(hill.y[:, 0], [1.0, 0.0, 0.0, 1.0])
     # the grid steps are short enough to read arg D from
@@ -254,7 +265,7 @@ def test_hill_multiplier_is_the_monodromy_eigenvalue():
         spec, _ = _short(axis)
         period = 2.0 * math.pi / spec.drive_omega
         hill = hill_basis(spec, (0.0, period))
-        dop, _ = propagator._basis_pass(spec, 0.0, period, 1e-13)
+        dop, _ = mathieu._basis_pass(spec, 0.0, period, 1e-13)
         mono = dop.y_end.reshape(2, 2).T
         eig = np.linalg.eigvals(mono)
         lam = np.exp(1j * hill.nu * period)
@@ -276,7 +287,7 @@ def _edge_spec(du):
 
 def test_band_edge_constant_is_the_edge():
     spec, _ = _edge_spec(0.0)
-    dop, _ = propagator._basis_pass(spec, 0.0, math.pi, 1e-13)
+    dop, _ = mathieu._basis_pass(spec, 0.0, math.pi, 1e-13)
     assert abs(dop.y_end[0] + dop.y_end[3] + 2.0) < 1e-10
 
 
@@ -295,7 +306,7 @@ def test_hill_basis_near_a_band_edge_holds_its_accuracy(du):
     # enough for the basis to hold 1e-10 against the adaptive one
     spec, (t0, t1) = _edge_spec(du)
     times = np.linspace(t0, t1, 301)
-    expected = propagator._basis_pass(spec, t0, t1, 1e-13)[0].dense(times)
+    expected = mathieu._basis_pass(spec, t0, t1, 1e-13)[0].dense(times)
     scale = np.max(np.abs(expected), axis=1)
     found = hill_basis(spec, (t0, t1)).dense(times)
     assert np.all(np.abs(found - expected).T <= 1e-10 * scale)

@@ -42,7 +42,7 @@ from paulpath import (
     richardson,
     with_resolution,
 )
-from paulpath import mathieu, propagator
+from paulpath import integrate, mathieu, propagator
 from paulpath.cli import axis_inputs, load_scenario
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
@@ -456,29 +456,37 @@ def test_floquet_needs_a_solution_in_the_upper_half_plane():
 
 
 @pytest.mark.parametrize(
-    "n_periods, sizes", [(10.37, [4, 4]), (0.4, [4]), (3.0, [4])],
+    "n_periods, spans", [(10.37, [0.37, 1.0]), (0.4, [0.4]), (3.0, [1.0])],
     ids=["periods-and-remainder", "remainder-only", "whole-periods"],
 )
-def test_floquet_runs_one_basis_pass_per_block(monkeypatch, n_periods, sizes):
-    # one homogeneous pass per block (one period, the remainder); the
-    # forced part comes from quadrature over the basis, with no ODE pass
-    calls = []
-    solve = propagator.solve_complex_ivp
+def test_floquet_runs_one_basis_pass_per_block(monkeypatch, n_periods, spans):
+    # one closed-form Hill basis per block (one period, the remainder);
+    # the forced part comes from quadrature over the basis, and no ODE
+    # pass runs at all
+    calls, blocks = [], []
+    solve, hill = integrate.solve_complex_ivp, propagator.hill_basis
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(propagator, "solve_complex_ivp", counted)
+    def counted_hill(spec, window):
+        blocks.append((window[1] - window[0]) * spec.drive_omega / (2.0 * math.pi))
+        return hill(spec, window)
+
+    for module in (integrate, mathieu, propagator):
+        monkeypatch.setattr(module, "solve_complex_ivp", counted)
+    monkeypatch.setattr(propagator, "hill_basis", counted_hill)
     floquet_propagator(_driven_window(X_LIKE, n_periods, amplitude=1.0))
-    assert calls == sizes
+    assert calls == []
+    assert blocks == pytest.approx(spans, rel=1e-12)
 
 
 def test_floquet_refuses_a_coarse_basis(monkeypatch):
-    # at 1e-5 the one-period basis is ~1e-6 off in its Wronskian at the
-    # quadrature nodes, and the window's log K ~1e-5 off
-    monkeypatch.setattr(propagator, "_FLOQUET_TOL", 1e-5)
-    with pytest.raises(ToleranceNotMetError, match="Wronskian"):
+    # four harmonics on each side leave the one-period Hill series' tail
+    # far above rounding
+    monkeypatch.setattr(mathieu, "_MAX_HARMONICS", 4)
+    with pytest.raises(ToleranceNotMetError, match="harmonics"):
         floquet_propagator(_driven_window(X_LIKE, 10.37, amplitude=1.0))
 
 
