@@ -619,6 +619,10 @@ def cmd_mathieu(args, scenario: Scenario) -> int:
     )
     if args.samples < 0:
         raise ConfigError(f"must be non-negative, got {args.samples}", field="--samples")
+    if not (math.isfinite(args.t_max) and args.t_max != 0.0):
+        raise ConfigError(
+            f"the span (0, {args.t_max}) must be finite with nonzero length", field="--t-max"
+        )
     params = dimensionless(spec)
     coeffs = mathieu_series(params, n_terms=args.n_terms)
     if scenario.numerics.f_source == "series":

@@ -110,11 +110,14 @@ def rank_records(
     when given, applying the same candidate to both axes); the record
     inside a base is not read.  Each axis is solved once, by
     :func:`~paulpath.propagator.record_scorer` in closed form (the
-    Hill-Floquet basis: no ODE pass and no tolerance), and every
-    candidate then costs O(n) linear algebra over its grid.  Ties keep
-    the input order of the records, so duplicated candidates come out
-    adjacent and stable.  ``threads`` is ignored: scoring is serial,
-    which beats a thread pool at this cost.
+    Hill-Floquet basis: no ODE pass and no tolerance), and scores all
+    candidates with one
+    :meth:`~paulpath.propagator.RecordScorer.log_amplitudes` call: the
+    candidates that share a grid share one O(n) pass of linear algebra
+    over it.  Ties keep the input order of the records, so duplicated
+    candidates come out adjacent and stable.  ``threads`` is accepted
+    and ignored: the candidates on one grid are scored together in one
+    vectorised pass, which leaves a thread pool nothing to share out.
     """
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
@@ -129,25 +132,20 @@ def rank_records(
 
     score_x = record_scorer(x_base)
     score_z = None if z_base is None else record_scorer(z_base)
-
-    def score(record: MeasurementRecord) -> tuple[float, float]:
-        lx = 2.0 * score_x.log_amplitude(record).real
-        if score_z is None:
-            return lx, math.nan
-        return lx, 2.0 * score_z.log_amplitude(record).real
-
-    scores = [score(r) for r in records]
-
-    totals = [
-        (lx if math.isnan(lz) else lx + lz) for lx, lz in scores
-    ]
+    log_p_x = (2.0 * score_x.log_amplitudes(records).real).tolist()
+    if score_z is None:
+        log_p_z = [math.nan] * len(records)
+        totals = log_p_x
+    else:
+        log_p_z = (2.0 * score_z.log_amplitudes(records).real).tolist()
+        totals = [lx + lz for lx, lz in zip(log_p_x, log_p_z)]
     best = max(totals)
     order = sorted(range(len(records)), key=lambda i: (-totals[i], i))
     return [
         RankedRecord(
             record_id=ids[i],
-            log_p_x=scores[i][0],
-            log_p_z=scores[i][1],
+            log_p_x=log_p_x[i],
+            log_p_z=log_p_z[i],
             log_odds=totals[i] - best,
         )
         for i in order

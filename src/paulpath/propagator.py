@@ -33,8 +33,9 @@ so the module provides three ingredients and an assembler:
   and never exponentiates;
 * :func:`record_scorer`, the same assembly for many records on one
   axis: the closed-form Hill-Floquet basis of the axis
-  (:func:`~paulpath.mathieu.hill_basis`, no ODE pass), then each record
-  by variation of parameters in O(n) numpy over its grid;
+  (:func:`~paulpath.mathieu.hill_basis`, no ODE pass), then batches of
+  records by variation of parameters, one O(n) numpy pass over each
+  record grid for all the records on it;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
   stiffness and a constant record over any number of drive periods,
   from the Hill basis and the scorer's map over one period and the
@@ -55,6 +56,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
@@ -74,8 +76,10 @@ from .records import (
     Forcing,
     MeasurementRecord,
     check_spans_window,
+    drive_samples,
     forcing as record_forcing,
     misses_window,
+    norm_integrals,
     record_norm_integral,
 )
 from .trapmodel import (
@@ -96,14 +100,14 @@ _CONJUGATE_RTOL = 1e-10
 #: integrator may span where arg D is read from the step values
 _MAX_STEP_PHASE = 0.5 * math.pi
 
-#: a quadrature panel of :func:`_affine_map` spans at most _PANEL_PHASE of
+#: a quadrature panel of :func:`_drive_integrals` spans at most _PANEL_PHASE of
 #: oscillation phase p = h * sqrt(max |w2|), with the fewest Gauss-Legendre
 #: nodes n whose first inexact Taylor term (p/2)**(2n) / (2n)! is at most
 #: _GAUSS_RTOL (7 nodes at p = 0.5)
 _PANEL_PHASE = 0.5
 _GAUSS_RTOL = 1e-16
 
-#: largest |h0 h1' - h0' h1 - 1| _affine_map accepts at its nodes; the
+#: largest |h0 h1' - h0' h1 - 1| _drive_integrals accepts at its nodes; the
 #: Wronskian of the basis is exactly 1, and the same 1e-6 bounds the
 #: trajectory pass's endpoint miss
 _WRONSKIAN_ATOL = 1e-6
@@ -766,33 +770,42 @@ def _panel_layout(dt: float, rate: float) -> tuple[int, int]:
 
 
 @functools.cache
-def _gauss_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes and weights on [-1, 1], and the matrix
-    whose row j integrates the polynomial through the nodes from -1 to
-    node j.  Built on first use: ``leggauss`` starts LAPACK, which the
-    other routes never need."""
+def _panel_rule(per_segment: int, n: int) -> tuple[np.ndarray, ...]:
+    """The quadrature of one record segment cut into ``per_segment``
+    panels of n Gauss-Legendre nodes: the weights of the two hat
+    functions of the segment at its nodes (rows 1 - s and s, s the node
+    offset as a fraction of the segment), the node weights on [-1, 1],
+    and the transposed matrix whose column j integrates the polynomial
+    through the nodes from -1 to node j; the last two are complex, as the
+    drives they multiply are.  Built on first use: ``leggauss`` starts
+    LAPACK, which the other routes never need."""
     nodes, weights = legendre.leggauss(n)
     cumulative = legendre.legval(
         nodes, legendre.legint(np.eye(nodes.size), lbnd=-1)
     ).T @ np.linalg.inv(legendre.legvander(nodes, nodes.size - 1))
-    return nodes, weights, cumulative
+    offsets = ((np.arange(per_segment)[:, None] + 0.5 * (nodes + 1.0)) / per_segment).ravel()
+    hats = np.array([1.0 - offsets, offsets])
+    return hats, weights.astype(complex), cumulative.T.astype(complex)
 
 
-def _affine_map(basis: HillBasis, drive: Forcing, m: float):
-    """4x4 map of (q, q', 1, int F q dt) over the span of ``drive``, from
-    the homogeneous ``basis`` (h0, h0', h1, h1') that starts at its start
-    and ends at its end, by variation of parameters.
+def _drive_integrals(
+    basis: HillBasis, t_start: float, dt: float, forces: np.ndarray
+) -> np.ndarray:
+    """(A0, A1, J) of each of k drives that share a grid, in one pass:
+    A_k = int F h_k dt and J = int F h0 A1(t) dt, A1(t) = int_{t0}^{t} F h1,
+    over the grid's span, on the homogeneous ``basis`` (h0, h0', h1, h1')
+    that starts at the grid's start ``t_start`` and ends at its end.
 
-    With A_k = int F h_k dt and W = h0 h1' - h0' h1 = 1, the
-    zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
-    qp' = (h1' A0 - h0' A1)/m, and int F qp dt = (A0 A1 - 2 J)/m with
-    J = int F h0 A1(t) dt, A1(t) = int_{t0}^{t} F h1.
-
-    Every drive segment is cut into panels of at most ``_PANEL_PHASE``
-    oscillation phase with the Gauss-Legendre nodes their phase needs; F
-    is linear on a segment, so the rule is exact in F.  A1 at the nodes
-    comes from prefix sums over panels plus the in-panel integration
-    matrix.
+    ``forces`` holds the samples F(t_start + i dt) of the k drives, shape
+    (k, n); the result has shape (k, 3).  Every grid segment is cut into
+    panels of at most ``_PANEL_PHASE`` oscillation phase with the
+    Gauss-Legendre nodes their phase needs; F is linear on a segment, so
+    the rule is exact in F.  The basis is evaluated at the nodes, and its
+    Wronskian checked, once for all k drives; F at the nodes is the
+    segment's linear interpolant, and each step below is one array
+    operation over (k, 2, panels, nodes) with the h0 and h1 rows stacked.
+    A1 at the nodes comes from prefix sums over panels plus the in-panel
+    integration matrix.
 
     Raises
     ------
@@ -800,46 +813,64 @@ def _affine_map(basis: HillBasis, drive: Forcing, m: float):
         If the basis Wronskian at the nodes is off 1 by more than
         ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
     """
-    per_segment, n_nodes = _panel_layout(drive.dt, basis.rate)
-    gl_nodes, gl_weights, gl_cumulative = _gauss_panel(n_nodes)
-    h = drive.dt / per_segment
-    n_panels = (drive.values.size - 1) * per_segment
-    starts = drive.t_start + h * np.arange(n_panels)
-    nodes = (starts[:, None] + 0.5 * h * (gl_nodes + 1.0)).ravel()
-    h0, dh0, h1, dh1 = basis.dense(nodes)
-    wronskian = float(np.max(np.abs(h0 * dh1 - dh0 * h1 - 1.0)))
+    k, n_samples = forces.shape
+    per_segment, n_nodes = _panel_layout(dt, basis.rate)
+    hats, gl_weights, gl_cumulative = _panel_rule(per_segment, n_nodes)
+    h = dt / per_segment
+    n_panels = (n_samples - 1) * per_segment
+    nodes = t_start + dt * (np.arange(n_samples - 1)[:, None] + hats[1])
+    y = basis.dense(nodes.ravel())
+    wronskian = float(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0).max())
     if wronskian > _WRONSKIAN_ATOL:
         raise ToleranceNotMetError(
             f"basis Wronskian off 1 by {wronskian:.3e} at the quadrature"
             " nodes; the homogeneous solve is too coarse"
         )
-    f = drive(nodes)
-    g0 = (f * h0).reshape(n_panels, -1)
-    g1 = (f * h1).reshape(n_panels, -1)
+    f = forces[:, :-1, None] * hats[0] + forces[:, 1:, None] * hats[1]
+    # rows h0, h1 of the basis times each drive: shape (k, 2, panels, nodes)
+    g = f.reshape(k, 1, n_panels, n_nodes) * y[::2].reshape(2, n_panels, n_nodes)
     weights = 0.5 * h * gl_weights
-    panel1 = g1 @ weights
-    a0 = complex(np.sum(g0 @ weights))
-    a1 = complex(np.sum(panel1))
-    a1_start = np.concatenate(([0.0], np.cumsum(panel1)[:-1]))
-    a1_nodes = a1_start[:, None] + 0.5 * h * (g1 @ gl_cumulative.T)
-    j = complex(np.sum((g0 * a1_nodes) @ weights))
+    panels = g @ weights
+    out = np.empty((k, 3), dtype=complex)
+    panels.sum(axis=-1, out=out[:, :2])
+    a1_start = np.zeros((k, n_panels), dtype=complex)
+    panels[:, 1, :-1].cumsum(axis=-1, out=a1_start[:, 1:])
+    a1_nodes = a1_start[..., None] + 0.5 * h * (g[:, 1] @ gl_cumulative)
+    ((g[:, 0] * a1_nodes) @ weights).sum(axis=-1, out=out[:, 2])
+    return out
 
-    e0, e0_dot, e1, e1_dot = (complex(v) for v in basis.y_end)
-    return np.array(
-        [[e0, e1, (e1 * a0 - e0 * a1) / m, 0.0],
-         [e0_dot, e1_dot, (e1_dot * a0 - e0_dot * a1) / m, 0.0],
-         [0.0, 0.0, 1.0, 0.0],
-         [a0, a1, (a0 * a1 - 2.0 * j) / m, 1.0]],
-        dtype=complex,
-    )
+
+def _affine_map(basis: HillBasis, integrals: np.ndarray, m: float) -> np.ndarray:
+    """4x4 maps of (q, q', 1, int F q dt) over the span of ``basis``, one
+    per row (A0, A1, J) of ``integrals`` (shape (k, 3), from
+    :func:`_drive_integrals` on drives over that span); shape (k, 4, 4).
+
+    By variation of parameters with W = h0 h1' - h0' h1 = 1, the
+    zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
+    qp' = (h1' A0 - h0' A1)/m, and int F qp dt = (A0 A1 - 2 J)/m, with
+    h0, h1 at the end of the span.
+    """
+    e0, e0_dot, e1, e1_dot = basis.y_end
+    a0, a1, j = integrals.T
+    total = np.zeros((integrals.shape[0], 4, 4), dtype=complex)
+    total[:, :2, :2] = ((e0, e1), (e0_dot, e1_dot))
+    total[:, 0, 2] = (e1 * a0 - e0 * a1) / m
+    total[:, 1, 2] = (e1_dot * a0 - e0_dot * a1) / m
+    total[:, 3, :2] = integrals[:, :2]
+    total[:, 3, 2] = (a0 * a1 - 2.0 * j) / m
+    total[:, 2, 2] = total[:, 3, 3] = 1.0
+    return total
 
 
 def _boundary(total: np.ndarray, bc: BoundaryConditions, m: float):
     """(c, q(t''), q'(t''), int F q, S) of the trajectory through the
     endpoints of ``bc``, from the :func:`_affine_map` ``total`` of the
-    window: the slope c = q'(t') solves q(t'') = x'', and the action is
-    the boundary identity S = (m/2) [q q']_{t'}^{t''} + (1/2) int F q."""
-    (e0, e1, qp), (e0_dot, e1_dot, qp_dot), (a0, a1, fqp) = total[[0, 1, 3], :3].tolist()
+    window (shape (4, 4), or (k, 4, 4) for k maps, giving arrays of k):
+    the slope c = q'(t') solves q(t'') = x'', and the action is the
+    boundary identity S = (m/2) [q q']_{t'}^{t''} + (1/2) int F q."""
+    e0, e1, qp = total[..., 0, 0], total[..., 0, 1], total[..., 0, 2]
+    e0_dot, e1_dot, qp_dot = total[..., 1, 0], total[..., 1, 1], total[..., 1, 2]
+    a0, a1, fqp = total[..., 3, 0], total[..., 3, 1], total[..., 3, 2]
     xa = bc.x_start
     c = (bc.x_end - xa * e0 - qp) / e1
     q_end = xa * e0 + c * e1 + qp
@@ -862,36 +893,67 @@ class RecordScorer:
     ``wronskian_residual`` on its grid.  ``prefactor`` is the
     record-independent determinant prefactor with D = h1.  Build it with
     :func:`record_scorer`.
+
+    :meth:`log_amplitudes` scores a batch of records with one
+    :func:`_drive_integrals` pass per record grid; :meth:`log_amplitude`
+    is the batch of one.
     """
 
     inputs: PropagatorInputs
     basis: HillBasis
     prefactor: PrefactorTrack
 
-    def log_amplitude(self, record: MeasurementRecord) -> complex:
-        """log K of ``record`` by variation of parameters, no ODE pass:
-        the :func:`_affine_map` of its drive over the window, then the
-        :func:`_boundary` solve and action.
+    def log_amplitudes(self, records: Sequence[MeasurementRecord]) -> np.ndarray:
+        """log K of each of ``records`` by variation of parameters, no ODE
+        pass, as a complex array in the order of ``records``.
+
+        Every record's window is checked before any is scored.  The
+        records are then grouped by grid (start, step and sample count),
+        and each group takes one :func:`_drive_integrals` pass over its
+        stack of drives, so the work is O(total samples) however the
+        records share grids.  The :func:`_affine_map`, the
+        :func:`_boundary` solve and action, and the record norm are then
+        array operations over all the records at once.
 
         Raises
         ------
         RecordWindowError
-            If the record does not span the measurement window.
+            For the first record that does not span the measurement window.
         ToleranceNotMetError
-            If the basis Wronskian at the nodes is off 1 by more than
+            If the basis Wronskian at a grid's nodes is off 1 by more than
             ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
         """
-        params = self.inputs.params
-        drive = record_forcing(record, self.inputs.meas, params)
-        total = _affine_map(self.basis, drive, params.mass)
-        action = _boundary(total, self.inputs.bc, params.mass)[-1]
-        record_term = -self.inputs.meas.weight_rate * record_norm_integral(record)
-        return record_term + 1j * action / params.hbar + self.prefactor.log_value
+        meas, params, m = self.inputs.meas, self.inputs.params, self.inputs.params.mass
+        groups: dict[tuple[float, float, int], list[int]] = {}
+        for i, record in enumerate(records):
+            check_spans_window(record, meas)
+            groups.setdefault((record.t_start, record.dt, record.n_samples), []).append(i)
+        if not groups:
+            return np.empty(0, dtype=complex)
+        integrals, norms = [], []
+        for (t_start, dt, _), members in groups.items():
+            samples = np.array([records[i].samples for i in members])
+            forces = drive_samples(samples, meas, params)
+            integrals.append(_drive_integrals(self.basis, t_start, dt, forces))
+            norms.append(norm_integrals(samples, dt))
+        total = _affine_map(self.basis, np.concatenate(integrals), m)
+        action = _boundary(total, self.inputs.bc, m)[-1]
+        record_term = -meas.weight_rate * np.concatenate(norms)
+        out = np.empty(len(records), dtype=complex)
+        out[[i for members in groups.values() for i in members]] = (
+            record_term + 1j * action / params.hbar + self.prefactor.log_value
+        )
+        return out
+
+    def log_amplitude(self, record: MeasurementRecord) -> complex:
+        """log K of one record: :meth:`log_amplitudes` of ``[record]``."""
+        return complex(self.log_amplitudes([record])[0])
 
 
 def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     """One homogeneous solve of the axis in ``inputs``, ready to score
-    records with :meth:`RecordScorer.log_amplitude`.
+    batches of records with :meth:`RecordScorer.log_amplitudes`, one
+    pass per record grid.
 
     The record of ``inputs`` is not read.  The basis is the closed-form
     Floquet solution of the Mathieu stiffness
@@ -968,8 +1030,10 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     window is E_r E**N, where E and E_r come from the Hill basis
     (:func:`~paulpath.mathieu.hill_basis`, no ODE pass) over
     [t', t' + P] and over [t', t' + r] (the remainder starting at
-    t' + N P sees the same stiffness).  D(t'') is its (q, q') entry; the
-    boundary solve and the action are the scorer's (:func:`_boundary`).
+    t' + N P sees the same stiffness) and the scorer's pass
+    (:func:`_drive_integrals`) on a batch of one constant drive.  D(t'')
+    is its (q, q') entry; the boundary solve and the action are the
+    scorer's (:func:`_boundary`).
 
     arg D is read on the basis' grid (:func:`_step_arg`, steps of at
     most pi/4 phase) over the first period only.  After that, the arg
@@ -994,7 +1058,7 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     ToleranceNotMetError
         If a block's Hill series does not converge within its harmonic
         cap, or its Wronskian is off 1 (see
-        :func:`~paulpath.mathieu.hill_basis` and :func:`_affine_map`).
+        :func:`~paulpath.mathieu.hill_basis` and :func:`_drive_integrals`).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     check_spans_window(inputs.record, inputs.meas)
@@ -1013,8 +1077,8 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
 
     def block(span):
         basis = hill_basis(spec, (t0, t0 + span))
-        drive = Forcing(t_start=t0, dt=span, values=np.full(2, force))
-        return basis, _affine_map(basis, drive, m)
+        integrals = _drive_integrals(basis, t0, span, np.full((1, 2), force))
+        return basis, _affine_map(basis, integrals, m)[0]
 
     tail = np.eye(4, dtype=complex)
     if rem > 0.0:
@@ -1061,7 +1125,9 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
             f"D(t'') = {d_end:.3e} against window scale {math.exp(log_top):.3e};"
             " the endpoints are conjugate"
         )
-    slope, q_end, slope_end, forcing_integral, action = _boundary(total, inputs.bc, m)
+    slope, q_end, slope_end, forcing_integral, action = (
+        complex(v) for v in _boundary(total, inputs.bc, m)
+    )
     sol = ClassicalSolution(
         grid=np.array([t0, t1]),
         q=np.array([inputs.bc.x_start, q_end], dtype=complex),

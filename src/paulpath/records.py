@@ -139,9 +139,15 @@ def check_spans_window(rec: MeasurementRecord, meas: MeasurementConfig) -> None:
 def record_norm_integral(rec: MeasurementRecord) -> float:
     """Exact integral of a(t)**2 over the record's span for the
     piecewise-linear interpolant."""
-    a0 = rec.samples[:-1]
-    a1 = rec.samples[1:]
-    return float(rec.dt * np.sum(a0 * a0 + a0 * a1 + a1 * a1) / 3.0)
+    return float(norm_integrals(rec.samples, rec.dt))
+
+
+def norm_integrals(samples: np.ndarray, dt: float) -> np.ndarray:
+    """:func:`record_norm_integral` of each row of ``samples`` (shape
+    (..., n)) on a grid of step ``dt``."""
+    a0 = samples[..., :-1]
+    a1 = samples[..., 1:]
+    return dt * (a0 * a0 + a0 * a1 + a1 * a1).sum(axis=-1) / 3.0
 
 
 @dataclass(frozen=True)
@@ -201,8 +207,15 @@ def forcing(rec: MeasurementRecord, meas: MeasurementConfig, params: TrapParamet
     Identically zero (still a valid object) when the measurement is off.
     """
     check_spans_window(rec, meas)
-    vals = -1j * record_forcing_scale(meas, params) * rec.samples
-    return Forcing(t_start=rec.t_start, dt=rec.dt, values=vals.astype(complex))
+    return Forcing(t_start=rec.t_start, dt=rec.dt, values=drive_samples(rec.samples, meas, params))
+
+
+def drive_samples(
+    samples: np.ndarray, meas: MeasurementConfig, params: TrapParameters
+) -> np.ndarray:
+    """The drive F = -4i hbar a / (T da**2) at the record samples ``a``
+    (an array of any shape); zero when the measurement is off."""
+    return -1j * record_forcing_scale(meas, params) * samples
 
 
 # --- CSV interchange ------------------------------------------------------

@@ -384,10 +384,18 @@ def test_mathieu_dump(tmp_path):
 
 
 @pytest.mark.parametrize("t_max", ["0", "inf", "nan"])
-def test_mathieu_refuses_an_empty_or_non_finite_span(t_max, capsys):
-    rc = cli.main(["mathieu", "--scenario", REFERENCE, "--out", "stdout", "--t-max", t_max])
-    assert rc == 2
-    assert "span" in capsys.readouterr().err
+def test_mathieu_refuses_an_empty_or_non_finite_span(t_max, capsys, tmp_path):
+    # both f_source routes: the integrated reference solution and the series
+    series = dataclasses.replace(
+        load_scenario(REFERENCE),
+        numerics=dataclasses.replace(load_scenario(REFERENCE).numerics, f_source="series"),
+    )
+    (tmp_path / "series.scenario").write_text(dump_scenario(series))
+    for scenario in (REFERENCE, str(tmp_path / "series.scenario")):
+        rc = cli.main(["mathieu", "--scenario", scenario, "--out", "stdout", "--t-max", t_max])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "span" in err and "--t-max" in err
 
 
 def test_mathieu_runs_backward(tmp_path):

@@ -204,3 +204,25 @@ def test_ranking_scores_a_window_the_direct_route_refuses():
         discrete_propagator(inputs, 2**15), discrete_propagator(inputs, 2**16)
     )
     assert abs(0.5 * row.log_p_x - extr.real) < 1e-8
+
+
+def test_mixed_grid_ranking_agrees_with_the_oracle():
+    # three candidates on three grids of the window above, scored in one
+    # batch per axis, each against its own Richardson-extrapolated oracle
+    inputs = scaled_inputs(
+        u=-0.11, v=-1.1, T=50.0, resolution=1.3, x_start=0.3, x_end=-0.5,
+    )
+    records = [
+        render(SinusoidRecord(0.3, 1.7, 0.2), inputs.meas, n_samples=65),
+        render(ConstantRecord(-0.4), inputs.meas, n_samples=50),
+        render(SampledRecord(values=(0.2, -0.4, 0.6, 0.1, -0.3, 0.5, 0.0)), inputs.meas),
+    ]
+    ranked = rank_records(inputs, records, record_ids=["sin", "const", "samples"])
+    assert {r.record_id for r in ranked} == {"sin", "const", "samples"}
+    for row in ranked:
+        rec = records[["sin", "const", "samples"].index(row.record_id)]
+        case = replace(inputs, record=rec)
+        extr, _ = richardson(
+            discrete_propagator(case, 2**15), discrete_propagator(case, 2**16)
+        )
+        assert abs(0.5 * row.log_p_x - extr.real) < 1e-8, row.record_id

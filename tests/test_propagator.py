@@ -659,3 +659,83 @@ def test_record_scorer_refuses_a_coarse_basis(monkeypatch):
     monkeypatch.setattr(mathieu, "_MAX_HARMONICS", 4)
     with pytest.raises(ToleranceNotMetError, match="harmonics"):
         record_scorer(inputs)
+
+
+# --- batched scoring ----------------------------------------------------------
+
+# (family, samples): constant, sinusoid and sampled records on 14-, 50-,
+# 65- and 2001-sample grids, several records sharing each grid
+_BATCH = [
+    (ConstantRecord(0.8 * _UM), 50),
+    (SinusoidRecord(1.0 * _UM, 1.7e6, 0.4), 65),
+    (SampledRecord(tuple(_UM * np.random.default_rng(5).standard_normal(14))), 14),
+    (ConstantRecord(-0.5 * _UM), 2001),
+    (SinusoidRecord(0.6 * _UM, 0.5e6, -1.1), 14),
+    (SampledRecord(tuple(_UM * np.random.default_rng(6).standard_normal(50))), 50),
+    (SinusoidRecord(1.3 * _UM, 2.6e6, 2.0), 2001),
+    (ConstantRecord(0.3 * _UM), 65),
+    (SinusoidRecord(0.9 * _UM, 1.1e6, 0.0), 50),
+    (SampledRecord(tuple(_UM * np.random.default_rng(7).standard_normal(65))), 65),
+]
+
+
+def _batch(base):
+    return [render(spec, base.meas, n_samples=n) for spec, n in _BATCH]
+
+
+@pytest.mark.parametrize("family", ["sinusoid", "measurement-off"])
+@pytest.mark.parametrize("axis", [Axis.X, Axis.Z])
+def test_batch_scores_match_each_record_scored_alone(axis, family):
+    base = _short_base(axis, family)
+    scorer = record_scorer(base)
+    records = _batch(base)
+    assert sorted({r.n_samples for r in records}) == [14, 50, 65, 2001]
+    batch = scorer.log_amplitudes(records)
+    assert batch.shape == (len(records),)
+    for rec, scored in zip(records, batch):
+        alone = scorer.log_amplitude(rec)
+        assert abs(scored - alone) <= 1e-14 * abs(alone)
+
+
+def test_batch_scores_do_not_depend_on_the_order_or_on_duplicates():
+    scorer = record_scorer(_short_base(Axis.X, "sinusoid"))
+    records = _batch(scorer.inputs)
+    batch = scorer.log_amplitudes(records)
+    order = np.random.default_rng(8).permutation(len(records))
+    shuffled = scorer.log_amplitudes([records[i] for i in order])
+    assert np.array_equal(shuffled, batch[order])
+    doubled = scorer.log_amplitudes(records + records[::-1])
+    assert np.array_equal(doubled, np.concatenate((batch, batch[::-1])))
+    assert scorer.log_amplitudes([]).shape == (0,)
+
+
+@pytest.mark.parametrize("position", [0, 4, 9])
+def test_batch_refuses_an_off_window_record_before_scoring(monkeypatch, position):
+    base = _short_base(Axis.X, "sinusoid")
+    scorer = record_scorer(base)
+    records = _batch(base)
+    short = replace(base.meas, t_end=0.5 * base.meas.t_end)
+    records[position] = render(_FAMILIES["sinusoid"], short, n_samples=65)
+    passes = []
+    original = propagator._drive_integrals
+    monkeypatch.setattr(
+        propagator, "_drive_integrals", lambda *a: passes.append(a) or original(*a)
+    )
+    with pytest.raises(RecordWindowError):
+        scorer.log_amplitudes(records)
+    assert passes == []
+
+
+def test_batch_runs_one_pass_per_record_grid(monkeypatch):
+    scorer = record_scorer(_short_base(Axis.Z, "sinusoid"))
+    records = _batch(scorer.inputs)
+    passes = []
+    original = propagator._drive_integrals
+    monkeypatch.setattr(
+        propagator, "_drive_integrals",
+        lambda basis, t_start, dt, forces: passes.append(forces.shape)
+        or original(basis, t_start, dt, forces),
+    )
+    scorer.log_amplitudes(records)
+    # four grids: one pass each, with every record of the grid stacked
+    assert sorted(passes) == [(2, 14), (2, 2001), (3, 50), (3, 65)]
