@@ -491,6 +491,11 @@ def cmd_validate(args, scenario: Scenario) -> int:
             levels = [int(v) for v in args.levels.split(",")]
         except ValueError:
             raise ConfigError(f"bad levels list: {args.levels!r}", field="--levels")
+        if not any(b == 2 * a for a, b in zip(levels, levels[1:])):
+            raise ConfigError(
+                f"levels {args.levels!r} hold no consecutive pair N, 2N to check",
+                field="--levels",
+            )
     else:
         levels = [scenario.numerics.oracle_n // 2, scenario.numerics.oracle_n]
     inputs = axis_inputs(scenario, Axis.X)
@@ -671,7 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("validate", parents=[common], help="pipeline vs sliced oracle")
-    p.add_argument("--levels", default=None, help="comma list of slice counts")
+    p.add_argument(
+        "--levels", default=None,
+        help="comma list of slice counts with a consecutive pair N, 2N",
+    )
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", parents=[common], help="Cartesian parameter sweep")

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,37 +119,33 @@ def mathieu_series(params: DimensionlessParams, n_terms: int = 2) -> SeriesCoeff
     return SeriesCoefficients(params=params, coefficients=tuple(complex(c) for c in cs))
 
 
-def evaluate_f(coeffs: SeriesCoefficients, t_tilde):
-    """Evaluate the truncated series at scaled time(s) ``t_tilde``."""
+def _harmonic_sum(terms, t_tilde, wave=np.cos):
+    """sum of w * wave(n t) over the pairs (n, w) of ``terms``, at scaled
+    time(s) ``t_tilde``; a complex scalar for a scalar time."""
     t = np.asarray(t_tilde, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
-    for n, c in zip(coeffs.harmonics, coeffs.coefficients):
-        out += c * np.cos(n * t)
+    for n, w in terms:
+        out += w * wave(n * t)
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def evaluate_f(coeffs: SeriesCoefficients, t_tilde):
+    """Evaluate the truncated series at scaled time(s) ``t_tilde``."""
+    return _harmonic_sum(zip(coeffs.harmonics, coeffs.coefficients), t_tilde)
 
 
 def evaluate_f_derivative(coeffs: SeriesCoefficients, t_tilde):
     """d f / d t_tilde of the truncated series."""
-    t = np.asarray(t_tilde, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    for n, c in zip(coeffs.harmonics, coeffs.coefficients):
-        out -= n * c * np.sin(n * t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    terms = ((n, -(n * c)) for n, c in zip(coeffs.harmonics, coeffs.coefficients))
+    return _harmonic_sum(terms, t_tilde, np.sin)
 
 
 def evaluate_f_second_derivative(coeffs: SeriesCoefficients, t_tilde):
     """d**2 f / d t_tilde**2 of the truncated series."""
-    t = np.asarray(t_tilde, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    for n, c in zip(coeffs.harmonics, coeffs.coefficients):
-        out -= n * n * c * np.cos(n * t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    terms = ((n, -(n * n * c)) for n, c in zip(coeffs.harmonics, coeffs.coefficients))
+    return _harmonic_sum(terms, t_tilde)
 
 
 def residual_coefficients(coeffs: SeriesCoefficients) -> dict[int, complex]:
@@ -193,11 +189,8 @@ def residual_max_magnitude(
 ) -> float:
     """Maximum of |residual(t)| on ``t_span`` by dense sampling of the
     exact cosine sum."""
-    rs = residual_coefficients(coeffs)
     t = np.linspace(t_span[0], t_span[1], n)
-    vals = np.zeros(t.shape, dtype=complex)
-    for m, r in rs.items():
-        vals += r * np.cos(m * t)
+    vals = _harmonic_sum(residual_coefficients(coeffs).items(), t)
     return float(np.max(np.abs(vals)))
 
 
@@ -304,17 +297,22 @@ class HillBasis:
     there, one row per component, exactly (1, 0, 0, 1) at t'.  ``dense``
     evaluates it anywhere.
 
-    Diagnostics: ``nu`` is the Floquet exponent of f+, ``coefficients``
-    its Fourier coefficients c_n (n = -N..N, c_0 = 1), ``tail`` the
-    largest |c_n| / max |c| at the depth of the continued fractions, and
-    ``wronskian_residual`` the largest |h0 h1' - h0' h1 - 1| on the grid.
-    Build it with :func:`hill_basis`.
+    Floquet data: ``nu`` is the Floquet exponent of f+, so f+ and f- gain
+    the multipliers e^{i nu P} and e^{-i nu P} over a drive period P, and
+    ``slope_ratios`` are f+'/f+ and f-'/f- at t'.
+
+    Diagnostics: ``coefficients`` are the Fourier coefficients c_n of f+
+    (n = -N..N, c_0 = 1), ``tail`` the largest |c_n| / max |c| at the
+    depth of the continued fractions, and ``wronskian_residual`` the
+    largest |h0 h1' - h0' h1 - 1| on the grid.  Build it with
+    :func:`hill_basis`.
     """
 
     t: np.ndarray
     y: np.ndarray
     rate: float
     nu: complex
+    slope_ratios: tuple[complex, complex]
     coefficients: np.ndarray
     tail: float
     wronskian_residual: float
@@ -338,32 +336,37 @@ class HillBasis:
 
     def dense(self, t):
         """The basis at time(s) ``t``: shape (4,) for a scalar, (4, len(t))
-        for an array.
+        for an array (see :func:`_hill_dense`)."""
+        return _hill_dense(self._terms, self.nu, self.drive_omega, self.t[0], t)
 
-        With s = t - t', each component is e^{i nu s} times a Fourier sum
-        of f+ plus e^{-i nu s} times one of f- (rows 0-3 and 4-7 of
-        ``_terms``, over the powers z^n, n = -N..N, of z = e^{i w t}, which
-        are running products).  Without a drive (v = 0) it is cos(nu s)
-        and sin(nu s) / nu, which stays exact at nu = 0.
-        """
-        t = np.asarray(t, dtype=float)
-        s = t - self.t[0]
-        if self.coefficients.size == 1:
-            h0 = np.cos(self.nu * s)
-            h1 = s * np.sinc(self.nu * s / math.pi)
-            return np.array([h0, -self.nu * self.nu * h1, h1, h0])
-        depth = self.coefficients.size // 2
-        z = np.exp(1j * self.drive_omega * t.reshape(-1))
-        powers = np.empty((2 * depth + 1, z.size), dtype=complex)
-        powers[depth] = 1.0
-        for n in range(depth):
-            np.multiply(powers[depth + n], z, out=powers[depth + n + 1])
-        np.conjugate(powers[:depth:-1], out=powers[:depth])
-        sums = self._terms @ powers
-        grow = np.exp(1j * self.nu * s.reshape(-1))
-        sums[:4] *= grow
-        sums[4:] /= grow
-        return (sums[:4] + sums[4:]).reshape((4,) + t.shape)
+
+def _hill_dense(terms: np.ndarray, nu: complex, omega: float, t_start: float, t):
+    """The basis (h0, h0', h1, h1') that starts at ``t_start``, at time(s) ``t``.
+
+    With s = t - t', each component is e^{i nu s} times a Fourier sum of
+    f+ plus e^{-i nu s} times one of f- (rows 0-3 and 4-7 of ``terms``,
+    over the powers z^n, n = -N..N, of z = e^{i w t}, which are running
+    products).  With one Fourier term (no drive, v = 0) it is cos(nu s)
+    and sin(nu s) / nu, which stays exact at nu = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    s = t - t_start
+    if terms.shape[1] == 1:
+        h0 = np.cos(nu * s)
+        h1 = s * np.sinc(nu * s / math.pi)
+        return np.array([h0, -nu * nu * h1, h1, h0])
+    depth = terms.shape[1] // 2
+    z = np.exp(1j * omega * t.reshape(-1))
+    powers = np.empty((2 * depth + 1, z.size), dtype=complex)
+    powers[depth] = 1.0
+    for n in range(depth):
+        np.multiply(powers[depth + n], z, out=powers[depth + n + 1])
+    np.conjugate(powers[:depth:-1], out=powers[:depth])
+    sums = terms @ powers
+    grow = np.exp(1j * nu * s.reshape(-1))
+    sums[:4] *= grow
+    sums[4:] /= grow
+    return (sums[:4] + sums[4:]).reshape((4,) + t.shape)
 
 
 def _hill_seed(u: complex, v: float, omega: float) -> complex:
@@ -459,7 +462,8 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
     the continued fraction and centred (:func:`_floquet_coefficients`);
     the continued fractions deepen until the coefficient tail is below
     rounding.  With f-(t) = f+(-t) (w2 is even in t), h0 and h1 are the
-    combinations of f+ and f- with unit value and unit slope at t'.
+    combinations of f+ and f- with unit value and unit slope at t', and
+    their slope ratios at t' are kept as the basis' Floquet data.
     There is no tolerance: the series is as exact as rounding allows,
     and the checks below refuse it where it is not.
 
@@ -478,6 +482,7 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
     if v == 0.0:
         nu, c, tail = cmath.sqrt(u), np.ones(1, dtype=complex), 0.0
         terms = np.ones((8, 1), dtype=complex)
+        ratios = (1j * nu, -1j * nu)
     else:
         nu, depth = _hill_seed(u, v, omega), min(_FIRST_DEPTH, _MAX_HARMONICS)
         while True:
@@ -507,12 +512,9 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
             first[0] * raw_plus, first[1] * raw_plus,
             second[0] * raw_minus, second[1] * raw_minus,
         ])
-    basis = HillBasis(
-        t=grid, y=np.empty((4, grid.size), dtype=complex), rate=rate, nu=complex(nu),
-        coefficients=c, tail=tail, wronskian_residual=0.0, drive_omega=omega,
-        _terms=terms,
-    )
-    y = basis.dense(grid)
+        ratios = (complex(dfp / fp), complex(dfm / fm))
+    nu = complex(nu)
+    y = _hill_dense(terms, nu, omega, grid[0], grid)
     y[:, 0] = (1.0, 0.0, 0.0, 1.0)
     residual = float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)))
     if residual > _HILL_WRONSKIAN_ATOL:
@@ -520,7 +522,10 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
             f"Hill basis Wronskian off 1 by {residual:.3e} on its grid;"
             " the Floquet solutions are too close to degenerate"
         )
-    return replace(basis, y=y, wronskian_residual=residual)
+    return HillBasis(
+        t=grid, y=y, rate=rate, nu=nu, slope_ratios=ratios, coefficients=c,
+        tail=tail, wronskian_residual=residual, drive_omega=omega, _terms=terms,
+    )
 
 
 def _basis_pass(spec, t0: float, t1: float, tol: float):

@@ -38,8 +38,10 @@ so the module provides three ingredients and an assembler:
   record grid for all the records on it;
 * :func:`floquet_propagator`, the same assembly for a drive-periodic
   stiffness and a constant record over any number of drive periods,
-  from the Hill basis and the scorer's map over one period and the
-  remainder.
+  from one Hill basis over a period: the scorer's map over the period
+  and over the basis' prefix that the remainder spans, raised and
+  composed, with arg D carried by the Floquet solution that the basis'
+  exponent and slope ratios give.
 
 The direct route's DOP853 passes and the adaptive basis pass
 (:func:`~paulpath.mathieu._basis_pass`, any stiffness) under
@@ -227,7 +229,7 @@ def classical_trajectory(
         rhs_basis, (t0, t1), init, rtol=tol, atol=tol * 1e-3 * scales
     )
     h1 = basis.y[2]
-    _check_not_conjugate(h1)
+    _check_not_conjugate(h1[-1], h1)
     d_arg = _step_arg(basis.t, h1, rate)
     c = (bc.x_end - bc.x_start * basis.y_end[0] - basis.y_end[4]) / h1[-1]
 
@@ -378,14 +380,16 @@ def _check_step_phase(times: np.ndarray, rate: float) -> None:
         )
 
 
-def _check_not_conjugate(d: np.ndarray) -> None:
-    """Raise ConjugatePointError if D(t'') = d[-1] is consistent with zero
-    at the window scale max |d| over the step values d."""
-    top = float(np.max(np.abs(d)))
-    if abs(d[-1]) < _CONJUGATE_RTOL * top:
+def _check_not_conjugate(d_end: complex, d: np.ndarray, log_growth: float = 0.0) -> None:
+    """Raise ConjugatePointError if D(t'') = ``d_end`` is consistent with
+    zero at the window scale: max |d| over the step values d of D, times
+    e^log_growth where the window runs on past them (the Floquet route's
+    periods).  The test is on the log scale, which no window overflows."""
+    log_top = math.log(float(np.max(np.abs(d)))) + log_growth
+    if d_end == 0 or math.log(abs(d_end)) < math.log(_CONJUGATE_RTOL) + log_top:
         raise ConjugatePointError(
-            f"D(t'') = {complex(d[-1]):.3e} against window scale {top:.3e};"
-            " the endpoints are conjugate"
+            f"D(t'') = {complex(d_end):.3e} against window scale"
+            f" e^{log_top:.3f}; the endpoints are conjugate"
         )
 
 
@@ -441,7 +445,7 @@ def _determinant_prefactor(basis, rate: float, params: TrapParameters) -> Prefac
     a :class:`~paulpath.mathieu.HillBasis`), arg D read at its steps,
     checked for a conjugate point."""
     h1 = basis.y[2]
-    _check_not_conjugate(h1)
+    _check_not_conjugate(h1[-1], h1)
     return _prefactor(
         complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
     )
@@ -794,7 +798,8 @@ def _drive_integrals(
     """(A0, A1, J) of each of k drives that share a grid, in one pass:
     A_k = int F h_k dt and J = int F h0 A1(t) dt, A1(t) = int_{t0}^{t} F h1,
     over the grid's span, on the homogeneous ``basis`` (h0, h0', h1, h1')
-    that starts at the grid's start ``t_start`` and ends at its end.
+    that starts at the grid's start ``t_start`` (it is evaluated at the
+    grid's nodes, so its own span may run past the grid's end).
 
     ``forces`` holds the samples F(t_start + i dt) of the k drives, shape
     (k, n); the result has shape (k, 3).  Every grid segment is cut into
@@ -840,17 +845,18 @@ def _drive_integrals(
     return out
 
 
-def _affine_map(basis: HillBasis, integrals: np.ndarray, m: float) -> np.ndarray:
-    """4x4 maps of (q, q', 1, int F q dt) over the span of ``basis``, one
-    per row (A0, A1, J) of ``integrals`` (shape (k, 3), from
+def _affine_map(ends: np.ndarray, integrals: np.ndarray, m: float) -> np.ndarray:
+    """4x4 maps of (q, q', 1, int F q dt) over a span, one per row
+    (A0, A1, J) of ``integrals`` (shape (k, 3), from
     :func:`_drive_integrals` on drives over that span); shape (k, 4, 4).
+    ``ends`` is the basis (h0, h0', h1, h1') at the end of the span.
 
     By variation of parameters with W = h0 h1' - h0' h1 = 1, the
     zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
     qp' = (h1' A0 - h0' A1)/m, and int F qp dt = (A0 A1 - 2 J)/m, with
     h0, h1 at the end of the span.
     """
-    e0, e0_dot, e1, e1_dot = basis.y_end
+    e0, e0_dot, e1, e1_dot = ends
     a0, a1, j = integrals.T
     total = np.zeros((integrals.shape[0], 4, 4), dtype=complex)
     total[:, :2, :2] = ((e0, e1), (e0_dot, e1_dot))
@@ -936,7 +942,7 @@ class RecordScorer:
             forces = drive_samples(samples, meas, params)
             integrals.append(_drive_integrals(self.basis, t_start, dt, forces))
             norms.append(norm_integrals(samples, dt))
-        total = _affine_map(self.basis, np.concatenate(integrals), m)
+        total = _affine_map(self.basis.y_end, np.concatenate(integrals), m)
         action = _boundary(total, self.inputs.bc, m)[-1]
         record_term = -meas.weight_rate * np.concatenate(norms)
         out = np.empty(len(records), dtype=complex)
@@ -983,43 +989,6 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
 # --- Floquet route ----------------------------------------------------------
 
 
-def _floquet_solution(mono: np.ndarray) -> tuple[complex, complex]:
-    """Floquet multiplier lambda and slope ratio z = f'/f at the start of
-    the Floquet solution f (f(t + period) = lambda f(t)) that has
-    Im z > 0.
-
-    ``mono`` is the 2x2 one-period map of (f, f').  When Im w2 < 0 the
-    map sends the upper half plane of z strictly into itself, so exactly
-    one Floquet solution lies there; without damping a stable drive
-    still gives one (the pair is complex conjugate).
-
-    Raises
-    ------
-    NumericalError
-        If neither Floquet solution has Im z > 0 (an undamped drive
-        outside the stability zones).
-    """
-    m11, m12, m21, m22 = (complex(v) for v in np.asarray(mono).ravel())
-    half_trace = 0.5 * (m11 + m22)
-    root = cmath.sqrt(half_trace * half_trace - (m11 * m22 - m12 * m21))
-    best = None
-    for lam in (half_trace + root, half_trace - root):
-        # (1, z) is the eigenvector; take the better conditioned of the
-        # two equivalent eigenvector equations
-        if abs(lam - m22) >= abs(lam - m11):
-            z = m21 / (lam - m22)
-        else:
-            z = (lam - m11) / m12
-        if best is None or z.imag > best[1].imag:
-            best = (lam, z)
-    if not best[1].imag > 0.0:
-        raise NumericalError(
-            "no Floquet solution with Im(f'/f) > 0: the drive is undamped"
-            " and outside the stability zones"
-        )
-    return best
-
-
 def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     """Restricted propagator over any number of drive periods.
 
@@ -1027,25 +996,32 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     period P, so the :func:`_affine_map` of (q, q', 1, integral F q dt)
     over each whole period is the same 4x4 matrix E.  With the window
     split into N whole periods and a remainder r, the map over the
-    window is E_r E**N, where E and E_r come from the Hill basis
+    window is E_r E**N.  Both come from one Hill basis
     (:func:`~paulpath.mathieu.hill_basis`, no ODE pass) over
-    [t', t' + P] and over [t', t' + r] (the remainder starting at
-    t' + N P sees the same stiffness) and the scorer's pass
-    (:func:`_drive_integrals`) on a batch of one constant drive.  D(t'')
-    is its (q, q') entry; the boundary solve and the action are the
-    scorer's (:func:`_boundary`).
+    [t', t' + P], or over the window when it is shorter than a period,
+    and the scorer's pass (:func:`_drive_integrals`) on a batch of one
+    constant drive: E_r is the map over the basis' prefix [t', t' + r]
+    (the remainder starting at t' + N P sees the same stiffness), which
+    ends at the basis' closed-form value at t' + r.  D(t'') is the
+    (q, q') entry; the boundary solve and the action are the scorer's
+    (:func:`_boundary`).
 
     arg D is read on the basis' grid (:func:`_step_arg`, steps of at
     most pi/4 phase) over the first period only.  After that, the arg
     change of the solution from slope ratio z = D'/D at t' + P is a
     continuous function of z on the upper half plane, where Im w2 <= 0
-    keeps z; it equals (N - 1) mu + mu_r for the Floquet solution (its
-    arg change mu per period has the integer part fixed by the same
-    reading of its grid through one period, mu_r over the remainder's
-    grid likewise), and the solution's first component is affine in z,
-    so moving z from the Floquet value to D's value adds only the
-    principal arg of the ratio of the two end values.  See
-    :func:`_floquet_solution`.
+    keeps z; it equals (N - 1) mu + mu_r for the Floquet solution
+    f = h0 + z* h1.  Its slope ratio z* is the one of the basis'
+    ``slope_ratios`` (f+'/f+ and f-'/f- at t') with Im z* > 0 (with
+    Im w2 < 0 the one-period map sends the upper half plane of z strictly
+    into itself, so exactly one lies there; an undamped stable drive
+    gives a complex conjugate pair), and its multiplier is e^{+-i nu P}
+    with the same sign; the integer part of its arg change mu
+    per period is fixed by the same reading of the grid through one
+    period, and mu_r by the grid points below t' + r plus that
+    endpoint.  The solution's first component is affine in z, so moving
+    z from the Floquet value to D's value adds only the principal arg of
+    the ratio of the two end values.
 
     Raises
     ------
@@ -1056,8 +1032,8 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     NumericalError
         If no Floquet solution has Im(f'/f) > 0.
     ToleranceNotMetError
-        If a block's Hill series does not converge within its harmonic
-        cap, or its Wronskian is off 1 (see
+        If the Hill series does not converge within its harmonic cap, or
+        its Wronskian is off 1 (see
         :func:`~paulpath.mathieu.hill_basis` and :func:`_drive_integrals`).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
@@ -1071,60 +1047,56 @@ def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
     m = params.mass
     spec = effective_frequency(inputs.coeffs, inputs.meas, params)
     force = complex(record_forcing(inputs.record, inputs.meas, params).values[0])
+    drive = np.full((1, 2), force)
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     period = 2.0 * math.pi / spec.drive_omega
     n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
+    span = period if n_periods else inputs.bc.duration
+    basis = hill_basis(spec, (t0, t0 + span))
 
-    def block(span):
-        basis = hill_basis(spec, (t0, t0 + span))
-        integrals = _drive_integrals(basis, t0, span, np.full((1, 2), force))
-        return basis, _affine_map(basis, integrals, m)[0]
+    def block(ends, length):
+        # the map over [t', t' + length], a prefix of the basis' span
+        return _affine_map(ends, _drive_integrals(basis, t0, length, drive), m)[0]
 
-    tail = np.eye(4, dtype=complex)
-    if rem > 0.0:
-        tail_basis, tail = block(rem)
-    if n_periods == 0:
-        total = tail
-        d = tail_basis.y[2]
-        theta = _step_arg(tail_basis.t, d, tail_basis.rate)
-        log_top = math.log(float(np.max(np.abs(d))))
-    else:
-        basis, step = block(period)
-        d = basis.y[2]
-        theta_first = _nearest_branch(
-            _step_arg(basis.t, d, basis.rate), cmath.phase(step[0, 1])
-        )
-        lam, z_star = _floquet_solution(step[:2, :2])
+    d = basis.y[2]
+    step = block(basis.y_end, span)
+    theta = _nearest_branch(_step_arg(basis.t, d, basis.rate), cmath.phase(d[-1]))
+    log_growth = 0.0
+    total = step
+    if n_periods:
+        z_star, sign = max(zip(basis.slope_ratios, (1.0, -1.0)), key=lambda r: r[0].imag)
+        if not z_star.imag > 0.0:
+            raise NumericalError(
+                "no Floquet solution with Im(f'/f) > 0: the drive is undamped"
+                " and outside the stability zones"
+            )
+        f_star = basis.y[0] + z_star * d
         mu = _nearest_branch(
-            _step_arg(basis.t, basis.y[0] + z_star * d, basis.rate), cmath.phase(lam)
+            _step_arg(basis.t, f_star, basis.rate), sign * basis.nu.real * period
         )
-        mu_r = 0.0
+        tail, mu_r = np.eye(4, dtype=complex), 0.0
         if rem > 0.0:
-            f_tail = tail_basis.y[0] + z_star * tail_basis.y[2]
+            t_rem = t0 + rem
+            ends = basis.dense(t_rem)
+            tail = block(ends, rem)
+            below = basis.t < t_rem
+            f_tail = np.append(f_star[below], ends[0] + z_star * ends[2])
             mu_r = _nearest_branch(
-                _step_arg(tail_basis.t, f_tail, tail_basis.rate), cmath.phase(f_tail[-1])
+                _step_arg(np.append(basis.t[below], t_rem), f_tail, basis.rate),
+                cmath.phase(f_tail[-1]),
             )
         rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
         z_first = step[1, 1] / step[0, 1]
         end_first = rest[0, 0] + rest[0, 1] * z_first
         end_star = rest[0, 0] + rest[0, 1] * z_star
-        theta = (
-            theta_first + (n_periods - 1) * mu + mu_r
-            + cmath.phase(end_first / end_star)
-        )
+        theta = theta + (n_periods - 1) * mu + mu_r + cmath.phase(end_first / end_star)
         total = rest @ step
         # the window's largest |D| is at most the first period's, grown by
-        # the Floquet multipliers (|lambda| |1/lambda| = 1)
-        log_top = math.log(float(np.max(np.abs(d)))) + n_periods * abs(
-            math.log(abs(lam))
-        )
+        # the Floquet multipliers |e^{+-i nu P}|
+        log_growth = n_periods * abs(basis.nu.imag) * period
 
     d_end = complex(total[0, 1])
-    if d_end == 0 or math.log(abs(d_end)) < math.log(_CONJUGATE_RTOL) + log_top:
-        raise ConjugatePointError(
-            f"D(t'') = {d_end:.3e} against window scale {math.exp(log_top):.3e};"
-            " the endpoints are conjugate"
-        )
+    _check_not_conjugate(d_end, d, log_growth)
     slope, q_end, slope_end, forcing_integral, action = (
         complex(v) for v in _boundary(total, inputs.bc, m)
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRangeError, ZeroQError
+from .errors import ConfigError, ZeroQError
 
 #: 2018 SI exact value of the reduced Planck constant, J*s.
 HBAR_SI = 1.054571817e-34

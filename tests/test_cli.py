@@ -274,8 +274,11 @@ def test_validate_underresolved_fails_with_exit_4(tmp_path):
 
 
 def test_validate_rejects_bad_levels(capsys):
-    rc = cli.main(["validate", "--scenario", SHORT, "--out", "stdout", "--levels", "6,a"])
-    assert rc == 2
+    # a list with no consecutive pair N, 2N would check nothing
+    for levels in ("6,a", "1024", "2048,1024", "1024,4096"):
+        argv = ["validate", "--scenario", SHORT, "--out", "stdout", "--levels", levels]
+        assert cli.main(argv) == 2, levels
+        assert "--levels" in capsys.readouterr().err, levels
 
 
 def test_prob_scenario_candidate(tmp_path):

@@ -260,17 +260,24 @@ def test_hill_basis_is_exact_for_the_free_particle():
 
 
 def test_hill_multiplier_is_the_monodromy_eigenvalue():
-    # e^{i nu P} against the eigenvalues of the adaptive one-period map
+    # e^{i nu P} against the eigenvalues of the adaptive one-period map,
+    # and the slope ratios against its eigenvectors
     for axis in (Axis.X, Axis.Z):
         spec, _ = _short(axis)
         period = 2.0 * math.pi / spec.drive_omega
         hill = hill_basis(spec, (0.0, period))
         dop, _ = mathieu._basis_pass(spec, 0.0, period, 1e-13)
         mono = dop.y_end.reshape(2, 2).T
-        eig = np.linalg.eigvals(mono)
+        eig, vectors = np.linalg.eig(mono)
         lam = np.exp(1j * hill.nu * period)
         assert min(abs(e - lam) for e in eig) <= 1e-11 * abs(lam)
         assert hill.multiplier == pytest.approx(max(abs(eig)), rel=1e-11)
+        # f+'/f+ and f-'/f- at t' are the slope ratios v'/v of the
+        # eigenvectors of e^{i nu P} and e^{-i nu P}
+        for multiplier, ratio in zip((lam, 1.0 / lam), hill.slope_ratios):
+            k = np.argmin(np.abs(eig - multiplier))
+            z = vectors[1, k] / vectors[0, k]
+            assert abs(ratio - z) <= 1e-11 * abs(z)
         # 8 harmonics on each side reach rounding at |q| = 0.55
         assert hill.harmonics <= 17
 
