@@ -378,7 +378,8 @@ def _hill_seed(u: complex, v: float, omega: float) -> complex:
     Delta the determinant with unit diagonal and q/((2n)^2 - a) beside it
     in row n (Whittaker & Watson §19.42).  A row is singular at
     a = (2n)^2, where the product stays finite; the seed then nudges a,
-    and Newton removes the nudge.
+    and Newton removes the nudge.  Where sin^2 overflows (|Im sqrt(a)|
+    beyond about 450), the seed is the drive-free exponent sqrt(u).
     """
     a, q = 4.0 * u / omega**2, 2.0 * v / omega**2
     rows = _SEED_ROWS + math.ceil(0.5 * math.sqrt(abs(a)))
@@ -389,7 +390,10 @@ def _hill_seed(u: complex, v: float, omega: float) -> complex:
     before, det = 1.0, 1.0
     for left, right in zip(xi, xi[1:]):
         before, det = det, det - left * right * before
-    cos_pi_nu = 1.0 - 2.0 * det * cmath.sin(0.5 * math.pi * cmath.sqrt(a)) ** 2
+    try:
+        cos_pi_nu = 1.0 - 2.0 * det * cmath.sin(0.5 * math.pi * cmath.sqrt(a)) ** 2
+    except OverflowError:
+        return cmath.sqrt(u)
     return 0.5 * omega * cmath.acos(cos_pi_nu) / math.pi
 
 

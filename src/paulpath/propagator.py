@@ -31,17 +31,16 @@ so the module provides three ingredients and an assembler:
   cosine-series f (see :func:`closed_form_prefactor`);
 * :func:`restricted_propagator`, which adds the three log-domain parts
   and never exponentiates;
-* :func:`record_scorer`, the same assembly for many records on one
-  axis: the closed-form Hill-Floquet basis of the axis
-  (:func:`~paulpath.mathieu.hill_basis`, no ODE pass), then batches of
-  records by variation of parameters, one O(n) numpy pass over each
-  record grid for all the records on it;
-* :func:`floquet_propagator`, the same assembly for a drive-periodic
-  stiffness and a constant record over any number of drive periods,
-  from one Hill basis over a period: the scorer's map over the period
-  and over the basis' prefix that the remainder spans, raised and
-  composed, with arg D carried by the Floquet solution that the basis'
-  exponent and slope ratios give.
+* :func:`record_scorer`, the same assembly in closed form for many
+  records on one axis and a window of any length: the Hill-Floquet
+  basis of the axis (:func:`~paulpath.mathieu.hill_basis`, no ODE pass)
+  over one drive period, or over the window when that is shorter, then
+  batches of records by variation of parameters, one O(n) numpy pass
+  over each record grid for all the records on it.  On a window of N
+  periods and a remainder, D(t'') comes from the one-period map raised
+  to N, with arg D carried by the Floquet solution that the basis'
+  exponent and slope ratios give, and the constant records of a batch
+  take the period's affine map raised to N.
 
 The direct route's DOP853 passes and the adaptive basis pass
 (:func:`~paulpath.mathieu._basis_pass`, any stiffness) under
@@ -57,7 +56,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,12 +67,11 @@ from .errors import (
     CausticOnWindowError,
     ConfigError,
     ConjugatePointError,
-    NumericalError,
     OutOfRangeError,
     ToleranceNotMetError,
 )
 from .integrate import DEFAULT_TOL, solve_complex_ivp
-from .mathieu import HillBasis, _basis_pass, evaluate_f, hill_basis, mathieu_series
+from .mathieu import _GRID_PHASE, HillBasis, _basis_pass, evaluate_f, hill_basis, mathieu_series
 from .records import (
     Forcing,
     MeasurementRecord,
@@ -109,9 +107,10 @@ _MAX_STEP_PHASE = 0.5 * math.pi
 _PANEL_PHASE = 0.5
 _GAUSS_RTOL = 1e-16
 
-#: largest |h0 h1' - h0' h1 - 1| _drive_integrals accepts at its nodes; the
-#: Wronskian of the basis is exactly 1, and the same 1e-6 bounds the
-#: trajectory pass's endpoint miss
+#: largest |h0 h1' - h0' h1 - 1| _drive_integrals accepts at its nodes, and
+#: the largest rounding eps e^{N |Im nu| P} that the Floquet multipliers may
+#: grow to over a window of N periods; the Wronskian of the basis is exactly
+#: 1, and the same 1e-6 bounds the trajectory pass's endpoint miss
 _WRONSKIAN_ATOL = 1e-6
 
 #: a zero of the series reference solution f within this distance
@@ -155,9 +154,6 @@ class ClassicalSolution:
     solve for free and is exactly the fluctuation determinant input);
     ``d_arg`` is arg D(t''), read at the accepted steps of that solve
     (see :func:`_step_arg`).
-
-    :func:`floquet_propagator` samples only the two window edges, and
-    its ``action`` is the endpoint identity's (see :func:`_boundary`).
     """
 
     grid: np.ndarray
@@ -383,8 +379,8 @@ def _check_step_phase(times: np.ndarray, rate: float) -> None:
 def _check_not_conjugate(d_end: complex, d: np.ndarray, log_growth: float = 0.0) -> None:
     """Raise ConjugatePointError if D(t'') = ``d_end`` is consistent with
     zero at the window scale: max |d| over the step values d of D, times
-    e^log_growth where the window runs on past them (the Floquet route's
-    periods).  The test is on the log scale, which no window overflows."""
+    e^log_growth where the window runs on past them (the whole periods
+    past the first).  The test is on the log scale, which no window overflows."""
     log_top = math.log(float(np.max(np.abs(d)))) + log_growth
     if d_end == 0 or math.log(abs(d_end)) < math.log(_CONJUGATE_RTOL) + log_top:
         raise ConjugatePointError(
@@ -437,18 +433,17 @@ def prefactor_track(
     if not t1 > t0:
         raise OutOfRangeError("window must have positive duration", field="window")
     basis, rate = _basis_pass(spec, t0, t1, tol)
-    return _determinant_prefactor(basis, rate, params)
+    return _determinant_prefactor(basis.t, basis.y[2], rate, params)
 
 
-def _determinant_prefactor(basis, rate: float, params: TrapParameters) -> PrefactorTrack:
-    """The prefactor with D = h1 of ``basis`` (an adaptive basis pass or
-    a :class:`~paulpath.mathieu.HillBasis`), arg D read at its steps,
-    checked for a conjugate point."""
-    h1 = basis.y[2]
-    _check_not_conjugate(h1[-1], h1)
-    return _prefactor(
-        complex(h1[-1]), _step_arg(basis.t, h1, rate), params.mass, params.hbar
-    )
+def _determinant_prefactor(
+    times: np.ndarray, d: np.ndarray, rate: float, params: TrapParameters
+) -> PrefactorTrack:
+    """The prefactor with D sampled as ``d`` at ``times`` (the steps of an
+    adaptive basis pass, or a grid of the Hill basis), arg D read at those
+    steps, checked for a conjugate point."""
+    _check_not_conjugate(d[-1], d)
+    return _prefactor(complex(d[-1]), _step_arg(times, d, rate), params.mass, params.hbar)
 
 
 def _zero_free_or_raise(f_vals):
@@ -591,34 +586,6 @@ def _series_inverse_square_antiderivative(alpha: complex, t_tilde: float) -> com
     return term1 + term2 + term3
 
 
-def _series_inverse_square_integral(
-    alpha: complex, t0: float, t1: float, n_est: int = 129
-) -> complex:
-    """int f**-2 dt over [t0, t1] in scaled time, two-term f.
-
-    Evaluated from the closed antiderivative; a coarse midpoint estimate
-    only selects the arctangent branch (the antiderivative is multivalued
-    with period pi times its arctangent coefficient), it never feeds the
-    returned value.
-    """
-    a_c = 1.0 - 3.0 * alpha
-    b_c = 1.0 + alpha
-    sab = cmath.sqrt(a_c * b_c)
-    atan_coef = 2.0 * (a_c - b_c) / (a_c * a_c * sab) + (a_c - b_c) ** 2 / (
-        2.0 * a_c * a_c * b_c * sab
-    )
-    raw = _series_inverse_square_antiderivative(
-        alpha, t1
-    ) - _series_inverse_square_antiderivative(alpha, t0)
-    if atan_coef == 0:
-        return raw
-    mids = t0 + (np.arange(n_est) + 0.5) * (t1 - t0) / n_est
-    f_mid = np.cos(mids) + alpha * np.cos(3.0 * mids)
-    est = complex(np.sum(1.0 / f_mid**2) * (t1 - t0) / n_est)
-    k = round(((est - raw) / (math.pi * atan_coef)).real)
-    return raw + k * math.pi * atan_coef
-
-
 def closed_form_prefactor(
     params: TrapParameters,
     spec: EffectiveFrequencySpec,
@@ -655,7 +622,13 @@ def closed_form_prefactor(
 
     cubic = (3.0 * alpha - 1.0) * (3.0 * alpha**2 + 2.0 * alpha - 1.0)
     kappa = cubic / (2.0 * alpha)
-    bracket = 1j * kappa * _series_inverse_square_integral(alpha, s0, s1)
+    # cos s is a factor of f, so the zero-free window lies within one
+    # branch of tan, and u sqrt(A/B) meets no branch cut of the arctangent
+    # (its branch points are zeros of f)
+    integral = _series_inverse_square_antiderivative(
+        alpha, s1
+    ) - _series_inverse_square_antiderivative(alpha, s0)
+    bracket = 1j * kappa * integral
     leading = cmath.sqrt(
         cubic * omega * params.mass / (8.0 * math.pi * alpha * params.hbar)
     )
@@ -886,19 +859,106 @@ def _boundary(total: np.ndarray, bc: BoundaryConditions, m: float):
     return c, q_end, slope_end, forcing_integral, action
 
 
+def _window_determinant(
+    basis: HillBasis, bc: BoundaryConditions, params: TrapParameters, periods: tuple[int, float]
+) -> tuple[np.ndarray, PrefactorTrack]:
+    """(h0, h0', h1, h1') at t'' and the prefactor with D = h1(t''), from
+    the Hill ``basis`` over one drive period P from t', or over the window
+    when that is shorter; ``periods`` splits the window into N whole
+    periods and a remainder r.
+
+    Below one period, arg D is read on the basis' grid (:func:`_step_arg`).
+    From one period on, w2 has period P, so (h, h') maps over the window
+    by E_r E**N, E the basis at t' + P and E_r at t' + r (the remainder
+    starting at t' + N P sees the same stiffness), and arg D is read on
+    the grid over the first period only.  After that, the arg change of
+    the solution from slope ratio z = D'/D at t' + P is a continuous
+    function of z on the upper half plane, where Im w2 <= 0 keeps z; it
+    equals (N - 1) mu + mu_r for the Floquet solution f = h0 + z* h1.
+    Its slope ratio z* is the one of the basis' ``slope_ratios`` (f+'/f+
+    and f-'/f- at t') with Im z* > 0 (with Im w2 < 0 the one-period map
+    sends the upper half plane of z strictly into itself, so exactly one
+    lies there; an undamped stable drive gives a complex conjugate pair),
+    and its multiplier is e^{+-i nu P} with the same sign; the integer
+    part of its arg change mu per period is fixed by the same reading of
+    the grid through one period, and mu_r by the grid points below
+    t' + r plus that endpoint.  The solution's first component is affine
+    in z, so moving z from the Floquet value to D's value adds only the
+    principal arg of the ratio of the two end values.  Where no slope
+    ratio has Im z > 0 (an undamped drive outside the stability zones),
+    arg D is read on the closed-form basis on a grid over the window.
+
+    Raises
+    ------
+    ConjugatePointError
+        If D(t'') is consistent with zero at the scale of the window.
+    ToleranceNotMetError
+        From one period on, before any work that grows with the window,
+        if rounding grown by the Floquet multipliers over the window,
+        eps e^{N |Im nu| P}, exceeds ``_WRONSKIAN_ATOL``.
+    """
+    n_periods, rem = periods
+    if not n_periods:
+        return basis.y_end, _determinant_prefactor(basis.t, basis.y[2], basis.rate, params)
+    period = 2.0 * math.pi / basis.drive_omega
+    # the window's largest |D| is at most the first period's, grown by the
+    # Floquet multipliers |e^{+-i nu P}|
+    growth = n_periods * abs(basis.nu.imag) * period
+    if growth > math.log(_WRONSKIAN_ATOL / np.finfo(float).eps):
+        raise ToleranceNotMetError(
+            f"the Floquet multipliers grow by e^{growth:.1f} over the window,"
+            f" and rounding with them past {_WRONSKIAN_ATOL:.0e}"
+        )
+    z_star, sign = max(zip(basis.slope_ratios, (1.0, -1.0)), key=lambda r: r[0].imag)
+    if not z_star.imag > 0.0:
+        grid = np.linspace(
+            bc.t_start, bc.t_end, math.ceil(bc.duration * basis.rate / _GRID_PHASE) + 1
+        )
+        y = basis.dense(grid)
+        y[:, 0] = (1.0, 0.0, 0.0, 1.0)
+        return y[:, -1], _determinant_prefactor(grid, y[2], basis.rate, params)
+    d = basis.y[2]
+    # E maps (h, h') by the columns h0, h1 at the end of its span
+    step = basis.y_end.reshape(2, 2).T
+    theta = _nearest_branch(_step_arg(basis.t, d, basis.rate), cmath.phase(d[-1]))
+    f_star = basis.y[0] + z_star * d
+    mu = _nearest_branch(_step_arg(basis.t, f_star, basis.rate), sign * basis.nu.real * period)
+    tail, mu_r = np.eye(2, dtype=complex), 0.0
+    if rem > 0.0:
+        t_rem = bc.t_start + rem
+        ends = basis.dense(t_rem)
+        tail = ends.reshape(2, 2).T
+        below = basis.t < t_rem
+        f_tail = np.append(f_star[below], ends[0] + z_star * ends[2])
+        mu_r = _nearest_branch(
+            _step_arg(np.append(basis.t[below], t_rem), f_tail, basis.rate),
+            cmath.phase(f_tail[-1]),
+        )
+    rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
+    z_first = step[1, 1] / step[0, 1]
+    end_first = rest[0, 0] + rest[0, 1] * z_first
+    end_star = rest[0, 0] + rest[0, 1] * z_star
+    theta = theta + (n_periods - 1) * mu + mu_r + cmath.phase(end_first / end_star)
+    total = rest @ step
+    d_end = complex(total[0, 1])
+    _check_not_conjugate(d_end, d, growth)
+    return total.T.ravel(), _prefactor(d_end, float(theta), params.mass, params.hbar)
+
+
 @dataclass(frozen=True)
 class RecordScorer:
     """Restricted propagators of many records on one axis, from one
     homogeneous solve.
 
     ``basis`` is the Hill-Floquet basis h0, h0', h1, h1' (unit value,
-    unit slope at t') over the window of ``inputs``, whose record is
-    ignored; it carries the solve's diagnostics: the Floquet exponent
-    ``nu``, the multiplier ``multiplier`` = |e^{i nu P}|, the harmonic
-    count ``harmonics``, the coefficient ``tail`` and the
+    unit slope at t') over one drive period, or over the window of
+    ``inputs`` when that is shorter; the record of ``inputs`` is ignored.
+    It carries the solve's diagnostics: the Floquet exponent ``nu``, the
+    multiplier ``multiplier`` = |e^{i nu P}|, the harmonic count
+    ``harmonics``, the coefficient ``tail`` and the
     ``wronskian_residual`` on its grid.  ``prefactor`` is the
-    record-independent determinant prefactor with D = h1.  Build it with
-    :func:`record_scorer`.
+    record-independent determinant prefactor with D = h1(t'').  Build it
+    with :func:`record_scorer`.
 
     :meth:`log_amplitudes` scores a batch of records with one
     :func:`_drive_integrals` pass per record grid; :meth:`log_amplitude`
@@ -908,6 +968,9 @@ class RecordScorer:
     inputs: PropagatorInputs
     basis: HillBasis
     prefactor: PrefactorTrack
+    #: the basis at t'', and the window's whole periods and remainder
+    _ends: np.ndarray = field(repr=False)
+    _periods: tuple[int, float] = field(repr=False)
 
     def log_amplitudes(self, records: Sequence[MeasurementRecord]) -> np.ndarray:
         """log K of each of ``records`` by variation of parameters, no ODE
@@ -917,7 +980,9 @@ class RecordScorer:
         records are then grouped by grid (start, step and sample count),
         and each group takes one :func:`_drive_integrals` pass over its
         stack of drives, so the work is O(total samples) however the
-        records share grids.  The :func:`_affine_map`, the
+        records share grids.  On a window of a period or more, the
+        constant records of all grids are one group instead
+        (:meth:`_constant_maps`).  The :func:`_affine_map`, the
         :func:`_boundary` solve and action, and the record norm are then
         array operations over all the records at once.
 
@@ -931,22 +996,31 @@ class RecordScorer:
         """
         meas, params, m = self.inputs.meas, self.inputs.params, self.inputs.params.mass
         groups: dict[tuple[float, float, int], list[int]] = {}
+        constant: list[int] = []
         for i, record in enumerate(records):
             check_spans_window(record, meas)
-            groups.setdefault((record.t_start, record.dt, record.n_samples), []).append(i)
-        if not groups:
+            if self._periods[0] and np.all(record.samples == record.samples[0]):
+                constant.append(i)
+            else:
+                groups.setdefault((record.t_start, record.dt, record.n_samples), []).append(i)
+        if not records:
             return np.empty(0, dtype=complex)
-        integrals, norms = [], []
+        integrals, norms, maps = [], [], []
         for (t_start, dt, _), members in groups.items():
             samples = np.array([records[i].samples for i in members])
             forces = drive_samples(samples, meas, params)
             integrals.append(_drive_integrals(self.basis, t_start, dt, forces))
             norms.append(norm_integrals(samples, dt))
-        total = _affine_map(self.basis.y_end, np.concatenate(integrals), m)
-        action = _boundary(total, self.inputs.bc, m)[-1]
+        if groups:
+            maps.append(_affine_map(self._ends, np.concatenate(integrals), m))
+        if constant:
+            levels = np.array([records[i].samples[0] for i in constant])
+            maps.append(self._constant_maps(drive_samples(levels, meas, params)))
+            norms.append([record_norm_integral(records[i]) for i in constant])
+        action = _boundary(np.concatenate(maps), self.inputs.bc, m)[-1]
         record_term = -meas.weight_rate * np.concatenate(norms)
         out = np.empty(len(records), dtype=complex)
-        out[[i for members in groups.values() for i in members]] = (
+        out[[i for members in groups.values() for i in members] + constant] = (
             record_term + 1j * action / params.hbar + self.prefactor.log_value
         )
         return out
@@ -955,19 +1029,36 @@ class RecordScorer:
         """log K of one record: :meth:`log_amplitudes` of ``[record]``."""
         return complex(self.log_amplitudes([record])[0])
 
+    def _constant_maps(self, forces: np.ndarray) -> np.ndarray:
+        """The :func:`_affine_map`s over the window of the constant drives
+        ``forces`` (shape (k,)), E_r E**N as in :func:`_window_determinant`:
+        F is constant, so the map over each whole period is the same.  One
+        :func:`_drive_integrals` pass over the period and one over the
+        remainder prefix serve all k drives; the shape is (k, 4, 4)."""
+        t0, m = self.inputs.bc.t_start, self.inputs.params.mass
+        n_periods, rem = self._periods
+        drives = np.repeat(forces[:, None], 2, axis=1)
+
+        def block(ends, length):
+            return _affine_map(ends, _drive_integrals(self.basis, t0, length, drives), m)
+
+        period = 2.0 * math.pi / self.basis.drive_omega
+        total = np.linalg.matrix_power(block(self.basis.y_end, period), n_periods)
+        return block(self.basis.dense(t0 + rem), rem) @ total if rem > 0.0 else total
+
 
 def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     """One homogeneous solve of the axis in ``inputs``, ready to score
     batches of records with :meth:`RecordScorer.log_amplitudes`, one
-    pass per record grid.
+    pass per record grid, on a window of any length.
 
     The record of ``inputs`` is not read.  The basis is the closed-form
     Floquet solution of the Mathieu stiffness
-    (:func:`~paulpath.mathieu.hill_basis`): no ODE pass and no
-    tolerance, since its Fourier series is summed to rounding.  The
-    conjugate-point check, arg D (read on the basis' grid of steps of at
-    most pi/4 phase) and the prefactor are computed here once, as in
-    :func:`restricted_propagator`.
+    (:func:`~paulpath.mathieu.hill_basis`) over one drive period, or over
+    the window when that is shorter: no ODE pass and no tolerance, since
+    its Fourier series is summed to rounding.  The conjugate-point check,
+    arg D and the prefactor are computed here once
+    (:func:`_window_determinant`).
 
     Raises
     ------
@@ -977,137 +1068,15 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
         If D(t'') = h1(t'') is consistent with zero at the window scale.
     ToleranceNotMetError
         If the Hill series does not converge within its harmonic cap, or
-        its Wronskian is off 1 (near a band edge of an undamped drive).
+        its Wronskian is off 1 (near a band edge of an undamped drive);
+        or, on a window of N periods or more, if rounding grown by the
+        Floquet multipliers, eps e^{N |Im nu| P}, exceeds
+        ``_WRONSKIAN_ATOL``.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
-    basis = hill_basis(spec, (inputs.bc.t_start, inputs.bc.t_end))
-    track = _determinant_prefactor(basis, basis.rate, inputs.params)
-    return RecordScorer(inputs=inputs, basis=basis, prefactor=track)
-
-
-# --- Floquet route ----------------------------------------------------------
-
-
-def floquet_propagator(inputs: PropagatorInputs) -> PropagatorResult:
-    """Restricted propagator over any number of drive periods.
-
-    For a constant record the drive F is constant and w2 has the drive
-    period P, so the :func:`_affine_map` of (q, q', 1, integral F q dt)
-    over each whole period is the same 4x4 matrix E.  With the window
-    split into N whole periods and a remainder r, the map over the
-    window is E_r E**N.  Both come from one Hill basis
-    (:func:`~paulpath.mathieu.hill_basis`, no ODE pass) over
-    [t', t' + P], or over the window when it is shorter than a period,
-    and the scorer's pass (:func:`_drive_integrals`) on a batch of one
-    constant drive: E_r is the map over the basis' prefix [t', t' + r]
-    (the remainder starting at t' + N P sees the same stiffness), which
-    ends at the basis' closed-form value at t' + r.  D(t'') is the
-    (q, q') entry; the boundary solve and the action are the scorer's
-    (:func:`_boundary`).
-
-    arg D is read on the basis' grid (:func:`_step_arg`, steps of at
-    most pi/4 phase) over the first period only.  After that, the arg
-    change of the solution from slope ratio z = D'/D at t' + P is a
-    continuous function of z on the upper half plane, where Im w2 <= 0
-    keeps z; it equals (N - 1) mu + mu_r for the Floquet solution
-    f = h0 + z* h1.  Its slope ratio z* is the one of the basis'
-    ``slope_ratios`` (f+'/f+ and f-'/f- at t') with Im z* > 0 (with
-    Im w2 < 0 the one-period map sends the upper half plane of z strictly
-    into itself, so exactly one lies there; an undamped stable drive
-    gives a complex conjugate pair), and its multiplier is e^{+-i nu P}
-    with the same sign; the integer part of its arg change mu
-    per period is fixed by the same reading of the grid through one
-    period, and mu_r by the grid points below t' + r plus that
-    endpoint.  The solution's first component is affine in z, so moving
-    z from the Floquet value to D's value adds only the principal arg of
-    the ratio of the two end values.
-
-    Raises
-    ------
-    ConfigError
-        If the record is not constant (the drive would not be periodic).
-    ConjugatePointError
-        If D(t'') is consistent with zero at the scale of the window.
-    NumericalError
-        If no Floquet solution has Im(f'/f) > 0.
-    ToleranceNotMetError
-        If the Hill series does not converge within its harmonic cap, or
-        its Wronskian is off 1 (see
-        :func:`~paulpath.mathieu.hill_basis` and :func:`_drive_integrals`).
-    """
-    _check_windows_consistent(inputs.bc, inputs.meas)
-    check_spans_window(inputs.record, inputs.meas)
-    samples = inputs.record.samples
-    if np.any(samples != samples[0]):
-        raise ConfigError(
-            "the Floquet route needs a constant record", field="record.kind"
-        )
-    params = inputs.params
-    m = params.mass
-    spec = effective_frequency(inputs.coeffs, inputs.meas, params)
-    force = complex(record_forcing(inputs.record, inputs.meas, params).values[0])
-    drive = np.full((1, 2), force)
+    periods = whole_periods(inputs.bc.duration, spec.drive_omega)
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
-    period = 2.0 * math.pi / spec.drive_omega
-    n_periods, rem = whole_periods(inputs.bc.duration, spec.drive_omega)
-    span = period if n_periods else inputs.bc.duration
-    basis = hill_basis(spec, (t0, t0 + span))
-
-    def block(ends, length):
-        # the map over [t', t' + length], a prefix of the basis' span
-        return _affine_map(ends, _drive_integrals(basis, t0, length, drive), m)[0]
-
-    d = basis.y[2]
-    step = block(basis.y_end, span)
-    theta = _nearest_branch(_step_arg(basis.t, d, basis.rate), cmath.phase(d[-1]))
-    log_growth = 0.0
-    total = step
-    if n_periods:
-        z_star, sign = max(zip(basis.slope_ratios, (1.0, -1.0)), key=lambda r: r[0].imag)
-        if not z_star.imag > 0.0:
-            raise NumericalError(
-                "no Floquet solution with Im(f'/f) > 0: the drive is undamped"
-                " and outside the stability zones"
-            )
-        f_star = basis.y[0] + z_star * d
-        mu = _nearest_branch(
-            _step_arg(basis.t, f_star, basis.rate), sign * basis.nu.real * period
-        )
-        tail, mu_r = np.eye(4, dtype=complex), 0.0
-        if rem > 0.0:
-            t_rem = t0 + rem
-            ends = basis.dense(t_rem)
-            tail = block(ends, rem)
-            below = basis.t < t_rem
-            f_tail = np.append(f_star[below], ends[0] + z_star * ends[2])
-            mu_r = _nearest_branch(
-                _step_arg(np.append(basis.t[below], t_rem), f_tail, basis.rate),
-                cmath.phase(f_tail[-1]),
-            )
-        rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
-        z_first = step[1, 1] / step[0, 1]
-        end_first = rest[0, 0] + rest[0, 1] * z_first
-        end_star = rest[0, 0] + rest[0, 1] * z_star
-        theta = theta + (n_periods - 1) * mu + mu_r + cmath.phase(end_first / end_star)
-        total = rest @ step
-        # the window's largest |D| is at most the first period's, grown by
-        # the Floquet multipliers |e^{+-i nu P}|
-        log_growth = n_periods * abs(basis.nu.imag) * period
-
-    d_end = complex(total[0, 1])
-    _check_not_conjugate(d_end, d, log_growth)
-    slope, q_end, slope_end, forcing_integral, action = (
-        complex(v) for v in _boundary(total, inputs.bc, m)
-    )
-    sol = ClassicalSolution(
-        grid=np.array([t0, t1]),
-        q=np.array([inputs.bc.x_start, q_end], dtype=complex),
-        q_dot=np.array([slope, slope_end], dtype=complex),
-        action=action,
-        forcing_integral=forcing_integral,
-        d_function=np.array([0.0, d_end], dtype=complex),
-        d_arg=float(theta),
-        _mismatch=abs(q_end - inputs.bc.x_end),
-    )
-    return _result(inputs, sol, _prefactor(d_end, sol.d_arg, m, params.hbar))
+    basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))
+    ends, track = _window_determinant(basis, inputs.bc, inputs.params, periods)
+    return RecordScorer(inputs=inputs, basis=basis, prefactor=track, _ends=ends, _periods=periods)

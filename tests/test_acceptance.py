@@ -8,8 +8,8 @@ them need more than the direct routes can give:
   stiffness advances about 3.3e7 rad of phase over 9.5e6 drive periods,
   which the direct integration and the power-of-two lattice cannot
   reach (the CLI still refuses the window through its phase budget).
-  Both sides use the drive period instead: the Floquet route raises the
-  one-period monodromy to the power N, and the drive-periodic lattice
+  Both sides use the drive period instead: the record scorer raises its
+  one-period map to the power N, and the drive-periodic lattice
   raises its one-period transfer block to the same power.
 * series residual decrease (6): away from a characteristic value each
   added harmonic multiplies the leading residual by about (p - m^2)/q,
@@ -46,12 +46,12 @@ from paulpath import (
     discrete_propagator,
     effective_frequency,
     evaluate_f,
-    floquet_propagator,
     fluctuation_prefactor_from_f,
     integrate_mathieu_ode,
     mathieu_series,
     periodic_propagator,
     prefactor_track,
+    record_scorer,
     render,
     residual_bound,
     residual_coefficients,
@@ -214,7 +214,8 @@ def test_acceptance_4b_oracle_equivalence_reference_window():
         # the direct route still refuses the window
         with pytest.raises(PhaseBudgetError):
             check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
-        res = floquet_propagator(inputs)
+        scorer = record_scorer(inputs)
+        log_k = scorer.log_amplitude(inputs.record)
         coarse, mid, fine = (
             periodic_propagator(inputs, f * REFERENCE_SLICES_PER_PERIOD)
             for f in (1, 2, 4)
@@ -224,13 +225,13 @@ def test_acceptance_4b_oracle_equivalence_reference_window():
             RICHARDSON_RATIO_BAND[0] <= ratio <= RICHARDSON_RATIO_BAND[1]
         )
         extr, err_est = richardson(mid, fine)
-        dm = abs(res.log_amplitude.real - extr.real) / max(abs(extr.real), 1e-30)
-        dp = abs(res.log_amplitude.imag - extr.imag)
+        dm = abs(log_k.real - extr.real) / max(abs(extr.real), 1e-30)
+        dp = abs(log_k.imag - extr.imag)
         worst_dm, worst_dp = max(worst_dm, dm), max(worst_dp, dp)
         worst_err = max(worst_err, err_est)
         periods, _ = whole_periods(inputs.meas.duration, inputs.params.drive_omega)
         details.append(
-            f"{axis.value}: {periods} periods, {res.prefactor.caustic_count}"
+            f"{axis.value}: {periods} periods, {scorer.prefactor.caustic_count}"
             f" caustics, level-difference ratio {ratio:.2f}"
         )
     elapsed = time.time() - t0

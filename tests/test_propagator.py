@@ -14,12 +14,11 @@ from paulpath import (
     Axis,
     BoundaryConditions,
     CausticOnWindowError,
-    ConfigError,
     ConjugatePointError,
     Forcing,
     RecordWindowError,
-    NumericalError,
     MeasurementConfig,
+    PaulpathError,
     ToleranceNotMetError,
     TrapParameters,
     TruncationStiffness,
@@ -31,11 +30,11 @@ from paulpath import (
     dimensionless,
     discrete_propagator,
     effective_frequency,
-    floquet_propagator,
     fluctuation_prefactor_from_f,
     mathieu_series,
     periodic_propagator,
     prefactor_track,
+    rank_records,
     record_scorer,
     render,
     restricted_propagator,
@@ -371,7 +370,7 @@ def test_closed_form_corrected_matches_robust_on_truncation_stiffness():
         assert abs(value - robust) < 1e-6 * abs(robust), (a, b)
 
 
-# --- Floquet route ----------------------------------------------------------
+# --- record scorer over many drive periods -----------------------------------
 
 # Stable traps in scaled units (drive omega = 2, so one period is pi) at
 # the reference (p, q) = (0.11, 0.55) and at its axial mirror.
@@ -390,13 +389,14 @@ def _driven_window(trap, n_periods, amplitude):
 @pytest.mark.parametrize("trap", [X_LIKE, Z_LIKE], ids=["x-like", "z-like"])
 def test_floquet_matches_direct_route(trap, n_periods):
     inputs = _driven_window(trap, n_periods, amplitude=1.0)
-    res = floquet_propagator(inputs)
+    scorer = record_scorer(inputs)
+    log_k = scorer.log_amplitude(inputs.record)
     # under this drive the direct route's trajectory pass is the less
     # accurate side (about 1e-8 off at its default tol on the z-like trap)
     direct = restricted_propagator(inputs, tol=1e-13)
-    assert abs(res.classical.forcing_integral) > 0.5
-    assert res.prefactor.caustic_count == direct.prefactor.caustic_count
-    assert abs(res.log_amplitude - direct.log_amplitude) < 1e-9
+    assert abs(direct.classical.forcing_integral) > 0.5
+    assert scorer.prefactor.caustic_count == direct.prefactor.caustic_count
+    assert abs(log_k - direct.log_amplitude) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -417,23 +417,32 @@ def test_floquet_matches_periodic_oracle_past_direct_reach(trap, n_periods, zero
     # the action O(1) as the window grows
     amplitude = 0.3 * math.sqrt(math.pi * n_periods)
     inputs = _driven_window(trap, n_periods, amplitude=amplitude)
-    res = floquet_propagator(inputs)
+    scorer = record_scorer(inputs)
+    log_k = scorer.log_amplitude(inputs.record)
     extr, _ = richardson(
         periodic_propagator(inputs, 2048), periodic_propagator(inputs, 4096)
     )
-    assert 0.9 * zeros < res.prefactor.caustic_count < 1.1 * zeros
-    assert abs(res.classical.forcing_integral) > 1.0
-    assert abs(res.log_amplitude.real - extr.real) <= 1e-3
-    assert abs(res.log_amplitude.imag - extr.imag) <= 1e-3
+    # a zero record moves the oracle's phase by more than 1 rad, so the
+    # comparison below sees the record
+    silent = replace(inputs, record=render(ConstantRecord(0.0), inputs.meas))
+    assert abs(periodic_propagator(silent, 2048).imag - extr.imag) > 1.0
+    assert 0.9 * zeros < scorer.prefactor.caustic_count < 1.1 * zeros
+    assert abs(log_k.real - extr.real) <= 1e-3
+    assert abs(log_k.imag - extr.imag) <= 1e-3
 
 
 def test_floquet_rejects_non_constant_record():
+    # a record that is not constant has no periodic drive; the scorer
+    # still takes it, one pass over its grid on the one-period basis
     inputs = scaled_inputs(
         u=0.11, v=1.1, T=math.pi * 3.5, resolution=1.0,
         record=SinusoidRecord(amplitude=0.4, omega=1.7),
     )
-    with pytest.raises(ConfigError):
-        floquet_propagator(inputs)
+    log_k = record_scorer(inputs).log_amplitude(inputs.record)
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**15), discrete_propagator(inputs, 2**16)
+    )
+    assert abs(log_k - extr) <= 1e-8
 
 
 def test_floquet_conjugate_point_raises():
@@ -443,16 +452,24 @@ def test_floquet_conjugate_point_raises():
         u=1.0, v=0.0, T=5.0 * math.pi, omega=1.7, x_start=0.1, x_end=0.2
     )
     with pytest.raises(ConjugatePointError):
-        floquet_propagator(inputs)
+        record_scorer(inputs).log_amplitude(inputs.record)
     with pytest.raises(ConjugatePointError):
         restricted_propagator(inputs)
 
 
 def test_floquet_needs_a_solution_in_the_upper_half_plane():
-    # an undamped inverted stiffness has real Floquet solutions only
-    inputs = scaled_inputs(u=-0.5, v=0.0, T=3.3 * math.pi, x_start=0.1, x_end=0.2)
-    with pytest.raises(NumericalError):
-        floquet_propagator(inputs)
+    # an undamped inverted stiffness has real Floquet solutions only, and
+    # so has an undamped drive in the first instability zone: no slope
+    # ratio has Im z > 0, so arg D is read on the closed-form basis over
+    # the whole window
+    for inputs in (
+        scaled_inputs(u=-0.5, v=0.0, T=3.3 * math.pi, x_start=0.1, x_end=0.2),
+        scaled_inputs(u=0.5, v=1.2, T=2.4 * math.pi, x_start=0.1, x_end=0.2),
+    ):
+        scorer = record_scorer(inputs)
+        assert not any(z.imag > 0.0 for z in scorer.basis.slope_ratios)
+        direct = restricted_propagator(inputs, tol=1e-13)
+        assert abs(scorer.log_amplitude(inputs.record) - direct.log_amplitude) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -460,7 +477,7 @@ def test_floquet_needs_a_solution_in_the_upper_half_plane():
     ids=["periods-and-remainder", "remainder-only", "whole-periods"],
 )
 def test_floquet_runs_one_basis_pass_per_block(monkeypatch, n_periods, spans):
-    # one closed-form Hill basis per call, over one period or over a
+    # one closed-form Hill basis per scorer, over one period or over a
     # window shorter than that: the remainder block is a prefix of it;
     # the forced part comes from quadrature over the basis, and no ODE
     # pass runs at all
@@ -478,7 +495,8 @@ def test_floquet_runs_one_basis_pass_per_block(monkeypatch, n_periods, spans):
     for module in (integrate, mathieu, propagator):
         monkeypatch.setattr(module, "solve_complex_ivp", counted)
     monkeypatch.setattr(propagator, "hill_basis", counted_hill)
-    floquet_propagator(_driven_window(X_LIKE, n_periods, amplitude=1.0))
+    inputs = _driven_window(X_LIKE, n_periods, amplitude=1.0)
+    record_scorer(inputs).log_amplitude(inputs.record)
     assert calls == []
     assert blocks == pytest.approx(spans, rel=1e-12)
 
@@ -487,8 +505,68 @@ def test_floquet_refuses_a_coarse_basis(monkeypatch):
     # four harmonics on each side leave the one-period Hill series' tail
     # far above rounding
     monkeypatch.setattr(mathieu, "_MAX_HARMONICS", 4)
+    inputs = _driven_window(X_LIKE, 10.37, amplitude=1.0)
     with pytest.raises(ToleranceNotMetError, match="harmonics"):
-        floquet_propagator(_driven_window(X_LIKE, 10.37, amplitude=1.0))
+        record_scorer(inputs).log_amplitude(inputs.record)
+
+
+def test_constant_records_take_one_period_and_one_remainder_pass(monkeypatch):
+    inputs = _driven_window(X_LIKE, 10.37, amplitude=1.0)
+    scorer = record_scorer(inputs)
+    records = [
+        render(ConstantRecord(level), inputs.meas, n_samples=n)
+        for level, n in ((1.0, 2), (-0.4, 65), (2.5, 257))
+    ]
+    alone = [scorer.log_amplitude(rec) for rec in records]
+    passes = []
+    original = propagator._drive_integrals
+    monkeypatch.setattr(
+        propagator, "_drive_integrals",
+        lambda basis, t_start, dt, forces: passes.append((dt, forces.shape))
+        or original(basis, t_start, dt, forces),
+    )
+    batch = scorer.log_amplitudes(records)
+    # the period, then the remainder of 0.37 periods, for all three
+    assert passes == [
+        (pytest.approx(math.pi, rel=1e-15), (3, 2)),
+        (pytest.approx(0.37 * math.pi, rel=1e-12), (3, 2)),
+    ]
+    for scored, single in zip(batch, alone):
+        assert abs(scored - single) <= 1e-14 * abs(single)
+
+
+# the x-like trap under resolutions that damp the Floquet solutions by up
+# to e^29 over the window, and a 0.5 s window under a far stronger one
+_DAMPED_WINDOWS = {
+    f"resolution-{r}-{n}-periods": (r, math.pi * n)
+    for r in (1.0, 0.5, 0.3, 0.2) for n in (2.5, 6.5)
+}
+_DAMPED_WINDOWS["resolution-0.01-T-0.5"] = (0.01, 0.5)
+_DAMPED_RECORDS = {
+    "sinusoid": SinusoidRecord(0.3, 1.7, 0.2),
+    "constant": ConstantRecord(0.3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DAMPED_RECORDS))
+@pytest.mark.parametrize("window", list(_DAMPED_WINDOWS))
+def test_record_scorer_on_strongly_damped_windows(window, family):
+    # either a refusal or the sliced oracle's value: never a wrong number
+    resolution, T = _DAMPED_WINDOWS[window]
+    inputs = scaled_inputs(
+        u=0.11, v=1.1, T=T, resolution=resolution, x_start=0.3, x_end=-0.5,
+        record=_DAMPED_RECORDS[family],
+    )
+    try:
+        log_k = record_scorer(inputs).log_amplitude(inputs.record)
+    except ToleranceNotMetError:
+        return
+    # rounding grows by e^29 over this window
+    assert (window, family) != ("resolution-0.2-6.5-periods", "constant")
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**16), discrete_propagator(inputs, 2**17)
+    )
+    assert abs(log_k - extr) <= 1e-8 * abs(extr)
 
 
 def test_monotone_arg_counts_each_half_turn_forward():
@@ -660,6 +738,16 @@ def test_record_scorer_refuses_a_coarse_basis(monkeypatch):
     monkeypatch.setattr(mathieu, "_MAX_HARMONICS", 4)
     with pytest.raises(ToleranceNotMetError, match="harmonics"):
         record_scorer(inputs)
+
+
+def test_record_scorer_raises_a_typed_error_where_hill_seed_overflows():
+    # a measurement this strong puts |Im sqrt(a)| near 1400, past where
+    # sin^2 in Hill's determinant overflows
+    inputs = scaled_inputs(u=0.11, v=1.1, T=0.01, resolution=0.01)
+    with pytest.raises(PaulpathError):
+        record_scorer(inputs)
+    with pytest.raises(PaulpathError):
+        rank_records(inputs, [inputs.record])
 
 
 # --- batched scoring ----------------------------------------------------------
