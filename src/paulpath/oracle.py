@@ -20,13 +20,14 @@ end only (the ``sampling="left"`` flag) drops it to O(eps), which the
 convergence tests use as a negative control.
 
 Collecting interior coordinates y: S_N = (1/2) y^T P y + b^T y + c with
-P tridiagonal, P_jj = (m/eps) d_j, d_j = 2 - eps^2 (w_{j-1} + w_j)/2,
+P tridiagonal, P_jj = (m/eps) (2 - e_j), e_j = eps^2 (w_{j-1} + w_j)/2,
 off-diagonal -m/eps.  Sequential elimination of the quadratic form gives
-dimensionless pivots
+dimensionless pivots delta_j = 1 + r_j, in increment form
 
-    delta_1 = d_1,   delta_j = d_j - 1/delta_{j-1},
+    r_1 = 1 - e_1,   r_j = r_{j-1}/(1 + r_{j-1}) - e_j,
 
-(the discrete determinant recurrence) and the log-amplitude
+(the discrete determinant recurrence delta_j = 2 - e_j - 1/delta_{j-1})
+and the log-amplitude
 
     log K = (1/2) Log(m / (2 pi i hbar eps)) - (1/2) sum_j Log delta_j
             + (i/hbar) c - (i/(2 hbar)) b^T P^{-1} b
@@ -34,9 +35,14 @@ dimensionless pivots
 
 the last line being the record-norm weight at the same midpoints.  All
 per-pivot logs are principal; the pivot product is never formed.  The
-pivots run sequentially in fixed-size chunks of Python complex numbers,
-each chunk's logs summed in one vectorised call; b^T P^{-1} b, which
-carries no branch, comes from a row-pivoted LAPACK tridiagonal solve.
+pivots come from a blocked scan of the increment form, in vectorised
+passes over chunks of fixed length (``_CHUNK``), so no per-slice Python
+loop runs and the elimination's temporaries do not grow with N.  The
+entries 2 - e_j are never formed for them, so e_j ~ eps^2 keeps all its
+digits on fine lattices.  b^T P^{-1} b, which carries no branch, comes
+from a row-pivoted LAPACK tridiagonal solve on the formed diagonal
+2 - e_j; its rounding still grows with N (up to 1e-11 relative at
+2^20 on the benchmark's validate-ladder scenarios).
 
 :func:`periodic_propagator` evaluates the same integral on a lattice
 tied to the drive period, for windows of millions of periods.
@@ -60,9 +66,12 @@ from .trapmodel import effective_frequency, whole_periods
 #: discrete caustic
 _PIVOT_RTOL = 1e-12
 
-#: pivots per Python-list chunk of the sequential recurrence; it bounds
-#: the Python complex objects alive at once on fine lattices
-_CHUNK = 4096
+#: pivots per block of the blocked elimination scan
+_BLOCK = 32
+
+#: pivots per chunk of the blocked elimination scan; it bounds the
+#: elimination's temporaries on fine lattices, and keeps them in cache
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -103,40 +112,111 @@ class SlicedLattice:
         return SlicedLattice(self.t_start, self.t_end, 2 * self.n_slices)
 
 
-def _eliminate(diag: np.ndarray, b: np.ndarray):
-    """Log-pivot sum and b^T Q^-1 b for Q = tridiag(-1, d_j, -1).
+def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
+    """Sum of Log pivots over one chunk of increments, by a blocked scan.
 
-    diag holds d_j; the caller's matrix is P = (m/eps) Q, and the m/eps
-    scale stays with the caller.  Returns (sum of Log pivots, b^T Q^-1 b).
+    ``z`` = s/p is the chain state before the chunk's first pivot, which
+    is pivot ``first + 1`` of ``n``; returns (sum of Log pivots, the state
+    after the chunk).  The pivots delta_j = 1 + r_j follow the linear
+    recurrence s_j = s_{j-1} - e_j p_{j-1}, p_j = p_{j-1} + s_j (p_j the
+    j-th leading minor, r_j = s_j / p_{j-1}, z_j = s_j / p_j).  The chunk
+    is cut into blocks of ``_BLOCK`` pivots, and three passes replace the
+    per-pivot Python loop:
 
-    The pivots delta_j = d_j - 1/delta_{j-1} run sequentially over
-    Python complex numbers, ``_CHUNK`` at a time, since each needs the
-    previous one.  Each chunk is then screened for a discrete caustic
-    and summed as principal logs in one ``np.log`` call (the same
-    branch as ``cmath.log``): the branch of log K lives in these
-    per-pivot logs, and the pivot product is never formed.  The
-    quadratic form carries no branch, so it comes from one row-pivoted
-    LAPACK tridiagonal solve.
+    1. the linear state steps through all blocks at once, column by
+       column, from the unit states (1, 0) and (0, 1): each block's 2x2
+       map, rescaled every 16 columns against overflow (a block map acts
+       on z = s/p as a Moebius map, which ignores a common scale);
+    2. the maps chain over the blocks as Python complex numbers, giving
+       the true z at each block's start;
+    3. the increment recurrence r_j = z_{j-1} - e_j, z_j = r_j/(1 + r_j)
+       runs in every block at once from those starts.
+
+    No entry 1 - e or 2 - e is formed, so eps^2 w keeps all its digits.
+    Each principal Log delta_j is 0.5 log1p(2 Re r + |r|^2) +
+    i atan2(Im r, 1 + Re r): the branch of log K lives in these per-pivot
+    logs, and the pivot product is never formed.  Where |1 + r| < 1/2,
+    1 + Re r is exact (Sterbenz) and log |1 + r|^2 is taken from it, so
+    pivots near a discrete caustic keep their relative accuracy.
     """
-    n = diag.size
-    log_sum = 0j
-    prev = math.inf  # 1/prev = 0 makes delta_1 = d_1
-    for lo in range(0, n, _CHUNK):
-        piv = []
-        try:
-            for d in diag[lo : lo + _CHUNK].tolist():
-                prev = d - 1.0 / prev
-                piv.append(prev)
-        except ZeroDivisionError:
-            pass  # piv ends on an exact zero, which the screen below names
-        piv = np.array(piv, dtype=complex)
-        bad = np.flatnonzero(np.abs(piv) < _PIVOT_RTOL * 2.0)
-        if bad.size:
-            k = bad[0]
+    c = inc.size
+    length = min(_BLOCK, c)
+    blocks = -(-c // length)
+    e = np.zeros(blocks * length, dtype=complex)
+    e[:c] = inc  # zero increments pad the last block past the chunk's end
+    e = e.reshape(blocks, length).T  # e[j, k]: pivot j of block k
+    state = np.zeros((2, 2, blocks), dtype=complex)  # (p or s, column, block)
+    state[0, 0] = state[1, 1] = 1.0
+    p, s = state
+    kick = np.empty_like(p)
+    for j, col in enumerate(e):
+        np.multiply(col, p, out=kick)
+        s -= kick
+        p += s
+        if j % 16 == 15:
+            state /= np.abs(state).max(axis=(0, 1))
+    p0, p1, s0, s1 = (x.tolist() for x in (p[0], p[1], s[0], s[1]))
+    starts = []
+    for k in range(blocks):
+        starts.append(z)
+        den = p0[k] + z * p1[k]
+        # an exact zero pivot ends this block: the screen below names it
+        z = (s0[k] + z * s1[k]) / den if den else complex("nan")
+    z_run = np.array(starts)
+    r = np.empty((length, blocks), dtype=complex)
+    one_plus = np.empty(blocks, dtype=complex)
+    # after an exact zero pivot the recurrence divides by zero and runs
+    # on NaN, and near a caustic log1p may see -1 or less: the screen
+    # and the exact branch below deal with both
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col, r_col in zip(e, r):
+            np.subtract(z_run, col, out=r_col)
+            np.add(r_col, 1.0, out=one_plus)
+            np.divide(r_col, one_plus, out=z_run)
+        r[c - (blocks - 1) * length :, -1] = 0.0  # the padding's pivots are 1
+        re, im = r.real, r.imag
+        x = 1.0 + re
+        im2 = im * im
+        mag2 = x * x + im2
+        low = mag2.min()
+        if not low >= (2.0 * _PIVOT_RTOL) ** 2:  # NaN fails this too
+            j, k = np.divmod(np.flatnonzero(~(mag2 >= (2.0 * _PIVOT_RTOL) ** 2)), blocks)
+            i = np.argmin(k * length + j)
             raise SingularSliceError(
-                f"elimination pivot {lo + k + 1} of {n} underflowed: {piv[k]:.3e}"
+                f"elimination pivot {first + k[i] * length + j[i] + 1} of {n}"
+                f" underflowed: {1.0 + r[j[i], k[i]]:.3e}"
             )
-        log_sum += complex(np.sum(np.log(piv)))
+        log_mod2 = np.log1p(re * (x + 1.0) + im2)
+    if low < 0.25:
+        near = mag2 < 0.25
+        log_mod2[near] = np.log(mag2[near])
+    return complex(0.5 * log_mod2.sum(), np.arctan2(im, x).sum()), z
+
+
+def _eliminate(inc: np.ndarray, b: np.ndarray):
+    """Log-pivot sum and b^T Q^-1 b for Q = tridiag(-1, 2 - e_j, -1).
+
+    inc holds the increments e_j; the caller's matrix is P = (m/eps) Q,
+    and the m/eps scale stays with the caller.  Returns (sum of Log
+    pivots, b^T Q^-1 b).
+
+    The pivots delta_j = 1 + r_j, r_1 = 1 - e_1 and
+    r_j = r_{j-1}/(1 + r_{j-1}) - e_j, come from a blocked scan of the
+    increment form (:func:`_chunk_log_pivots`), ``_CHUNK`` pivots at a
+    time with the chain state carried between chunks, so the
+    elimination's temporaries do not grow with the lattice.  The first
+    pivot with |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic) raises
+    SingularSliceError with its index.  The quadratic form carries no
+    branch, so it comes from one row-pivoted LAPACK tridiagonal solve on
+    the formed diagonal 2 - e_j.
+    """
+    n = inc.size
+    log_sum = 0j
+    z = 1.0 + 0j  # s_0/p_0: the minors D_0 = 1, D_-1 = 0
+    for lo in range(0, n, _CHUNK):
+        chunk_sum, z = _chunk_log_pivots(inc[lo : lo + _CHUNK], z, lo, n)
+        log_sum += chunk_sum
+    diag = 2.0 - inc
     if n == 1:  # gtsv takes no empty off-diagonals
         return log_sum, complex(b[0] * b[0] / diag[0])
     off = np.full(n - 1, -1.0 + 0j)
@@ -178,32 +258,33 @@ def discrete_propagator(
         )
     w = spec.w_squared(ts)
     a = inputs.record(ts)
-    f = -1j * scale * a
+    force = -1j * scale  # F_k = force * a_k
 
     xa, xb = inputs.bc.x_start, inputs.bc.x_end
     if sampling == "midpoint":
-        diag = 2.0 - (eps**2) * (w[:-1] + w[1:]) / 2.0
-        b = (eps / 2.0) * (f[:-1] + f[1:])
+        inc = w[:-1] + w[1:]
+        inc *= 0.5 * eps**2
+        b = (0.5 * eps * force) * (a[:-1] + a[1:])
         c = (
             m / (2.0 * eps) * (xa**2 + xb**2)
             - eps * (m / 4.0) * (w[0] * xa**2 + w[-1] * xb**2)
-            + (eps / 2.0) * (f[0] * xa + f[-1] * xb)
+            + (eps / 2.0) * force * (a[0] * xa + a[-1] * xb)
         )
     else:
         # left rule: potential/drive attach to x_k for k = 0..N-1, so the
         # interior j = 1..N-1 sees only w_j, and x'' carries no potential
-        diag = 2.0 - (eps**2) * w[1:]
-        b = eps * f[1:]
+        inc = (eps**2) * w[1:]
+        b = (eps * force) * a[1:]
         c = (
             m / (2.0 * eps) * (xa**2 + xb**2)
             - eps * (m / 2.0) * w[0] * xa**2
-            + eps * f[0] * xa
+            + eps * force * a[0] * xa
         )
     b[0] -= (m / eps) * xa
     b[-1] -= (m / eps) * xb
 
-    log_sum, quad_scaled = _eliminate(np.asarray(diag, dtype=complex), b)
-    # quad_scaled is b^T Q^{-1} b with Q = tridiag(-1, d, -1); P = (m/eps) Q
+    log_sum, quad_scaled = _eliminate(inc, b)
+    # quad_scaled is b^T Q^{-1} b with Q = tridiag(-1, 2 - e, -1); P = (m/eps) Q
     quad = (eps / m) * quad_scaled
 
     log_k = (
@@ -213,7 +294,7 @@ def discrete_propagator(
         - 0.5j * quad / hbar
     )
     # the record-norm weight, discretized at the same sample times
-    rec_term = -inputs.meas.weight_rate * eps * float(np.sum(a * a))
+    rec_term = -inputs.meas.weight_rate * eps * float(np.dot(a, a))
     return complex(log_k + rec_term)
 
 

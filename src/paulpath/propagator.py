@@ -113,6 +113,12 @@ _GAUSS_RTOL = 1e-16
 #: 1, and the same 1e-6 bounds the trajectory pass's endpoint miss
 _WRONSKIAN_ATOL = 1e-6
 
+#: most quadrature nodes times records one :func:`_drive_integrals` pass
+#: takes (about 250 MB of temporaries); a record that is not constant
+#: needs ~14 nodes per radian of the window's oscillation phase, so this
+#: refuses it on windows past ~3.7e4 rad
+_NODE_BUDGET = 2**19
+
 #: a zero of the series reference solution f within this distance
 #: (scaled time, rad) of the window, or a root of its polynomial in
 #: cos(s) within it of [-1, 1], counts as a zero on the window
@@ -787,15 +793,24 @@ def _drive_integrals(
 
     Raises
     ------
+    OutOfRangeError
+        Before any evaluation, if the k drives need more than
+        ``_NODE_BUDGET`` quadrature nodes between them.
     ToleranceNotMetError
         If the basis Wronskian at the nodes is off 1 by more than
         ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
     """
     k, n_samples = forces.shape
     per_segment, n_nodes = _panel_layout(dt, basis.rate)
+    n_panels = (n_samples - 1) * per_segment
+    if k * n_panels * n_nodes > _NODE_BUDGET:
+        raise OutOfRangeError(
+            f"{k} record(s) of {n_samples} samples need {k * n_panels * n_nodes}"
+            f" quadrature nodes over the window, more than {_NODE_BUDGET}",
+            field="record",
+        )
     hats, gl_weights, gl_cumulative = _panel_rule(per_segment, n_nodes)
     h = dt / per_segment
-    n_panels = (n_samples - 1) * per_segment
     nodes = t_start + dt * (np.arange(n_samples - 1)[:, None] + hats[1])
     y = basis.dense(nodes.ravel())
     wronskian = float(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0).max())
@@ -990,6 +1005,10 @@ class RecordScorer:
         ------
         RecordWindowError
             For the first record that does not span the measurement window.
+        OutOfRangeError
+            If the records of one grid need more than ``_NODE_BUDGET``
+            quadrature nodes between them (a record that is not constant,
+            on a long window).
         ToleranceNotMetError
             If the basis Wronskian at a grid's nodes is off 1 by more than
             ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).

@@ -17,11 +17,12 @@ from paulpath import (
     SingularSliceError,
     SlicedLattice,
     discrete_propagator,
+    effective_frequency,
     periodic_propagator,
     restricted_propagator,
     richardson,
 )
-from paulpath.oracle import _CHUNK, _eliminate
+from paulpath.oracle import _BLOCK, _CHUNK, _eliminate
 from paulpath.records import ConstantRecord, SinusoidRecord
 
 
@@ -147,54 +148,135 @@ def _elimination_reference(diag, b):
     return log_sum, b @ y
 
 
-def _slice_diag(n, phase_per_slice, damping, seed):
-    """Damped oscillatory entries 2 - eps^2 w with complex w, as the
-    midpoint rule forms them, and a random complex right-hand side.
-    The damping keeps Q well away from singular, so two backward-stable
-    solves agree to rounding."""
+def _slice_increments(n, phase_per_slice, damping, seed):
+    """Damped oscillatory increments eps^2 w with complex w, whose
+    diagonal 2 - eps^2 w the references take, and a random complex
+    right-hand side.  The damping keeps Q well away from singular, so
+    two backward-stable solves agree to rounding."""
     rng = np.random.default_rng(seed)
     w = (1.0 + 0.3 * rng.uniform(-1, 1, n)) * (1.0 - 1j * damping)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return 2.0 - phase_per_slice**2 * w, b
+    return phase_per_slice**2 * w, b
+
+
+def _assert_matches_reference(inc, b):
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_reference(2.0 - inc, b)
+    assert abs(log_sum - ref_log) <= 1e-12 * abs(ref_log)
+    assert abs(quad - ref_quad) <= 1e-12 * abs(ref_quad)
+    return log_sum
 
 
 @pytest.mark.parametrize(
-    "n", [1, 5, 300, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 1]
+    "n",
+    [
+        1, 2, 5, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+        _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1,
+    ],
 )
 def test_eliminate_matches_reference(n):
-    diag, b = _slice_diag(n, 0.05, 0.5, seed=n)
-    log_sum, quad = _eliminate(diag, b)
-    ref_log, ref_quad = _elimination_reference(diag, b)
-    assert abs(log_sum - ref_log) <= 1e-12 * abs(ref_log)
-    assert abs(quad - ref_quad) <= 1e-12 * abs(ref_quad)
+    _assert_matches_reference(*_slice_increments(n, 0.05, 0.5, seed=n))
+
+
+def test_eliminate_takes_slices_of_many_radians():
+    # |e_j| ~ 1e12: a block's unit states grow by ~1e12 per pivot, and
+    # would overflow over one block without rescaling
+    _assert_matches_reference(*_slice_increments(3 * _BLOCK + 5, 1e6, 0.5, seed=11))
 
 
 def test_eliminate_keeps_the_branch_past_two_pi():
     # ~38 zeros of the discrete solution: the pivot args add up to far
-    # more than 2 pi, so Log det(Q) is not the sum of the pivot logs
-    n = 3 * _CHUNK + 1
-    diag, b = _slice_diag(n, 0.01, 0.1, seed=7)
-    log_sum, quad = _eliminate(diag, b)
-    ref_log, ref_quad = _elimination_reference(diag, b)
+    # more than 2 pi, so Log det(Q) is not the sum of the pivot logs.  Q
+    # is close to singular here, and on larger n the two solves of its
+    # quadratic form part by more than rounding (4e-12 at 4x the slices)
+    inc, b = _slice_increments(12289, 0.01, 0.1, seed=7)
+    log_sum = _assert_matches_reference(inc, b)
     assert abs(log_sum.imag) > 20 * math.pi
     assert abs(cmath.phase(cmath.exp(log_sum)) - log_sum.imag) > math.pi
-    assert abs(log_sum - ref_log) <= 1e-12 * abs(ref_log)
-    assert abs(quad - ref_quad) <= 1e-12 * abs(ref_quad)
+
+
+def test_eliminate_takes_the_left_rule_increments():
+    # the left rule's e_j = eps^2 w(t_j), unsymmetrized, on a lattice
+    # coarse enough that the reference's formed 2 - e_j keeps their digits
+    inputs = _driven_inputs()
+    lat = SlicedLattice(inputs.bc.t_start, inputs.bc.t_end, 1024)
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    inc = lat.epsilon**2 * spec.w_squared(lat.endpoints[1:-1])
+    b = np.random.default_rng(5).normal(size=inc.size) + 0j
+    _assert_matches_reference(inc, b)
 
 
 def test_eliminate_names_an_exact_zero_pivot():
-    # delta_2 = 0.5 - 1/2 = 0 exactly; delta_3 would divide by it
-    diag = np.array([2.0, 0.5, 2.0, 2.0, 2.0], dtype=complex)
+    # delta_2 = 1 + (1/2 - 3/2) = 0 exactly; delta_3 would divide by it
+    inc = np.array([0.0, 1.5, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(SingularSliceError, match="pivot 2 of 5 "):
-        _eliminate(diag, np.ones(5, dtype=complex))
+        _eliminate(inc, np.ones(5, dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "k", [1, _BLOCK, _BLOCK + 1, _CHUNK, _CHUNK + 1],
+    ids=["first", "block-last", "block-first", "chunk-last", "chunk-first"],
+)
+def test_eliminate_names_an_exact_zero_pivot_at_block_and_chunk_edges(k):
+    # e_1 = 1 makes every pivot exactly 1 (r_j = 0), until e_k = 1 makes
+    # delta_k = 0 exactly; e_1 = 2 zeroes the first pivot itself
+    n = 2 * _CHUNK + 5
+    inc = np.zeros(n, dtype=complex)
+    inc[0] = 1.0
+    inc[k - 1] += 1.0
+    with pytest.raises(SingularSliceError, match=f"pivot {k} of {n} "):
+        _eliminate(inc, np.ones(n, dtype=complex))
 
 
 def test_eliminate_names_a_tiny_pivot_in_the_second_chunk():
     n, k = 2 * _CHUNK + 10, _CHUNK + 17
-    diag, b = _slice_diag(n, 0.01, 0.05, seed=3)
-    diag[k] = 1.0 / _pivots(diag[:k])[-1] + 1e-14
+    inc, b = _slice_increments(n, 0.01, 0.05, seed=3)
+    inc[k] = 2.0 - (1.0 / _pivots(2.0 - inc[:k])[-1] + 1e-14)
     with pytest.raises(SingularSliceError, match=f"pivot {k + 1} of {n} "):
-        _eliminate(diag, b)
+        _eliminate(inc, b)
+
+
+def _log_pivot_sum_longdouble(inc):
+    """Sum of principal Log pivots by the sequential increment recurrence
+    r_j = r_{j-1}/(1 + r_{j-1}) - e_j, all in ``np.clongdouble``."""
+    r = np.empty(inc.size, dtype=np.clongdouble)
+    z = np.clongdouble(1.0)
+    for j, e in enumerate(np.asarray(inc, dtype=np.clongdouble)):
+        r[j] = z - e
+        z = r[j] / (1 + r[j])
+    return complex(np.log(1 + r).sum())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1e-3, 1e-6, 1e-9])
+def test_eliminate_keeps_a_pivot_near_a_caustic_accurate(size):
+    # |delta_k| = size: log1p(2 Re r + |r|^2) alone would cancel to
+    # ~1e-16/size^2 there (7e-5 at 1e-6)
+    n, k = 2 * _CHUNK + 10, _CHUNK + 17
+    inc, b = _slice_increments(n, 0.01, 0.05, seed=3)
+    inc[k] = 2.0 - (1.0 / _pivots(2.0 - inc[:k])[-1] + size)
+    log_sum, _ = _eliminate(inc, b)
+    assert abs(log_sum - _log_pivot_sum_longdouble(inc)) < 1e-12
+
+
+def test_log_pivot_sum_keeps_its_digits_on_a_fine_lattice():
+    # A validate-ladder-like window at 2^18 slices, with x' = x'' = 0 and
+    # a zero record: b = 0 and c = 0, so log K is the normalization minus
+    # half the log-pivot sum.  Formed entries 2 - eps^2 w kept ~6 digits
+    # of eps^2 w here and put the sum off by ~1e-8.
+    n = 2**18
+    inputs = scaled_inputs(u=0.5, v=1.2, T=2.5, resolution=4.0)
+    lat = SlicedLattice(inputs.bc.t_start, inputs.bc.t_end, n)
+    m, hbar, eps = inputs.params.mass, inputs.params.hbar, lat.epsilon
+    log_sum = 2.0 * (
+        0.5 * cmath.log(m / (2j * math.pi * hbar * eps)) - discrete_propagator(inputs, n)
+    )
+    w = effective_frequency(inputs.coeffs, inputs.meas, inputs.params).w_squared(
+        lat.midpoints
+    ).astype(np.clongdouble)
+    inc = (w[:-1] + w[1:]) * (np.longdouble(eps) ** 2 / 2)  # in long double
+    assert abs(log_sum - _log_pivot_sum_longdouble(inc)) < 1e-12
 
 
 def test_measured_constant_record_extrapolates_to_pipeline():

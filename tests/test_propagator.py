@@ -16,6 +16,7 @@ from paulpath import (
     CausticOnWindowError,
     ConjugatePointError,
     Forcing,
+    OutOfRangeError,
     RecordWindowError,
     MeasurementConfig,
     PaulpathError,
@@ -701,6 +702,29 @@ def test_record_scorer_refuses_a_record_off_the_window():
     rec = render(_FAMILIES["sinusoid"], short, n_samples=65)
     with pytest.raises(RecordWindowError):
         record_scorer(base).log_amplitude(rec)
+
+
+def test_record_scorer_refuses_a_record_past_the_node_budget(monkeypatch):
+    # 10^4 periods of a trap with ~17 rad of oscillation phase per period
+    # (w2 = 1 - 0.9 cos(t/2)): a 2001-sample sinusoid needs ~2.4e6
+    # quadrature nodes there, about 1 GB of temporaries, and is refused
+    # before the basis is evaluated; a constant record still scores
+    inputs = scaled_inputs(
+        u=1.0, v=0.9, T=1e4 * 4 * math.pi, omega=0.5, resolution=50.0,
+        x_start=0.3, x_end=-0.5, record=SinusoidRecord(0.3, 1.7, 0.2), n_samples=2001,
+    )
+    scorer = record_scorer(inputs)
+    constant = render(ConstantRecord(0.3), inputs.meas, n_samples=2001)
+    assert cmath.isfinite(scorer.log_amplitude(constant))
+
+    def no_evaluation(*args):
+        raise AssertionError("the basis was evaluated")
+
+    monkeypatch.setattr(mathieu.HillBasis, "dense", no_evaluation)
+    with pytest.raises(OutOfRangeError, match="quadrature nodes"):
+        scorer.log_amplitude(inputs.record)
+    with pytest.raises(OutOfRangeError, match="quadrature nodes"):
+        scorer.log_amplitudes([constant, inputs.record])
 
 
 def test_record_scorer_conjugate_point_raises():
