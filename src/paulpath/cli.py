@@ -452,8 +452,6 @@ def cmd_prob(args, scenario: Scenario) -> int:
             "x and z measurement windows must match for a joint probability",
             field="measurement_z",
         )
-    check_phase_budget(x_base, scenario.numerics.phase_budget_rad)
-    check_phase_budget(z_base, scenario.numerics.phase_budget_rad)
     if args.records:
         ids = [Path(p).stem for p in args.records]
         records = [read_record_csv(p) for p in args.records]

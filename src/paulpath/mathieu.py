@@ -30,12 +30,12 @@ truncation is, and :func:`integrate_mathieu_ode` provides the
 numerically exact solution the series is judged against.
 
 The same three-term recurrence, taken over all harmonics and at the
-right exponent, converges: :func:`hill_basis` builds the homogeneous
-basis of the complex stiffness w2 = u~ - v cos(w t) from its Floquet
-solutions f+(t) = e^{i nu t} sum_n c_n e^{i n w t} and f-(t) = f+(-t)
-(Hill's method; Deconinck & Kutz, J. Comput. Phys. 219 (2006) 296; DLMF
-§28.12), with no adaptive pass.  :func:`_basis_pass` is the one adaptive
-solve of the same equation, for any stiffness.
+right exponent, converges: :func:`hill_basis` computes the Floquet
+solutions f+(t) = e^{i nu t} sum_n c_n e^{i n w t} and f-(t) = f+(-t) of
+the complex stiffness w2 = u~ - v cos(w t) (Hill's method; Deconinck &
+Kutz, J. Comput. Phys. 219 (2006) 296; DLMF §28.12), with no adaptive
+pass.  :func:`_basis_pass` is the one adaptive solve of the same
+equation, for any stiffness.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ _HILL_TAIL = float(np.finfo(float).eps)
 _MAX_HARMONICS = 256
 _FIRST_DEPTH = 16
 
-#: largest |h0 h1' - h0' h1 - 1| the Hill basis accepts on its grid
+#: largest relative change of the Floquet pair's Wronskian that the Hill
+#: basis accepts on its grid
 _HILL_WRONSKIAN_ATOL = 1e-10
 
 #: oscillation phase h * rate of one step of the Hill basis' grid, half
@@ -289,27 +290,29 @@ def integrate_mathieu_ode(
 
 @dataclass(frozen=True)
 class HillBasis:
-    """The homogeneous basis (h0, h0', h1, h1') of w2 = u~ - v cos(w t),
-    unit value and unit slope at t', from its Floquet solutions.
+    """The Floquet pair of w2 = u~ - v cos(w t): f+(t) = e^{i nu s} p+(t)
+    and f-(t) = e^{-i nu s} p-(t), s = t - t', with p+ and p- periodic.
+
+    ``nu`` is the Floquet exponent of f+, with Im nu <= 0: f+ and f- gain
+    the multipliers e^{i nu P} and e^{-i nu P} over a drive period P, so
+    f+ is the one that grows (or neither does).  ``coefficients`` are the
+    Fourier coefficients c_n of p+ (n = -N..N, c_0 = 1, p+ = sum c_n
+    e^{i n w t} in absolute time), and p- has them reversed, since
+    f-(t) = f+(-t) up to a constant (w2 is even in t).
+    :func:`_floquet_parts` evaluates the pair.  ``slope_ratios`` are f+'/f+
+    and f-'/f- at t'.
 
     ``t`` is a uniform grid over the window whose steps span at most
-    ``_GRID_PHASE`` of oscillation phase h * ``rate``, and ``y`` the basis
-    there, one row per component, exactly (1, 0, 0, 1) at t'.  ``dense``
-    evaluates it anywhere.
-
-    Floquet data: ``nu`` is the Floquet exponent of f+, so f+ and f- gain
-    the multipliers e^{i nu P} and e^{-i nu P} over a drive period P, and
-    ``slope_ratios`` are f+'/f+ and f-'/f- at t'.
-
-    Diagnostics: ``coefficients`` are the Fourier coefficients c_n of f+
-    (n = -N..N, c_0 = 1), ``tail`` the largest |c_n| / max |c| at the
-    depth of the continued fractions, and ``wronskian_residual`` the
-    largest |h0 h1' - h0' h1 - 1| on the grid.  Build it with
+    ``_GRID_PHASE`` of oscillation phase h * ``rate``, and the pair's
+    periodic parts are kept there.  Diagnostics:
+    ``tail`` is the largest |c_n| / max |c| at the depth of the continued
+    fractions, and ``wronskian_residual`` the largest relative change of
+    the pair's Wronskian p+ d- - d+ p- on the grid (see
+    :func:`_floquet_parts`), which is constant.  Build it with
     :func:`hill_basis`.
     """
 
     t: np.ndarray
-    y: np.ndarray
     rate: float
     nu: complex
     slope_ratios: tuple[complex, complex]
@@ -317,11 +320,8 @@ class HillBasis:
     tail: float
     wronskian_residual: float
     drive_omega: float
-    _terms: np.ndarray = field(repr=False)
-
-    @property
-    def y_end(self) -> np.ndarray:
-        return self.y[:, -1]
+    #: (p+, d+, p-, d-) on ``t`` (see :func:`_floquet_parts`)
+    _parts: np.ndarray = field(repr=False)
 
     @property
     def harmonics(self) -> int:
@@ -334,39 +334,33 @@ class HillBasis:
         growth of the faster-growing Floquet solution."""
         return math.exp(abs(self.nu.imag) * 2.0 * math.pi / self.drive_omega)
 
-    def dense(self, t):
-        """The basis at time(s) ``t``: shape (4,) for a scalar, (4, len(t))
-        for an array (see :func:`_hill_dense`)."""
-        return _hill_dense(self._terms, self.nu, self.drive_omega, self.t[0], t)
 
-
-def _hill_dense(terms: np.ndarray, nu: complex, omega: float, t_start: float, t):
-    """The basis (h0, h0', h1, h1') that starts at ``t_start``, at time(s) ``t``.
-
-    With s = t - t', each component is e^{i nu s} times a Fourier sum of
-    f+ plus e^{-i nu s} times one of f- (rows 0-3 and 4-7 of ``terms``,
-    over the powers z^n, n = -N..N, of z = e^{i w t}, which are running
-    products).  With one Fourier term (no drive, v = 0) it is cos(nu s)
-    and sin(nu s) / nu, which stays exact at nu = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    s = t - t_start
-    if terms.shape[1] == 1:
-        h0 = np.cos(nu * s)
-        h1 = s * np.sinc(nu * s / math.pi)
-        return np.array([h0, -nu * nu * h1, h1, h0])
-    depth = terms.shape[1] // 2
-    z = np.exp(1j * omega * t.reshape(-1))
-    powers = np.empty((2 * depth + 1, z.size), dtype=complex)
-    powers[depth] = 1.0
+def _fourier_rows(omega: float, t, depth: int) -> np.ndarray:
+    """e^{i n w t} at times ``t`` for n = -depth..depth (rows), shape
+    (2 depth + 1, len(t)); the powers of e^{i w t} are running products."""
+    z = np.exp(1j * omega * np.asarray(t, dtype=float).reshape(-1))
+    rows = np.empty((2 * depth + 1, z.size), dtype=complex)
+    rows[depth] = 1.0
     for n in range(depth):
-        np.multiply(powers[depth + n], z, out=powers[depth + n + 1])
-    np.conjugate(powers[:depth:-1], out=powers[:depth])
-    sums = terms @ powers
-    grow = np.exp(1j * nu * s.reshape(-1))
-    sums[:4] *= grow
-    sums[4:] /= grow
-    return (sums[:4] + sums[4:]).reshape((4,) + t.shape)
+        np.multiply(rows[depth + n], z, out=rows[depth + n + 1])
+    np.conjugate(rows[:depth:-1], out=rows[:depth])
+    return rows
+
+
+def _pair_columns(c: np.ndarray, nu: complex, omega: float) -> np.ndarray:
+    """Fourier columns of (p+, d+, p-, d-) (see :func:`_floquet_parts`)
+    for the coefficients ``c`` of p+, shape (c.size, 4)."""
+    k = omega * np.arange(-(c.size // 2), c.size // 2 + 1)
+    return np.array([c, 1j * (nu + k) * c, c[::-1], 1j * (k - nu) * c[::-1]]).T
+
+
+def _floquet_parts(basis: HillBasis, t) -> np.ndarray:
+    """(p+, d+, p-, d-) at times ``t``, shape (4, len(t)): the periodic
+    parts of the pair and of its slopes, f+' = e^{i nu s} d+ and
+    f-' = e^{-i nu s} d-, all bounded; their Wronskian is
+    W = f+ f-' - f+' f- = p+ d- - d+ p-."""
+    c, omega = basis.coefficients, basis.drive_omega
+    return _pair_columns(c, basis.nu, omega).T @ _fourier_rows(omega, t, c.size // 2)
 
 
 def _hill_seed(u: complex, v: float, omega: float) -> complex:
@@ -459,25 +453,23 @@ def _floquet_coefficients(u: complex, v: float, omega: float, nu: complex, depth
 
 
 def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> HillBasis:
-    """The homogeneous basis of ``spec`` over ``window`` from its Floquet
-    solutions, with no adaptive pass.
+    """The Floquet pair of ``spec`` over ``window``, with no adaptive pass.
 
     nu is seeded from Hill's determinant (:func:`_hill_seed`), refined on
     the continued fraction and centred (:func:`_floquet_coefficients`);
     the continued fractions deepen until the coefficient tail is below
-    rounding.  With f-(t) = f+(-t) (w2 is even in t), h0 and h1 are the
-    combinations of f+ and f- with unit value and unit slope at t', and
-    their slope ratios at t' are kept as the basis' Floquet data.
-    There is no tolerance: the series is as exact as rounding allows,
-    and the checks below refuse it where it is not.
+    rounding.  f-(t) = f+(-t) (w2 is even in t), and nu takes the sign
+    with Im nu <= 0.  There is no tolerance: the series is as exact as
+    rounding allows, and the checks below refuse it where it is not.
 
     Raises
     ------
     ToleranceNotMetError
         If the tail is still above rounding at ``_MAX_HARMONICS``
-        harmonics on each side, Newton does not converge, or the basis
-        Wronskian on the grid is off 1 by more than
-        ``_HILL_WRONSKIAN_ATOL`` (near a band edge f+ and f- coincide).
+        harmonics on each side, Newton does not converge, or the pair's
+        Wronskian on the grid moves by more than ``_HILL_WRONSKIAN_ATOL``
+        of its value (near a band edge f+ and f- coincide, and for the
+        free particle they are equal).
     """
     t0, t1 = window
     u, v, omega = complex(spec.u_tilde), float(spec.v), float(spec.drive_omega)
@@ -485,8 +477,6 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
     grid = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) * rate / _GRID_PHASE)) + 1)
     if v == 0.0:
         nu, c, tail = cmath.sqrt(u), np.ones(1, dtype=complex), 0.0
-        terms = np.ones((8, 1), dtype=complex)
-        ratios = (1j * nu, -1j * nu)
     else:
         nu, depth = _hill_seed(u, v, omega), min(_FIRST_DEPTH, _MAX_HARMONICS)
         while True:
@@ -503,32 +493,23 @@ def hill_basis(spec: EffectiveFrequencySpec, window: tuple[float, float]) -> Hil
             depth = min(2 * depth, _MAX_HARMONICS)
         kept = int(np.max(np.abs(np.nonzero(mags > _HILL_TAIL * mags[depth])[0] - depth)))
         c = c[depth - kept: depth + kept + 1]
-        slope = 1j * (nu + omega * np.arange(-kept, kept + 1)) * c
-        # f+ and f+' on the powers z^n of z = e^{i w t}; f- and f-' on the
-        # same powers, reversed
-        raw_plus, raw_minus = np.array([c, slope]), np.array([c[::-1], -slope[::-1]])
-        z0 = np.exp(1j * omega * t0 * np.arange(-kept, kept + 1))
-        (fp, dfp), (fm, dfm) = raw_plus @ z0, raw_minus @ z0
-        wronskian = fp * dfm - dfp * fm
-        # rows of the inverse of [[f+, f-], [f+', f-']] at t'
-        first, second = np.array([dfm, -fm]) / wronskian, np.array([-dfp, fp]) / wronskian
-        terms = np.concatenate([
-            first[0] * raw_plus, first[1] * raw_plus,
-            second[0] * raw_minus, second[1] * raw_minus,
-        ])
-        ratios = (complex(dfp / fp), complex(dfm / fm))
+    if nu.imag > 0.0:
+        nu, c = -nu, c[::-1]
     nu = complex(nu)
-    y = _hill_dense(terms, nu, omega, grid[0], grid)
-    y[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    residual = float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)))
-    if residual > _HILL_WRONSKIAN_ATOL:
+    parts = _pair_columns(c, nu, omega).T @ _fourier_rows(omega, grid, c.size // 2)
+    p_plus, d_plus, p_minus, d_minus = parts
+    wronskian = p_plus * d_minus - d_plus * p_minus
+    scale = abs(wronskian[0])
+    residual = float(np.max(np.abs(wronskian - wronskian[0]))) / scale if scale else math.inf
+    if not residual <= _HILL_WRONSKIAN_ATOL:
         raise ToleranceNotMetError(
-            f"Hill basis Wronskian off 1 by {residual:.3e} on its grid;"
-            " the Floquet solutions are too close to degenerate"
+            f"Hill pair Wronskian moves by {residual:.3e} of its value on its"
+            " grid; the Floquet solutions are too close to degenerate"
         )
     return HillBasis(
-        t=grid, y=y, rate=rate, nu=nu, slope_ratios=ratios, coefficients=c,
-        tail=tail, wronskian_residual=residual, drive_omega=omega, _terms=terms,
+        t=grid, rate=rate, nu=nu, coefficients=c, tail=tail, wronskian_residual=residual,
+        slope_ratios=(complex(d_plus[0] / p_plus[0]), complex(d_minus[0] / p_minus[0])),
+        drive_omega=omega, _parts=parts,
     )
 
 

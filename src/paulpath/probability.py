@@ -110,11 +110,12 @@ def rank_records(
     when given, applying the same candidate to both axes); the record
     inside a base is not read.  Each axis is solved once, by
     :func:`~paulpath.propagator.record_scorer` in closed form (the
-    Hill-Floquet basis: no ODE pass and no tolerance), and scores all
-    candidates with one
+    Floquet pair of the axis: no ODE pass, no tolerance, and no refusal
+    for the window's length), and scores all candidates with one
     :meth:`~paulpath.propagator.RecordScorer.log_amplitudes` call: the
-    candidates that share a grid share one O(n) pass of linear algebra
-    over it.  Ties keep the input order of the records, so duplicated
+    candidates that share a grid share one O(samples x harmonics) pass
+    over it, and each costs O(samples) more, whatever the number of drive
+    periods.  Ties keep the input order of the records, so duplicated
     candidates come out adjacent and stable.  ``threads`` is accepted
     and ignored: the candidates on one grid are scored together in one
     vectorised pass, which leaves a thread pool nothing to share out.

@@ -32,15 +32,18 @@ so the module provides three ingredients and an assembler:
 * :func:`restricted_propagator`, which adds the three log-domain parts
   and never exponentiates;
 * :func:`record_scorer`, the same assembly in closed form for many
-  records on one axis and a window of any length: the Hill-Floquet
-  basis of the axis (:func:`~paulpath.mathieu.hill_basis`, no ODE pass)
-  over one drive period, or over the window when that is shorter, then
-  batches of records by variation of parameters, one O(n) numpy pass
-  over each record grid for all the records on it.  On a window of N
-  periods and a remainder, D(t'') comes from the one-period map raised
-  to N, with arg D carried by the Floquet solution that the basis'
-  exponent and slope ratios give, and the constant records of a batch
-  take the period's affine map raised to N.
+  records on one axis and a window of any length, on the Floquet pair
+  f+-(t) = e^{+-i nu t} p+-(t) of :func:`~paulpath.mathieu.hill_basis`
+  (no ODE pass).  On a piecewise-linear record, q_p = F g0 + F' g2 solves
+  each segment exactly (g0, g2 periodic), homogeneous kicks at the knots
+  repair its jumps, split into the growing part f+ run back and the
+  decaying part f- run on, so every exponential stays bounded
+  (Yakubovich & Starzhinskii 1975 for the Floquet theory; Ascher,
+  Mattheij & Russell 1988 for the dichotomy); the record-independent
+  work is one O(samples x harmonics) pass per record grid, and each
+  record costs O(samples) whatever the number of periods.  D(t'') is in
+  log form, and arg D is read over the first drive period and carried
+  by the Floquet solution that the exponent and slope ratios give.
 
 The direct route's DOP853 passes and the adaptive basis pass
 (:func:`~paulpath.mathieu._basis_pass`, any stiffness) under
@@ -53,14 +56,12 @@ record term alone spans hundreds of decades.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev, legendre
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad, simpson
 
 from .errors import (
@@ -71,7 +72,15 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .integrate import DEFAULT_TOL, solve_complex_ivp
-from .mathieu import _GRID_PHASE, HillBasis, _basis_pass, evaluate_f, hill_basis, mathieu_series
+from .mathieu import (
+    _GRID_PHASE,
+    HillBasis,
+    _basis_pass,
+    _floquet_parts,
+    evaluate_f,
+    hill_basis,
+    mathieu_series,
+)
 from .records import (
     Forcing,
     MeasurementRecord,
@@ -100,24 +109,31 @@ _CONJUGATE_RTOL = 1e-10
 #: integrator may span where arg D is read from the step values
 _MAX_STEP_PHASE = 0.5 * math.pi
 
-#: a quadrature panel of :func:`_drive_integrals` spans at most _PANEL_PHASE of
-#: oscillation phase p = h * sqrt(max |w2|), with the fewest Gauss-Legendre
-#: nodes n whose first inexact Taylor term (p/2)**(2n) / (2n)! is at most
-#: _GAUSS_RTOL (7 nodes at p = 0.5)
-_PANEL_PHASE = 0.5
-_GAUSS_RTOL = 1e-16
+#: terms of the series of phi_k(x) = int_0^1 s^k e^{x s} ds used for |x| < 1
+#: (the first one left out is below 1/20! ~ 4e-19), as a table of
+#: 1 / (j! (k + j + 1)) for j < _PHI_TERMS (rows) and k = 0, 1, 2
+_PHI_TERMS = 20
+_PHI_ORDERS = np.arange(_PHI_TERMS)[:, None]
+_PHI_SERIES = np.array(
+    [[1.0 / (math.factorial(j) * (k + j + 1)) for k in range(3)] for j in range(_PHI_TERMS)],
+    dtype=complex,
+)
 
-#: largest |h0 h1' - h0' h1 - 1| _drive_integrals accepts at its nodes, and
-#: the largest rounding eps e^{N |Im nu| P} that the Floquet multipliers may
-#: grow to over a window of N periods; the Wronskian of the basis is exactly
-#: 1, and the same 1e-6 bounds the trajectory pass's endpoint miss
-_WRONSKIAN_ATOL = 1e-6
+#: rows: the combinations of (phi_0, phi_1, phi_2) of f+, f- and of the
+#: periodic responses (columns, in that order) that weigh F at a segment's
+#: knots: 1 - s with f+ (read from the segment's right end) and f-, s with
+#: f+ and f-, then (1 - s)^2, 2 s (1 - s), s^2 with g0 and -(1 - s), 1 - 2 s,
+#: s with g2, the terms of F q_p = F^2 g0 + (dF/ds) F g2
+_SEGMENT_MIX = np.zeros((10, 3, 3))
+_SEGMENT_MIX[:4, :2, :2] = [[[0, 1], [0, 0]], [[0, 0], [1, -1]], [[1, -1], [0, 0]], [[0, 0], [0, 1]]]
+_SEGMENT_MIX[4:, 2] = [[1, -2, 1], [0, 2, -2], [0, 0, 1], [-1, 1, 0], [1, -2, 0], [0, 1, 0]]
+#: as applied to the rows of :func:`_phi`, which run over k first
+_SEGMENT_MIX = _SEGMENT_MIX.swapaxes(1, 2).reshape(10, 9)
 
-#: most quadrature nodes times records one :func:`_drive_integrals` pass
-#: takes (about 250 MB of temporaries); a record that is not constant
-#: needs ~14 nodes per radian of the window's oscillation phase, so this
-#: refuses it on windows past ~3.7e4 rad
-_NODE_BUDGET = 2**19
+#: most |log rho| n for which :func:`_discounted_cumsum` scales the terms
+#: by rho^-i: the scale stays below e^64, and its phase's rounding below
+#: 64 eps
+_SCAN_REACH = 64.0
 
 #: a zero of the series reference solution f within this distance
 #: (scaled time, rad) of the window, or a root of its polynomial in
@@ -313,10 +329,10 @@ class PrefactorTrack:
 
     ``theta_end`` is the phase of D(t'') continued from D ~ (t - t') > 0
     at the left edge; ``caustic_count`` rounds theta/pi, i.e. the number
-    of zero crossings the tracked phase has stepped over.
+    of zero crossings the tracked phase has stepped over.  |D(t'')| enters
+    ``log_value`` only through its log, so it may be past the float range.
     """
 
-    d_end: complex
     theta_end: float
     log_value: complex
     caustic_count: int
@@ -382,12 +398,11 @@ def _check_step_phase(times: np.ndarray, rate: float) -> None:
         )
 
 
-def _check_not_conjugate(d_end: complex, d: np.ndarray, log_growth: float = 0.0) -> None:
+def _check_not_conjugate(d_end: complex, d: np.ndarray) -> None:
     """Raise ConjugatePointError if D(t'') = ``d_end`` is consistent with
-    zero at the window scale: max |d| over the step values d of D, times
-    e^log_growth where the window runs on past them (the whole periods
-    past the first).  The test is on the log scale, which no window overflows."""
-    log_top = math.log(float(np.max(np.abs(d)))) + log_growth
+    zero at the window scale, max |d| over the step values d of D (both
+    may carry one positive scale).  The test is on the log scale."""
+    log_top = math.log(float(np.max(np.abs(d))))
     if d_end == 0 or math.log(abs(d_end)) < math.log(_CONJUGATE_RTOL) + log_top:
         raise ConjugatePointError(
             f"D(t'') = {complex(d_end):.3e} against window scale"
@@ -395,17 +410,17 @@ def _check_not_conjugate(d_end: complex, d: np.ndarray, log_growth: float = 0.0)
         )
 
 
-def _prefactor(
-    d_end: complex, theta_end: float, mass: float, hbar: float
-) -> PrefactorTrack:
-    """sqrt(m / (2 pi i hbar D(t''))) on the branch fixed by arg D = theta_end."""
-    log_mag = 0.5 * math.log(mass / (2.0 * math.pi * hbar * abs(d_end)))
-    phase = -0.5 * (math.pi / 2.0 + theta_end)
+def _prefactor(log_d: complex, mass: float, hbar: float) -> PrefactorTrack:
+    """sqrt(m / (2 pi i hbar D(t''))) with log D(t'') = ``log_d`` on the
+    branch fixed by arg D = Im ``log_d``."""
+    theta = log_d.imag
     return PrefactorTrack(
-        d_end=d_end,
-        theta_end=theta_end,
-        log_value=complex(log_mag, phase),
-        caustic_count=int(round(theta_end / math.pi)),
+        theta_end=theta,
+        log_value=complex(
+            0.5 * (math.log(mass / (2.0 * math.pi * hbar)) - log_d.real),
+            -0.5 * (math.pi / 2.0 + theta),
+        ),
+        caustic_count=int(round(theta / math.pi)),
     )
 
 
@@ -439,17 +454,10 @@ def prefactor_track(
     if not t1 > t0:
         raise OutOfRangeError("window must have positive duration", field="window")
     basis, rate = _basis_pass(spec, t0, t1, tol)
-    return _determinant_prefactor(basis.t, basis.y[2], rate, params)
-
-
-def _determinant_prefactor(
-    times: np.ndarray, d: np.ndarray, rate: float, params: TrapParameters
-) -> PrefactorTrack:
-    """The prefactor with D sampled as ``d`` at ``times`` (the steps of an
-    adaptive basis pass, or a grid of the Hill basis), arg D read at those
-    steps, checked for a conjugate point."""
+    d = basis.y[2]
     _check_not_conjugate(d[-1], d)
-    return _prefactor(complex(d[-1]), _step_arg(times, d, rate), params.mass, params.hbar)
+    log_d = complex(math.log(abs(d[-1])), _step_arg(basis.t, d, rate))
+    return _prefactor(log_d, params.mass, params.hbar)
 
 
 def _zero_free_or_raise(f_vals):
@@ -718,9 +726,8 @@ def restricted_propagator(
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
     drive = record_forcing(inputs.record, inputs.meas, inputs.params)
     sol = classical_trajectory(spec, drive, inputs.bc, inputs.params, tol=tol)
-    track = _prefactor(
-        complex(sol.d_function[-1]), sol.d_arg, inputs.params.mass, inputs.params.hbar
-    )
+    log_d = complex(math.log(abs(sol.d_function[-1])), sol.d_arg)
+    track = _prefactor(log_d, inputs.params.mass, inputs.params.hbar)
     return _result(inputs, sol, track)
 
 
@@ -743,304 +750,326 @@ def _result(
 # --- record scorer ----------------------------------------------------------
 
 
-def _panel_layout(dt: float, rate: float) -> tuple[int, int]:
-    """Panels per record segment of length ``dt``, and nodes per panel."""
-    per_segment = max(1, math.ceil(dt * rate / _PANEL_PHASE))
-    x = 0.5 * dt * rate / per_segment
-    return per_segment, next(
-        n for n in itertools.count(1) if x ** (2 * n) / math.factorial(2 * n) <= _GAUSS_RTOL
-    )
+def _phi(powers: np.ndarray, dt: float, reach: float) -> np.ndarray:
+    """phi_k(x) = int_0^1 s^k e^{x s} ds for k = 0, 1, 2 at x = y dt, shape
+    (3, len(y)), from ``powers`` = y^j (j < _PHI_TERMS, columns), for
+    Re x <= 0 and |y| <= ``reach``: by the series sum_j x^j / (j! (k + j + 1))
+    where |x| < 1, and by phi_k = (e^x - k phi_{k-1}) / x elsewhere."""
+    out = powers @ (_PHI_SERIES * dt ** _PHI_ORDERS)
+    if reach * dt >= 1.0:
+        x = powers[:, 1] * dt
+        big = np.abs(x) >= 1.0
+        xb = x[big]
+        e = np.exp(xb)
+        out[big, 0] = (e - 1.0) / xb
+        out[big, 1] = (e - out[big, 0]) / xb
+        out[big, 2] = (e - 2.0 * out[big, 1]) / xb
+    return out.T
 
 
-@functools.cache
-def _panel_rule(per_segment: int, n: int) -> tuple[np.ndarray, ...]:
-    """The quadrature of one record segment cut into ``per_segment``
-    panels of n Gauss-Legendre nodes: the weights of the two hat
-    functions of the segment at its nodes (rows 1 - s and s, s the node
-    offset as a fraction of the segment), the node weights on [-1, 1],
-    and the transposed matrix whose column j integrates the polynomial
-    through the nodes from -1 to node j; the last two are complex, as the
-    drives they multiply are.  Built on first use: ``leggauss`` starts
-    LAPACK, which the other routes never need."""
-    nodes, weights = legendre.leggauss(n)
-    cumulative = legendre.legval(
-        nodes, legendre.legint(np.eye(nodes.size), lbnd=-1)
-    ).T @ np.linalg.inv(legendre.legvander(nodes, nodes.size - 1))
-    offsets = ((np.arange(per_segment)[:, None] + 0.5 * (nodes + 1.0)) / per_segment).ravel()
-    hats = np.array([1.0 - offsets, offsets])
-    return hats, weights.astype(complex), cumulative.T.astype(complex)
+def _periodic_series(basis: HillBasis, spec: EffectiveFrequencySpec, bc: BoundaryConditions, m: float):
+    """(columns, powers, boundary) on the harmonics n = -K..K of the
+    Floquet pair (the periodic responses decay as fast).
 
+    ``columns``, shape (18, 2K + 1), are the Fourier coefficients of p-, d+,
+    g0 + g2', g2, d-, p+, g2, g0 + g2' (the factors of the kicks), then of
+    p+, p-, p+, p-, g0, g0, g0, g2, g2, g2 (those of the segment weights),
+    d+- the periodic parts of the pair's slopes.  ``powers`` are y^j
+    (j < _PHI_TERMS) of the exponents y = -i (nu + n w), i (n w - nu) and
+    i n w of f+ (read back from a knot), f- and the periodic responses.
+    ``boundary``, shape (7, 3), takes (1, F_0, beta_0, a, F_N, beta_{N-1}, b)
+    of :func:`_drive_terms` to (m/2) (x'' q'(t'') - x' q'(t')) and to the
+    coefficients of f+ e^{-i nu t''} and f- e^{i nu t'} that make q(t') = x'
+    and q(t'') = x''.
 
-def _drive_integrals(
-    basis: HillBasis, t_start: float, dt: float, forces: np.ndarray
-) -> np.ndarray:
-    """(A0, A1, J) of each of k drives that share a grid, in one pass:
-    A_k = int F h_k dt and J = int F h0 A1(t) dt, A1(t) = int_{t0}^{t} F h1,
-    over the grid's span, on the homogeneous ``basis`` (h0, h0', h1, h1')
-    that starts at the grid's start ``t_start`` (it is evaluated at the
-    grid's nodes, so its own span may run past the grid's end).
-
-    ``forces`` holds the samples F(t_start + i dt) of the k drives, shape
-    (k, n); the result has shape (k, 3).  Every grid segment is cut into
-    panels of at most ``_PANEL_PHASE`` oscillation phase with the
-    Gauss-Legendre nodes their phase needs; F is linear on a segment, so
-    the rule is exact in F.  The basis is evaluated at the nodes, and its
-    Wronskian checked, once for all k drives; F at the nodes is the
-    segment's linear interpolant, and each step below is one array
-    operation over (k, 2, panels, nodes) with the h0 and h1 rows stacked.
-    A1 at the nodes comes from prefix sums over panels plus the in-panel
-    integration matrix.
+    g0 and g2 are the periodic responses g0'' + w2 g0 = 1/m and
+    g2'' + w2 g2 = -2 g0': on the harmonics, (u~ - (n w)^2) g_n -
+    (v/2) (g_{n-1} + g_{n+1}) = rhs_n.  w2 is even, so g0 is even and g2 odd,
+    and each is solved from the outer harmonics in, g_n = R_n g_{n-1} + S_n,
+    R_n the continued fraction of :func:`~paulpath.mathieu.hill_basis`.
 
     Raises
     ------
-    OutOfRangeError
-        Before any evaluation, if the k drives need more than
-        ``_NODE_BUDGET`` quadrature nodes between them.
     ToleranceNotMetError
-        If the basis Wronskian at the nodes is off 1 by more than
-        ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
+        If a Floquet multiplier is 1 (nu in w Z): there is no periodic response.
     """
-    k, n_samples = forces.shape
-    per_segment, n_nodes = _panel_layout(dt, basis.rate)
-    n_panels = (n_samples - 1) * per_segment
-    if k * n_panels * n_nodes > _NODE_BUDGET:
-        raise OutOfRangeError(
-            f"{k} record(s) of {n_samples} samples need {k * n_panels * n_nodes}"
-            f" quadrature nodes over the window, more than {_NODE_BUDGET}",
-            field="record",
+    depth = basis.coefficients.size // 2
+    u, half, omega = complex(spec.u_tilde), 0.5 * spec.v, basis.drive_omega
+    ratios, pivots, tails = [0j] * (depth + 2), [0j] * (depth + 1), [0j] * (depth + 2)
+    try:
+        for n in range(depth, 0, -1):
+            pivots[n] = u - (n * omega) ** 2 - half * ratios[n + 1]
+            ratios[n] = half / pivots[n]
+        g0 = [1.0 / (m * (u - 2.0 * half * ratios[1]))]
+        for n in range(1, depth + 1):
+            g0.append(ratios[n] * g0[-1])
+        for n in range(depth, 0, -1):
+            tails[n] = (-2j * n * omega * g0[n] + half * tails[n + 1]) / pivots[n]
+    except ZeroDivisionError:
+        raise ToleranceNotMetError("a Floquet multiplier is 1: no periodic response") from None
+    g2 = [0j]
+    for n in range(1, depth + 1):
+        g2.append(ratios[n] * g2[-1] + tails[n])
+    g0 = np.array(g0[:0:-1] + g0)
+    g2 = np.array([-g for g in g2[:0:-1]] + g2)
+    flat = 1j * omega * np.arange(-depth, depth + 1)
+    back, down = -1j * basis.nu - flat, flat - 1j * basis.nu
+    plus = basis.coefficients
+    minus, slope = plus[::-1], g0 + flat * g2
+    columns = np.array([
+        minus, -back * plus, slope, g2, down * minus, plus, g2, slope,
+        plus, minus, plus, minus, g0, g0, g0, g2, g2, g2,
+    ])
+    ends = np.array([plus, -back * plus, minus, down * minus, g0, g2, slope, flat * g0]) @ np.exp(
+        np.multiply.outer(flat, [bc.t_start, bc.t_end])
+    )
+    (p0, p1), (dp0, dp1), (m0, m1), (dm0, dm1), (g00, g01), (g20, g21), (s0, s1), (h0, h1) = (
+        ends.tolist()
+    )
+    rho_n = cmath.exp(-1j * basis.nu * bc.duration)
+    delta = rho_n * rho_n * p0 * m1 - m0 * p1
+    start = (bc.x_start, -g00, -g20, p0, 0.0, 0.0, 0.0)
+    end = (bc.x_end, 0.0, 0.0, 0.0, -g01, -g21, -m1)
+    plus = [(rho_n * m1 * a - m0 * b) / delta for a, b in zip(start, end)]
+    minus = [(rho_n * p0 * b - p1 * a) / delta for a, b in zip(start, end)]
+    # q'(t') and q'(t''), less the pair's share
+    slope_start = (0.0, h0, s0, -dp0, 0.0, 0.0, 0.0)
+    slope_end = (0.0, 0.0, 0.0, 0.0, h1, s1, dm1)
+    edges = [
+        0.5 * m * (
+            bc.x_end * (b + dp1 * p + rho_n * dm1 * q)
+            - bc.x_start * (a + rho_n * dp0 * p + dm0 * q)
         )
-    hats, gl_weights, gl_cumulative = _panel_rule(per_segment, n_nodes)
-    h = dt / per_segment
-    nodes = t_start + dt * (np.arange(n_samples - 1)[:, None] + hats[1])
-    y = basis.dense(nodes.ravel())
-    wronskian = float(np.abs(y[0] * y[3] - y[1] * y[2] - 1.0).max())
-    if wronskian > _WRONSKIAN_ATOL:
-        raise ToleranceNotMetError(
-            f"basis Wronskian off 1 by {wronskian:.3e} at the quadrature"
-            " nodes; the homogeneous solve is too coarse"
-        )
-    f = forces[:, :-1, None] * hats[0] + forces[:, 1:, None] * hats[1]
-    # rows h0, h1 of the basis times each drive: shape (k, 2, panels, nodes)
-    g = f.reshape(k, 1, n_panels, n_nodes) * y[::2].reshape(2, n_panels, n_nodes)
-    weights = 0.5 * h * gl_weights
-    panels = g @ weights
-    out = np.empty((k, 3), dtype=complex)
-    panels.sum(axis=-1, out=out[:, :2])
-    a1_start = np.zeros((k, n_panels), dtype=complex)
-    panels[:, 1, :-1].cumsum(axis=-1, out=a1_start[:, 1:])
-    a1_nodes = a1_start[..., None] + 0.5 * h * (g[:, 1] @ gl_cumulative)
-    ((g[:, 0] * a1_nodes) @ weights).sum(axis=-1, out=out[:, 2])
-    return out
+        for a, b, p, q in zip(slope_start, slope_end, plus, minus)
+    ]
+    powers = np.vander(np.concatenate((back, down, flat)), _PHI_TERMS, increasing=True)
+    return columns, powers, np.array([edges, plus, minus]).T
 
 
-def _affine_map(ends: np.ndarray, integrals: np.ndarray, m: float) -> np.ndarray:
-    """4x4 maps of (q, q', 1, int F q dt) over a span, one per row
-    (A0, A1, J) of ``integrals`` (shape (k, 3), from
-    :func:`_drive_integrals` on drives over that span); shape (k, 4, 4).
-    ``ends`` is the basis (h0, h0', h1, h1') at the end of the span.
+def _grid_terms(scorer: "RecordScorer", t_start: float, dt: float, n: int):
+    """Everything record-independent on the grid t_j = t_start + j dt
+    (j < n, N = n - 1) that records share, O(n x harmonics), with shapes
+    that do not depend on the span: (kicks, segments, squares, steps,
+    log_rho) for :func:`_drive_terms`.
 
-    By variation of parameters with W = h0 h1' - h0' h1 = 1, the
-    zero-initial-data forced solution ends at qp = (h1 A0 - h0 A1)/m,
-    qp' = (h1' A0 - h0' A1)/m, and int F qp dt = (A0 A1 - 2 J)/m, with
-    h0, h1 at the end of the span.
+    ``kicks`` (2, N - 1): per unit change of F_{j+1} - F_j at an interior
+    knot, e^{i nu t_j} a_j and e^{-i nu t_j} b_j of the kick a_j f+ + b_j f-
+    that repairs the jump of q_p = F g0 + F' g2 there.  ``segments``
+    (2, 2, N): the weights of F at a segment's two knots in int F f+
+    e^{-i nu t_{k+1}} and in int F f- e^{i nu t_k}, both bounded.
+    ``squares``: the weights of F_j^2 (n) and F_j F_{j+1} (N) in int F q_p.
+    ``steps`` = rho^j (j < n) and ``log_rho`` = -i nu dt, |rho| <= 1.
     """
-    e0, e0_dot, e1, e1_dot = ends
-    a0, a1, j = integrals.T
-    total = np.zeros((integrals.shape[0], 4, 4), dtype=complex)
-    total[:, :2, :2] = ((e0, e1), (e0_dot, e1_dot))
-    total[:, 0, 2] = (e1 * a0 - e0 * a1) / m
-    total[:, 1, 2] = (e1_dot * a0 - e0_dot * a1) / m
-    total[:, 3, :2] = integrals[:, :2]
-    total[:, 3, 2] = (a0 * a1 - 2.0 * j) / m
-    total[:, 2, 2] = total[:, 3, 3] = 1.0
-    return total
+    columns, powers, basis = scorer._columns, scorer._powers, scorer.basis
+    reach = abs(basis.nu) + columns.shape[1] // 2 * basis.drive_omega
+    weights = _SEGMENT_MIX @ _phi(powers, dt, reach).reshape(9, -1) * columns[8:]
+    weights[:7] *= dt
+    # e^{i n w t_j} at the knots, by steps of e^{i n w dt}
+    flat = powers[-columns.shape[1]:, 1]
+    waves = np.empty((flat.size, n), dtype=complex)
+    waves[:, 0] = np.exp(flat * t_start)
+    waves[:, 1:] = np.exp(flat * dt)[:, None]
+    np.cumprod(waves, axis=1, out=waves)
+    values = np.concatenate((columns[:8], weights[:4], weights[4:7] + weights[7:])) @ waves
+    pm, dp, _, _, dm, pp = values[:6, 0].tolist()
+    kicks = values[0:2, 1:-1] * values[2:4, 1:-1] - values[4:6, 1:-1] * values[6:8, 1:-1]
+    kicks /= dt * (pp * dm - dp * pm)
+    diagonal = np.zeros(n, dtype=complex)
+    diagonal[:-1] = values[12, :-1]
+    diagonal[1:] += values[14, :-1]
+    log_rho = -1j * basis.nu * dt
+    return (
+        kicks, np.array((values[8:12:2, 1:], values[9:12:2, :-1])), (diagonal, values[13, :-1]),
+        np.exp(log_rho * np.arange(n)), log_rho,
+    )
 
 
-def _boundary(total: np.ndarray, bc: BoundaryConditions, m: float):
-    """(c, q(t''), q'(t''), int F q, S) of the trajectory through the
-    endpoints of ``bc``, from the :func:`_affine_map` ``total`` of the
-    window (shape (4, 4), or (k, 4, 4) for k maps, giving arrays of k):
-    the slope c = q'(t') solves q(t'') = x'', and the action is the
-    boundary identity S = (m/2) [q q']_{t'}^{t''} + (1/2) int F q."""
-    e0, e1, qp = total[..., 0, 0], total[..., 0, 1], total[..., 0, 2]
-    e0_dot, e1_dot, qp_dot = total[..., 1, 0], total[..., 1, 1], total[..., 1, 2]
-    a0, a1, fqp = total[..., 3, 0], total[..., 3, 1], total[..., 3, 2]
-    xa = bc.x_start
-    c = (bc.x_end - xa * e0 - qp) / e1
-    q_end = xa * e0 + c * e1 + qp
-    slope_end = xa * e0_dot + c * e1_dot + qp_dot
-    forcing_integral = xa * a0 + c * a1 + fqp
-    action = 0.5 * m * (q_end * slope_end - xa * c) + 0.5 * forcing_integral
-    return c, q_end, slope_end, forcing_integral, action
+def _discounted_cumsum(x: np.ndarray, steps: np.ndarray, log_rho: complex) -> np.ndarray:
+    """sum_{i <= j} rho^(j - i) x_i along the last axis, rho = e^log_rho,
+    |rho| <= 1, ``steps`` = rho^j: one cumsum of rho^-i x_i while
+    |log rho| n <= _SCAN_REACH, else in place by doubling steps (Hillis &
+    Steele), each with its own power rho^d, so no term is scaled up."""
+    if abs(log_rho) * x.shape[-1] <= _SCAN_REACH:
+        return np.cumsum(x / steps, axis=-1) * steps
+    d = 1
+    while d < x.shape[-1] and steps[d] != 0.0:
+        x[..., d:] += steps[d] * x[..., :-d]
+        d *= 2
+    return x
 
 
-def _window_determinant(
+def _drive_terms(terms, forces: np.ndarray, dt: float) -> np.ndarray:
+    """For the drives ``forces`` (k, n) on the grid of :func:`_grid_terms`
+    ``terms``, shape (9, k): F_0, beta_0, a, F_N, beta_{N-1}, b (inputs of
+    the boundary solve of :func:`_periodic_series`), the part of int F q dt
+    free of P and M, and the integrals of F f+ e^{-i nu t''} and
+    F f- e^{i nu t'} that multiply them; O(n) per drive.
+
+    On segment k, q_p = F g0 + beta_k g2 solves m q'' + m w2 q = F exactly.
+    At each interior knot a homogeneous kick repairs the jump of q_p, its
+    growing part a_j f+ running back to t' and its decaying part b_j f- on
+    to t'', and P f+ + M f- meets the boundary conditions:
+
+        q = q_p + sum_{t_j < t} b_j f- - sum_{t_j > t} a_j f+ + P f+ + M f-.
+
+    Every exponential in it is e^{i nu (t_s - t_j)} with t_s <= t_j, a power
+    of rho = e^{-i nu dt}; a and b are sum_j a_j f+(t') / p+(t') and
+    sum_j b_j f-(t'') / p-(t''), and the kicks' part of int F q pairs
+    int F f+ up to each knot with a_j and int F f- from it on with b_j,
+    discounted sums (:func:`_discounted_cumsum`).
+    """
+    kicks, segments, (diagonal, off), steps, log_rho = terms
+    left, right = forces[:, :-1], forces[:, 1:]
+    jumps = right - left
+    # int F f+ up to each knot, and int F f- from each knot on (reversed)
+    into = left[:, None, :] * segments[:, 0] + right[:, None, :] * segments[:, 1]
+    into[:, 1] = into[:, 1, ::-1]
+    into = _discounted_cumsum(into, steps[:-1], log_rho)
+    kick = (jumps[:, 1:] - jumps[:, :-1])[:, None, :] * kicks
+    fq = (
+        (forces * forces) @ diagonal + (left * right) @ off
+        + (kick[:, 1] * into[:, 1, -2::-1] - kick[:, 0] * into[:, 0, :-1]).sum(axis=-1)
+    )
+    return np.array((
+        forces[:, 0], jumps[:, 0] / dt, kick[:, 0] @ steps[1:-1],
+        forces[:, -1], jumps[:, -1] / dt, kick[:, 1] @ steps[-2:0:-1],
+        fq, into[:, 0, -1], into[:, 1, -1],
+    ))
+
+
+def _window_prefactor(
     basis: HillBasis, bc: BoundaryConditions, params: TrapParameters, periods: tuple[int, float]
-) -> tuple[np.ndarray, PrefactorTrack]:
-    """(h0, h0', h1, h1') at t'' and the prefactor with D = h1(t''), from
-    the Hill ``basis`` over one drive period P from t', or over the window
-    when that is shorter; ``periods`` splits the window into N whole
-    periods and a remainder r.
+) -> PrefactorTrack:
+    """The prefactor from the Floquet ``basis`` over one drive period P from
+    t', or over the window when that is shorter; ``periods`` splits the
+    window into N whole periods and a remainder r.
 
-    Below one period, arg D is read on the basis' grid (:func:`_step_arg`).
-    From one period on, w2 has period P, so (h, h') maps over the window
-    by E_r E**N, E the basis at t' + P and E_r at t' + r (the remainder
-    starting at t' + N P sees the same stiffness), and arg D is read on
-    the grid over the first period only.  After that, the arg change of
-    the solution from slope ratio z = D'/D at t' + P is a continuous
-    function of z on the upper half plane, where Im w2 <= 0 keeps z; it
-    equals (N - 1) mu + mu_r for the Floquet solution f = h0 + z* h1.
-    Its slope ratio z* is the one of the basis' ``slope_ratios`` (f+'/f+
-    and f-'/f- at t') with Im z* > 0 (with Im w2 < 0 the one-period map
-    sends the upper half plane of z strictly into itself, so exactly one
-    lies there; an undamped stable drive gives a complex conjugate pair),
-    and its multiplier is e^{+-i nu P} with the same sign; the integer
-    part of its arg change mu per period is fixed by the same reading of
-    the grid through one period, and mu_r by the grid points below
-    t' + r plus that endpoint.  The solution's first component is affine
-    in z, so moving z from the Floquet value to D's value adds only the
-    principal arg of the ratio of the two end values.  Where no slope
-    ratio has Im z > 0 (an undamped drive outside the stability zones),
-    arg D is read on the closed-form basis on a grid over the window.
+    D = (f+(t') f-(t) - f-(t') f+(t)) / W, so with T = t'' - t', log D(t'') =
+    i nu T + log((e^{-2 i nu T} p+(t') p-(t'') - p-(t') p+(t'')) / W), in log
+    form on any window.  arg D is read (:func:`_step_arg`) on step values
+    of D times e^{Im nu s} > 0, which keeps the arg and bounds the values:
+    below one period on the basis' grid, and from one period on over the
+    first period only.  w2 has period P, and the arg change of a solution
+    from slope ratio z = D'/D at t' + P, a continuous function of z on the
+    upper half plane (which Im w2 <= 0 keeps z in), is (N - 1) mu + mu_r for
+    the Floquet solution f* whose slope ratio z* at t' (``slope_ratios``)
+    has Im z* > 0: with Im w2 < 0 exactly one has, and an undamped stable
+    drive gives a conjugate pair.  Its arg change mu per period is the
+    branch of +-Re nu P that the grid through one period reads, and mu_r
+    the one the grid below t' + r reads; moving z from z* to D's value adds
+    the principal arg of (D / f*)(t'') over (D / f*)(t' + P).  Where no
+    slope ratio has Im z > 0 (an undamped drive outside the stability
+    zones), arg D is read on a grid over the window.
 
     Raises
     ------
     ConjugatePointError
         If D(t'') is consistent with zero at the scale of the window.
-    ToleranceNotMetError
-        From one period on, before any work that grows with the window,
-        if rounding grown by the Floquet multipliers over the window,
-        eps e^{N |Im nu| P}, exceeds ``_WRONSKIAN_ATOL``.
     """
     n_periods, rem = periods
-    if not n_periods:
-        return basis.y_end, _determinant_prefactor(basis.t, basis.y[2], basis.rate, params)
-    period = 2.0 * math.pi / basis.drive_omega
-    # the window's largest |D| is at most the first period's, grown by the
-    # Floquet multipliers |e^{+-i nu P}|
-    growth = n_periods * abs(basis.nu.imag) * period
-    if growth > math.log(_WRONSKIAN_ATOL / np.finfo(float).eps):
-        raise ToleranceNotMetError(
-            f"the Floquet multipliers grow by e^{growth:.1f} over the window,"
-            f" and rounding with them past {_WRONSKIAN_ATOL:.0e}"
-        )
-    z_star, sign = max(zip(basis.slope_ratios, (1.0, -1.0)), key=lambda r: r[0].imag)
-    if not z_star.imag > 0.0:
-        grid = np.linspace(
-            bc.t_start, bc.t_end, math.ceil(bc.duration * basis.rate / _GRID_PHASE) + 1
-        )
-        y = basis.dense(grid)
-        y[:, 0] = (1.0, 0.0, 0.0, 1.0)
-        return y[:, -1], _determinant_prefactor(grid, y[2], basis.rate, params)
-    d = basis.y[2]
-    # E maps (h, h') by the columns h0, h1 at the end of its span
-    step = basis.y_end.reshape(2, 2).T
-    theta = _nearest_branch(_step_arg(basis.t, d, basis.rate), cmath.phase(d[-1]))
-    f_star = basis.y[0] + z_star * d
-    mu = _nearest_branch(_step_arg(basis.t, f_star, basis.rate), sign * basis.nu.real * period)
-    tail, mu_r = np.eye(2, dtype=complex), 0.0
-    if rem > 0.0:
-        t_rem = bc.t_start + rem
-        ends = basis.dense(t_rem)
-        tail = ends.reshape(2, 2).T
-        below = basis.t < t_rem
-        f_tail = np.append(f_star[below], ends[0] + z_star * ends[2])
-        mu_r = _nearest_branch(
-            _step_arg(np.append(basis.t[below], t_rem), f_tail, basis.rate),
-            cmath.phase(f_tail[-1]),
-        )
-    rest = tail @ np.linalg.matrix_power(step, n_periods - 1)
-    z_first = step[1, 1] / step[0, 1]
-    end_first = rest[0, 0] + rest[0, 1] * z_first
-    end_star = rest[0, 0] + rest[0, 1] * z_star
-    theta = theta + (n_periods - 1) * mu + mu_r + cmath.phase(end_first / end_star)
-    total = rest @ step
-    d_end = complex(total[0, 1])
-    _check_not_conjugate(d_end, d, growth)
-    return total.T.ravel(), _prefactor(d_end, float(theta), params.mass, params.hbar)
+    nu, t0, T = basis.nu, bc.t_start, bc.duration
+    z_star, sign = max(zip(basis.slope_ratios, (1, 0)), key=lambda r: r[0].imag)
+    whole = n_periods and z_star.imag > 0.0
+    grid, parts = basis.t, basis._parts
+    if n_periods and not whole:
+        grid = np.linspace(t0, bc.t_end, max(1, math.ceil(T * basis.rate / _GRID_PHASE)) + 1)
+        parts = _floquet_parts(basis, grid)
+    ends = _floquet_parts(basis, [t0 + rem, bc.t_end]) if whole else parts[:, -1:]
+    (p0, dp0, m0, dm0), (p1, _, m1, _) = parts[:, 0].tolist(), ends[:, -1].tolist()
+    wronskian = p0 * dm0 - dp0 * m0
+    ratio = (cmath.exp(-2j * nu * T) * p0 * m1 - m0 * p1) / wronskian
+    if ratio == 0.0:
+        raise ConjugatePointError("D(t'') = 0; the endpoints are conjugate")
+    log_d = 1j * nu * T + cmath.log(ratio)
+    # f+, f- and D on the grid, each times a positive factor
+    s = grid - t0
+    turn = np.exp(1j * nu.real * s)
+    grow, decay = parts[0] / p0 * turn, parts[2] / m0 * turn.conj()
+    d = (p0 * m0 / wronskian) * (decay * np.exp(2.0 * nu.imag * s) - grow)
+    d[0] = 0.0
+    _check_not_conjugate(cmath.exp(1j * nu.real * T) * ratio, d)
+    theta = _step_arg(grid, d, basis.rate)
+    if whole:
+        period = 2.0 * math.pi / basis.drive_omega
+        theta = _nearest_branch(theta, cmath.phase(d[-1]))
+        f_star = (decay, grow)[sign]
+        mu = _nearest_branch(_step_arg(grid, f_star, basis.rate), (2 * sign - 1) * nu.real * period)
+        mu_r = 0.0
+        if rem > 0.0:
+            below = s < rem
+            turn = cmath.exp(1j * nu.real * rem)
+            f_tail = np.append(f_star[below], (ends[2, 0] / m0 / turn, ends[0, 0] / p0 * turn)[sign])
+            times = np.append(grid[below], t0 + rem)
+            mu_r = _nearest_branch(_step_arg(times, f_tail, basis.rate), cmath.phase(f_tail[-1]))
+        # D / f* at t'': the e^{i nu T} of D cancels against f+ and doubles
+        # against f-
+        star = 2.0 * (1 - sign) * nu.real * T + cmath.phase(ratio * (m0 / m1, p0 / p1)[sign])
+        end = math.remainder(star + cmath.phase(f_star[-1] / d[-1]), 2.0 * math.pi)
+        theta += (n_periods - 1) * mu + mu_r + end
+    return _prefactor(complex(log_d.real, theta), params.mass, params.hbar)
 
 
 @dataclass(frozen=True)
 class RecordScorer:
     """Restricted propagators of many records on one axis, from one
-    homogeneous solve.
+    Floquet pair.
 
-    ``basis`` is the Hill-Floquet basis h0, h0', h1, h1' (unit value,
-    unit slope at t') over one drive period, or over the window of
-    ``inputs`` when that is shorter; the record of ``inputs`` is ignored.
-    It carries the solve's diagnostics: the Floquet exponent ``nu``, the
-    multiplier ``multiplier`` = |e^{i nu P}|, the harmonic count
-    ``harmonics``, the coefficient ``tail`` and the
-    ``wronskian_residual`` on its grid.  ``prefactor`` is the
-    record-independent determinant prefactor with D = h1(t'').  Build it
-    with :func:`record_scorer`.
-
-    :meth:`log_amplitudes` scores a batch of records with one
-    :func:`_drive_integrals` pass per record grid; :meth:`log_amplitude`
-    is the batch of one.
+    ``basis`` is the Hill-Floquet pair over one drive period, or over the
+    window of ``inputs`` when that is shorter (the record of ``inputs`` is
+    ignored), with its diagnostics: ``nu``, ``multiplier`` = |e^{i nu P}|,
+    ``harmonics``, the coefficient ``tail`` and the ``wronskian_residual``.
+    ``prefactor`` is the determinant prefactor.  Build it with
+    :func:`record_scorer`; :meth:`log_amplitude` is the batch of one.
     """
 
     inputs: PropagatorInputs
     basis: HillBasis
     prefactor: PrefactorTrack
-    #: the basis at t'', and the window's whole periods and remainder
-    _ends: np.ndarray = field(repr=False)
-    _periods: tuple[int, float] = field(repr=False)
+    #: the :func:`_periodic_series` of the axis
+    _columns: np.ndarray = field(repr=False)
+    _powers: np.ndarray = field(repr=False)
+    _boundary: np.ndarray = field(repr=False)
 
     def log_amplitudes(self, records: Sequence[MeasurementRecord]) -> np.ndarray:
-        """log K of each of ``records`` by variation of parameters, no ODE
-        pass, as a complex array in the order of ``records``.
+        """log K of each of ``records`` in closed form, as a complex array
+        in their order.
 
-        Every record's window is checked before any is scored.  The
-        records are then grouped by grid (start, step and sample count),
-        and each group takes one :func:`_drive_integrals` pass over its
-        stack of drives, so the work is O(total samples) however the
-        records share grids.  On a window of a period or more, the
-        constant records of all grids are one group instead
-        (:meth:`_constant_maps`).  The :func:`_affine_map`, the
-        :func:`_boundary` solve and action, and the record norm are then
-        array operations over all the records at once.
+        The records are grouped by grid (start, step and sample count), and
+        every grid's span is checked before any record is scored.  Each
+        group takes one :func:`_grid_terms` pass, O(samples x
+        harmonics), and O(samples) of :func:`_drive_terms` per record,
+        whatever the number of periods.  The boundary solve and the action
+        S = (m/2) [q q']_{t'}^{t''} + (1/2) int F q dt then take all the
+        records at once.
 
         Raises
         ------
         RecordWindowError
             For the first record that does not span the measurement window.
-        OutOfRangeError
-            If the records of one grid need more than ``_NODE_BUDGET``
-            quadrature nodes between them (a record that is not constant,
-            on a long window).
-        ToleranceNotMetError
-            If the basis Wronskian at a grid's nodes is off 1 by more than
-            ``_WRONSKIAN_ATOL`` (the basis is too coarse to integrate).
         """
-        meas, params, m = self.inputs.meas, self.inputs.params, self.inputs.params.mass
+        meas, params = self.inputs.meas, self.inputs.params
         groups: dict[tuple[float, float, int], list[int]] = {}
-        constant: list[int] = []
         for i, record in enumerate(records):
-            check_spans_window(record, meas)
-            if self._periods[0] and np.all(record.samples == record.samples[0]):
-                constant.append(i)
-            else:
-                groups.setdefault((record.t_start, record.dt, record.n_samples), []).append(i)
+            groups.setdefault((record.t_start, record.dt, record.n_samples), []).append(i)
+        # the records of a grid share their span
+        for members in groups.values():
+            check_spans_window(records[members[0]], meas)
         if not records:
             return np.empty(0, dtype=complex)
-        integrals, norms, maps = [], [], []
-        for (t_start, dt, _), members in groups.items():
+        terms, norms = [], []
+        for (t_start, dt, n), members in groups.items():
             samples = np.array([records[i].samples for i in members])
-            forces = drive_samples(samples, meas, params)
-            integrals.append(_drive_integrals(self.basis, t_start, dt, forces))
+            grid = _grid_terms(self, t_start, dt, n)
+            terms.append(_drive_terms(grid, drive_samples(samples, meas, params), dt))
             norms.append(norm_integrals(samples, dt))
-        if groups:
-            maps.append(_affine_map(self._ends, np.concatenate(integrals), m))
-        if constant:
-            levels = np.array([records[i].samples[0] for i in constant])
-            maps.append(self._constant_maps(drive_samples(levels, meas, params)))
-            norms.append([record_norm_integral(records[i]) for i in constant])
-        action = _boundary(np.concatenate(maps), self.inputs.bc, m)[-1]
-        record_term = -meas.weight_rate * np.concatenate(norms)
+        terms = np.concatenate(terms, axis=1)
+        edges, plus, minus = self._boundary[1:].T @ terms[:6] + self._boundary[0, :, None]
+        action = edges + 0.5 * (terms[6] + plus * terms[7] + minus * terms[8])
         out = np.empty(len(records), dtype=complex)
-        out[[i for members in groups.values() for i in members] + constant] = (
-            record_term + 1j * action / params.hbar + self.prefactor.log_value
+        out[[i for members in groups.values() for i in members]] = (
+            -meas.weight_rate * np.concatenate(norms)
+            + 1j * action / params.hbar
+            + self.prefactor.log_value
         )
         return out
 
@@ -1048,54 +1077,38 @@ class RecordScorer:
         """log K of one record: :meth:`log_amplitudes` of ``[record]``."""
         return complex(self.log_amplitudes([record])[0])
 
-    def _constant_maps(self, forces: np.ndarray) -> np.ndarray:
-        """The :func:`_affine_map`s over the window of the constant drives
-        ``forces`` (shape (k,)), E_r E**N as in :func:`_window_determinant`:
-        F is constant, so the map over each whole period is the same.  One
-        :func:`_drive_integrals` pass over the period and one over the
-        remainder prefix serve all k drives; the shape is (k, 4, 4)."""
-        t0, m = self.inputs.bc.t_start, self.inputs.params.mass
-        n_periods, rem = self._periods
-        drives = np.repeat(forces[:, None], 2, axis=1)
-
-        def block(ends, length):
-            return _affine_map(ends, _drive_integrals(self.basis, t0, length, drives), m)
-
-        period = 2.0 * math.pi / self.basis.drive_omega
-        total = np.linalg.matrix_power(block(self.basis.y_end, period), n_periods)
-        return block(self.basis.dense(t0 + rem), rem) @ total if rem > 0.0 else total
-
 
 def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
-    """One homogeneous solve of the axis in ``inputs``, ready to score
-    batches of records with :meth:`RecordScorer.log_amplitudes`, one
-    pass per record grid, on a window of any length.
+    """The Floquet pair of the axis in ``inputs`` (the record is not read),
+    ready to score batches of records on a window of any length.
 
-    The record of ``inputs`` is not read.  The basis is the closed-form
-    Floquet solution of the Mathieu stiffness
-    (:func:`~paulpath.mathieu.hill_basis`) over one drive period, or over
-    the window when that is shorter: no ODE pass and no tolerance, since
-    its Fourier series is summed to rounding.  The conjugate-point check,
-    arg D and the prefactor are computed here once
-    (:func:`_window_determinant`).
+    The pair is :func:`~paulpath.mathieu.hill_basis` over one drive period,
+    or over the window when that is shorter: no ODE pass and no tolerance.
+    The periodic responses and the boundary solve (:func:`_periodic_series`)
+    and the prefactor (:func:`_window_prefactor`) are computed here once.
 
     Raises
     ------
     ConfigError
         If the boundary and measurement windows differ.
     ConjugatePointError
-        If D(t'') = h1(t'') is consistent with zero at the window scale.
+        If D(t'') is consistent with zero at the window scale.
     ToleranceNotMetError
-        If the Hill series does not converge within its harmonic cap, or
-        its Wronskian is off 1 (near a band edge of an undamped drive);
-        or, on a window of N periods or more, if rounding grown by the
-        Floquet multipliers, eps e^{N |Im nu| P}, exceeds
-        ``_WRONSKIAN_ATOL``.
+        If the Hill series does not converge within its harmonic cap, the
+        Floquet pair is degenerate (next to a band edge of an undamped
+        drive, or the free particle), or a Floquet multiplier is 1.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
     periods = whole_periods(inputs.bc.duration, spec.drive_omega)
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))
-    ends, track = _window_determinant(basis, inputs.bc, inputs.params, periods)
-    return RecordScorer(inputs=inputs, basis=basis, prefactor=track, _ends=ends, _periods=periods)
+    columns, powers, boundary = _periodic_series(basis, spec, inputs.bc, inputs.params.mass)
+    return RecordScorer(
+        inputs=inputs,
+        basis=basis,
+        prefactor=_window_prefactor(basis, inputs.bc, inputs.params, periods),
+        _columns=columns,
+        _powers=powers,
+        _boundary=boundary,
+    )

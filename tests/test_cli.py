@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 import yaml
 
-from paulpath import HBAR_SI, Axis, ConfigError, cli, render, restricted_propagator
+from paulpath import (
+    HBAR_SI, Axis, ConfigError, cli, record_scorer, render, restricted_propagator,
+)
 from paulpath.cli import Numerics, axis_inputs, build_scenario, dump_scenario, load_scenario
-from paulpath.records import ConstantRecord, SampledRecord, write_record_csv
+from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord, write_record_csv
 
 SHORT = "barium_short_window.scenario"
 REFERENCE = "barium_reference.scenario"
@@ -310,6 +312,27 @@ def test_prob_ranks_candidate_files(tmp_path):
     assert [r[header.index("record_id")] for r in rows] == ["quiet", "loud"]
     assert float(rows[0][header.index("log_odds")]) == 0.0
     assert float(rows[1][header.index("log_odds")]) < 0.0
+
+
+def test_prob_scores_the_reference_window(tmp_path):
+    # prob runs only the closed-form scorer, so the 30 s window's phase
+    # budget, which guards the time-domain commands, does not stop it
+    out = tmp_path / "ref.csv"
+    assert cli.main(["prob", "--scenario", REFERENCE, "--out", str(out)]) == 0
+    header, rows = _rows(_read(out))
+    x_base = axis_inputs(load_scenario(REFERENCE), Axis.X)
+    expected = 2.0 * record_scorer(x_base).log_amplitude(x_base.record).real
+    assert float(rows[0][header.index("log_p_x")]) == pytest.approx(expected, rel=1e-12)
+    # a candidate that is not constant scores there too
+    wave = tmp_path / "wave.csv"
+    meas = load_scenario(REFERENCE).measurement_x
+    write_record_csv(render(SinusoidRecord(1.0e-6, 1.0, 0.3), meas, n_samples=257), wave)
+    ranked = tmp_path / "rank.csv"
+    argv = ["prob", "--scenario", REFERENCE, "--out", str(ranked), "--records", str(wave)]
+    assert cli.main(argv) == 0
+    header, rows = _rows(_read(ranked))
+    assert [r[header.index("record_id")] for r in rows] == ["wave"]
+    assert math.isfinite(float(rows[0][header.index("log_p_joint")]))
 
 
 def test_sweep_is_deterministic_and_matches_library(tmp_path):

@@ -1,7 +1,8 @@
 """Truncated cosine series, its residual, the numeric ODE route for
 the scaled stability equation psi'' + [p - 2 q cos(2 t)] psi = 0, and the
-Hill-Floquet basis of w2 = u~ - v cos(w t) against the adaptive one."""
+Hill-Floquet pair of w2 = u~ - v cos(w t) against the adaptive basis."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from paulpath import (
     residual_bound,
     residual_coefficients,
     residual_max_magnitude,
+    record_scorer,
     with_resolution,
 )
 from paulpath import mathieu
@@ -229,34 +231,77 @@ _HILL_CASES = {
     "q0-harmonic": lambda: _scaled(u=1.0, v=0.0, T=3.0),
     "q0-measured": lambda: _scaled(u=1.0, v=0.0, T=3.0, resolution=1.3),
     "q0-inverted": lambda: _scaled(u=-0.5, v=0.0, T=3.0),
-    "q0-free": lambda: _scaled(u=0.0, v=0.0, T=3.0),
+    # no trap, measured: u~ = -i/(...), so nu != 0 (the unmeasured free
+    # particle has no pair, see test_hill_basis_refuses_the_free_particle)
+    "q0-free": lambda: _scaled(u=0.0, v=0.0, T=3.0, resolution=1.3),
 }
+
+
+def _pair(hill, times):
+    """The Floquet pair f+, f+', f-, f-' of ``hill`` at ``times``, shape (4, len)."""
+    p_plus, d_plus, p_minus, d_minus = mathieu._floquet_parts(hill, times)
+    grow = np.exp(1j * hill.nu * (times - hill.t[0]))
+    return np.array([grow * p_plus, grow * d_plus, p_minus / grow, d_minus / grow])
+
+
+def _pair_from_basis(dop, hill, times):
+    """The same pair from an adaptive basis pass (h0, h0', h1, h1' from t'),
+    f = f(t') h0 + f'(t') h1, and per component the largest size of the two
+    terms over ``times``: the scale the pass resolves the pair to."""
+    (f_plus, df_plus, f_minus, df_minus), = _pair(hill, hill.t[:1]).T
+    h0, dh0, h1, dh1 = dop.dense(times)
+    pair = np.array([
+        f_plus * h0 + df_plus * h1, f_plus * dh0 + df_plus * dh1,
+        f_minus * h0 + df_minus * h1, f_minus * dh0 + df_minus * dh1,
+    ])
+    sizes = [
+        abs(f_plus) * abs(h0) + abs(df_plus) * abs(h1), abs(f_plus) * abs(dh0) + abs(df_plus) * abs(dh1),
+        abs(f_minus) * abs(h0) + abs(df_minus) * abs(h1), abs(f_minus) * abs(dh0) + abs(df_minus) * abs(dh1),
+    ]
+    return pair, np.max(sizes, axis=1)
 
 
 @pytest.mark.parametrize("case", sorted(_HILL_CASES))
 def test_hill_basis_matches_the_adaptive_basis(case):
+    # the Floquet pair against the same pair built from the adaptive basis
     spec, (t0, t1) = _HILL_CASES[case]()
     hill = hill_basis(spec, (t0, t1))
     dop, rate = mathieu._basis_pass(spec, t0, t1, 1e-13)
     assert hill.rate == rate
-    assert np.array_equal(hill.y[:, 0], [1.0, 0.0, 0.0, 1.0])
+    assert hill.t[0] == t0 and hill.t[-1] == t1 and hill.nu.imag <= 0.0
     # the grid steps are short enough to read arg D from
     assert np.max(np.diff(hill.t)) * rate <= 0.5 * math.pi
     assert hill.wronskian_residual <= 1e-10 and hill.tail <= np.finfo(float).eps
-    times = np.linspace(t0, t1, 301)
-    expected = dop.dense(times)
-    scale = np.max(np.abs(expected), axis=1)
-    assert np.all(np.abs(hill.dense(times) - expected).T <= 1e-10 * scale), case
-    assert np.all(np.abs(hill.y_end - dop.y_end) <= 1e-10 * scale), case
-    assert np.all(np.abs(hill.y[:, 1:] - dop.dense(hill.t[1:])).T <= 1e-10 * scale)
+    for times in (np.linspace(t0, t1, 301), hill.t, np.array([t1])):
+        expected, scale = _pair_from_basis(dop, hill, times)
+        assert np.all(np.abs(_pair(hill, times) - expected).T <= 1e-10 * scale), case
+    assert np.array_equal(hill._parts, mathieu._floquet_parts(hill, hill.t))
 
 
 def test_hill_basis_is_exact_for_the_free_particle():
-    spec, _ = _scaled(u=0.0, v=0.0, T=3.0)
+    # the measured free particle: w2 = u~ is constant, one Fourier term,
+    # and the pair is e^{+-i nu s} with nu = sqrt(u~) to the last bit
+    spec, _ = _scaled(u=0.0, v=0.0, T=3.0, resolution=1.3)
+    hill = hill_basis(spec, (0.0, 3.0))
+    nu = cmath.sqrt(spec.u_tilde)
+    assert hill.nu in (nu, -nu) and hill.nu.imag <= 0.0
+    assert np.array_equal(hill.coefficients, [1.0]) and hill.tail == 0.0
+    assert hill.slope_ratios == (1j * hill.nu, -1j * hill.nu)
+    assert hill.wronskian_residual == 0.0
+    column = np.array([1.0, 1j * hill.nu, 1.0, -1j * hill.nu])[:, None]
     times = np.linspace(0.0, 3.0, 7)
-    h0, dh0, h1, dh1 = hill_basis(spec, (0.0, 3.0)).dense(times)
-    assert np.array_equal(h1, times) and np.array_equal(h0, np.ones(7))
-    assert np.array_equal(dh0, np.zeros(7)) and np.array_equal(dh1, np.ones(7))
+    assert np.array_equal(mathieu._floquet_parts(hill, times), np.repeat(column, 7, axis=1))
+    assert np.array_equal(hill._parts, np.repeat(column, hill.t.size, axis=1))
+
+
+def test_hill_basis_refuses_the_free_particle():
+    # no drive and no stiffness: nu = 0, and f+ = f- = 1 are one solution,
+    # not a pair; the record scorer refuses it too
+    spec, _ = _scaled(u=0.0, v=0.0, T=3.0)
+    with pytest.raises(ToleranceNotMetError, match="degenerate"):
+        hill_basis(spec, (0.0, 3.0))
+    with pytest.raises(ToleranceNotMetError):
+        record_scorer(scaled_inputs(u=0.0, v=0.0, T=3.0, x_start=0.1, x_end=0.2))
 
 
 def test_hill_multiplier_is_the_monodromy_eigenvalue():
@@ -300,8 +345,8 @@ def test_band_edge_constant_is_the_edge():
 
 @pytest.mark.parametrize("du", [-1e-12, 1e-12, 0.0])
 def test_hill_basis_refuses_an_undamped_band_edge(du):
-    # f+ and f- = f+(-t) coincide at the edge; the combination that
-    # gives h0, h1 loses the digits the Wronskian check asks for
+    # f+ and f- = f+(-t) coincide at the edge; their Wronskian cancels to
+    # rounding, and its change along the grid shows it
     spec, window = _edge_spec(du)
     with pytest.raises(ToleranceNotMetError):
         hill_basis(spec, window)
@@ -313,7 +358,6 @@ def test_hill_basis_near_a_band_edge_holds_its_accuracy(du):
     # enough for the basis to hold 1e-10 against the adaptive one
     spec, (t0, t1) = _edge_spec(du)
     times = np.linspace(t0, t1, 301)
-    expected = mathieu._basis_pass(spec, t0, t1, 1e-13)[0].dense(times)
-    scale = np.max(np.abs(expected), axis=1)
-    found = hill_basis(spec, (t0, t1)).dense(times)
-    assert np.all(np.abs(found - expected).T <= 1e-10 * scale)
+    hill = hill_basis(spec, (t0, t1))
+    expected, scale = _pair_from_basis(mathieu._basis_pass(spec, t0, t1, 1e-13)[0], hill, times)
+    assert np.all(np.abs(_pair(hill, times) - expected).T <= 1e-10 * scale)
