@@ -38,11 +38,12 @@ per-pivot logs are principal; the pivot product is never formed.  The
 pivots come from a blocked scan of the increment form, in vectorised
 passes over chunks of fixed length (``_CHUNK``), so no per-slice Python
 loop runs and the elimination's temporaries do not grow with N.  The
-entries 2 - e_j are never formed for them, so e_j ~ eps^2 keeps all its
-digits on fine lattices.  b^T P^{-1} b, which carries no branch, comes
-from a row-pivoted LAPACK tridiagonal solve on the formed diagonal
-2 - e_j; its rounding still grows with N (up to 1e-11 relative at
-2^20 on the benchmark's validate-ladder scenarios).
+entries 2 - e_j are never formed, so e_j ~ eps^2 keeps all its digits
+on fine lattices.  b^T P^{-1} b, which carries no branch, reuses the
+same pivots: P = (m/eps) L D L^T with D = diag(delta_j), so it is the
+forward substitution of the Thomas recurrence, run in the same blocks
+(within ~3e-11 of a long-double solve in log K at 2^20 slices on the
+benchmark's validate-ladder scenarios).
 
 :func:`periodic_propagator` evaluates the same integral on a lattice
 tied to the drive period, for windows of millions of periods.
@@ -55,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
 from .errors import BadGridError, ConfigError, SingularSliceError
 from .propagator import PropagatorInputs, _nearest_branch
@@ -112,16 +112,17 @@ class SlicedLattice:
         return SlicedLattice(self.t_start, self.t_end, 2 * self.n_slices)
 
 
-def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
-    """Sum of Log pivots over one chunk of increments, by a blocked scan.
+def _chunk_eliminate(inc: np.ndarray, b: np.ndarray, z: complex, u: complex, first: int, n: int):
+    """Log pivots and the quadratic form over one chunk, by a blocked scan.
 
-    ``z`` = s/p is the chain state before the chunk's first pivot, which
-    is pivot ``first + 1`` of ``n``; returns (sum of Log pivots, the state
-    after the chunk).  The pivots delta_j = 1 + r_j follow the linear
-    recurrence s_j = s_{j-1} - e_j p_{j-1}, p_j = p_{j-1} + s_j (p_j the
-    j-th leading minor, r_j = s_j / p_{j-1}, z_j = s_j / p_j).  The chunk
-    is cut into blocks of ``_BLOCK`` pivots, and three passes replace the
-    per-pivot Python loop:
+    ``z`` = s/p and ``u`` = w/delta are the chain states before the
+    chunk's first pivot, which is pivot ``first + 1`` of ``n``; returns
+    (sum of Log pivots, sum of w_j^2/delta_j, z and u after the chunk).
+    The pivots delta_j = 1 + r_j follow the linear recurrence
+    s_j = s_{j-1} - e_j p_{j-1}, p_j = p_{j-1} + s_j (p_j the j-th leading
+    minor, r_j = s_j / p_{j-1}, z_j = s_j / p_j).  The chunk is cut into
+    blocks of ``_BLOCK`` pivots, and four passes replace the per-pivot
+    Python loop:
 
     1. the linear state steps through all blocks at once, column by
        column, from the unit states (1, 0) and (0, 1): each block's 2x2
@@ -130,7 +131,15 @@ def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
     2. the maps chain over the blocks as Python complex numbers, giving
        the true z at each block's start;
     3. the increment recurrence r_j = z_{j-1} - e_j, z_j = r_j/(1 + r_j)
-       runs in every block at once from those starts.
+       runs in every block at once from those starts, and beside it the
+       forward substitution of Q = L D L^T, D = diag(delta_j):
+       w_j = b_j + u_{j-1}, u_j = w_j/delta_j, from u = 0 at each block's
+       start.  1/delta_j is taken as 1/(1 + r_j); 1 - z_j would cancel
+       where |delta_j| is large;
+    4. u is affine in its value at a block's start, with slope the
+       product of the block's 1/delta_j, so the starts chain as in pass
+       2; w and u then re-run in every block from the true starts, and
+       b^T Q^-1 b is the pairwise sum of w_j u_j.
 
     No entry 1 - e or 2 - e is formed, so eps^2 w keeps all its digits.
     Each principal Log delta_j is 0.5 log1p(2 Re r + |r|^2) +
@@ -142,9 +151,11 @@ def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
     c = inc.size
     length = min(_BLOCK, c)
     blocks = -(-c // length)
-    e = np.zeros(blocks * length, dtype=complex)
-    e[:c] = inc  # zero increments pad the last block past the chunk's end
-    e = e.reshape(blocks, length).T  # e[j, k]: pivot j of block k
+    # zeros pad the last block past the chunk's end; e[j, k] is e at pivot
+    # j of block k, and w holds b there, then w in place
+    padded = np.zeros((2, blocks * length), dtype=complex)
+    padded[0, :c], padded[1, :c] = inc, b
+    e, w = padded.reshape(2, blocks, length).transpose(0, 2, 1)
     state = np.zeros((2, 2, blocks), dtype=complex)  # (p or s, column, block)
     state[0, 0] = state[1, 1] = 1.0
     p, s = state
@@ -164,16 +175,21 @@ def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
         z = (s0[k] + z * s1[k]) / den if den else complex("nan")
     z_run = np.array(starts)
     r = np.empty((length, blocks), dtype=complex)
-    one_plus = np.empty(blocks, dtype=complex)
+    inv = np.empty_like(r)
+    u_part = np.zeros(blocks, dtype=complex)
     # after an exact zero pivot the recurrence divides by zero and runs
     # on NaN, and near a caustic log1p may see -1 or less: the screen
     # and the exact branch below deal with both
     with np.errstate(divide="ignore", invalid="ignore"):
-        for col, r_col in zip(e, r):
+        for col, b_col, r_col, inv_col in zip(e, w, r, inv):
             np.subtract(z_run, col, out=r_col)
-            np.add(r_col, 1.0, out=one_plus)
-            np.divide(r_col, one_plus, out=z_run)
-        r[c - (blocks - 1) * length :, -1] = 0.0  # the padding's pivots are 1
+            np.add(r_col, 1.0, out=inv_col)
+            np.reciprocal(inv_col, out=inv_col)
+            np.multiply(r_col, inv_col, out=z_run)
+            u_part += b_col
+            u_part *= inv_col
+        pad = c - (blocks - 1) * length
+        r[pad:, -1] = 0.0  # the padding's pivots are 1
         re, im = r.real, r.imag
         x = 1.0 + re
         im2 = im * im
@@ -190,7 +206,21 @@ def _chunk_log_pivots(inc: np.ndarray, z: complex, first: int, n: int):
     if low < 0.25:
         near = mag2 < 0.25
         log_mod2[near] = np.log(mag2[near])
-    return complex(0.5 * log_mod2.sum(), np.arctan2(im, x).sum()), z
+    # pass 4: u at a block's end is u_part + u_unit (u at its start)
+    u_part, u_unit = u_part.tolist(), np.prod(inv, axis=0).tolist()
+    u_starts = []
+    for k in range(blocks):
+        u_starts.append(u)
+        u = u_part[k] + u_unit[k] * u
+    carry = np.array(u_starts)
+    # w and u from the true starts, in place of b and of 1/delta; the
+    # quadratic form is sum_j w_j u_j
+    for w_col, inv_col in zip(w, inv):
+        np.add(carry, w_col, out=w_col)
+        carry = np.multiply(w_col, inv_col, out=inv_col)
+    w[pad:, -1] = 0.0
+    quad = np.sum(w * inv)
+    return complex(0.5 * log_mod2.sum(), np.arctan2(im, x).sum()), complex(quad), z, u
 
 
 def _eliminate(inc: np.ndarray, b: np.ndarray):
@@ -202,28 +232,31 @@ def _eliminate(inc: np.ndarray, b: np.ndarray):
 
     The pivots delta_j = 1 + r_j, r_1 = 1 - e_1 and
     r_j = r_{j-1}/(1 + r_{j-1}) - e_j, come from a blocked scan of the
-    increment form (:func:`_chunk_log_pivots`), ``_CHUNK`` pivots at a
-    time with the chain state carried between chunks, so the
+    increment form (:func:`_chunk_eliminate`), ``_CHUNK`` pivots at a
+    time with the chain states carried between chunks, so the
     elimination's temporaries do not grow with the lattice.  The first
     pivot with |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic) raises
-    SingularSliceError with its index.  The quadratic form carries no
-    branch, so it comes from one row-pivoted LAPACK tridiagonal solve on
-    the formed diagonal 2 - e_j.
+    SingularSliceError with its index; it is the only singularity check.
+    The quadratic form reuses the pivots: Q = L D L^T, D = diag(delta_j),
+    and b^T Q^-1 b = sum_j w_j^2/delta_j with w_j = b_j + w_{j-1}/delta_{j-1}
+    (the tridiagonal Thomas recurrence).
+
+    That solve does not pivot rows, so next to a pivot of size |delta| it
+    loses about 1e-16/|delta| relative: 9e-14 at |delta| = 1e-6 and 7e-11
+    at 1e-9, where a row-pivoted solve keeps ~6e-13.  In exchange it
+    needs no formed diagonal 2 - e_j, whose rounding put a row-pivoted
+    solve ~1e-7 off in log K at 2^20 slices; this one stays within ~3e-11.
     """
     n = inc.size
-    log_sum = 0j
-    z = 1.0 + 0j  # s_0/p_0: the minors D_0 = 1, D_-1 = 0
+    log_sum = quad = 0j
+    z, u = 1.0 + 0j, 0j  # z = s_0/p_0 (the minors D_0 = 1, D_-1 = 0); w_1 = b_1
     for lo in range(0, n, _CHUNK):
-        chunk_sum, z = _chunk_log_pivots(inc[lo : lo + _CHUNK], z, lo, n)
+        chunk_sum, chunk_quad, z, u = _chunk_eliminate(
+            inc[lo : lo + _CHUNK], b[lo : lo + _CHUNK], z, u, lo, n
+        )
         log_sum += chunk_sum
-    diag = 2.0 - inc
-    if n == 1:  # gtsv takes no empty off-diagonals
-        return log_sum, complex(b[0] * b[0] / diag[0])
-    off = np.full(n - 1, -1.0 + 0j)
-    _, _, _, y, info = zgtsv(off, diag, off, b)
-    if info:
-        raise SingularSliceError(f"tridiagonal solve hit a zero pivot at row {info} of {n}")
-    return log_sum, complex(np.dot(b, y))
+        quad += chunk_quad
+    return log_sum, quad
 
 
 def discrete_propagator(
@@ -254,7 +287,7 @@ def discrete_propagator(
     else:
         raise BadGridError(
             f"sampling must be 'midpoint' or 'left', got {sampling!r}",
-            field="numerics.oracle_sampling",
+            field="sampling",
         )
     w = spec.w_squared(ts)
     a = inputs.record(ts)

@@ -768,8 +768,8 @@ def _phi(powers: np.ndarray, dt: float, reach: float) -> np.ndarray:
 
 
 def _periodic_series(basis: HillBasis, spec: EffectiveFrequencySpec, bc: BoundaryConditions, m: float):
-    """(columns, powers, boundary) on the harmonics n = -K..K of the
-    Floquet pair (the periodic responses decay as fast).
+    """(columns, powers, boundary, ends, delta) on the harmonics n = -K..K
+    of the Floquet pair (the periodic responses decay as fast).
 
     ``columns``, shape (18, 2K + 1), are the Fourier coefficients of p-, d+,
     g0 + g2', g2, d-, p+, g2, g0 + g2' (the factors of the kicks), then of
@@ -780,7 +780,9 @@ def _periodic_series(basis: HillBasis, spec: EffectiveFrequencySpec, bc: Boundar
     ``boundary``, shape (7, 3), takes (1, F_0, beta_0, a, F_N, beta_{N-1}, b)
     of :func:`_drive_terms` to (m/2) (x'' q'(t'') - x' q'(t')) and to the
     coefficients of f+ e^{-i nu t''} and f- e^{i nu t'} that make q(t') = x'
-    and q(t'') = x''.
+    and q(t'') = x''.  ``ends`` are p+, d+, p- and d- at t', and p+ and p-
+    at t'', and ``delta`` = rho^2 p+(t') p-(t'') - p-(t') p+(t''), rho =
+    e^{-i nu T}, for :func:`_window_prefactor`.
 
     g0 and g2 are the periodic responses g0'' + w2 g0 = 1/m and
     g2'' + w2 g2 = -2 g0': on the harmonics, (u~ - (n w)^2) g_n -
@@ -843,7 +845,7 @@ def _periodic_series(basis: HillBasis, spec: EffectiveFrequencySpec, bc: Boundar
         for a, b, p, q in zip(slope_start, slope_end, plus, minus)
     ]
     powers = np.vander(np.concatenate((back, down, flat)), _PHI_TERMS, increasing=True)
-    return columns, powers, np.array([edges, plus, minus]).T
+    return columns, powers, np.array([edges, plus, minus]).T, (p0, dp0, m0, dm0, p1, m1), delta
 
 
 def _grid_terms(scorer: "RecordScorer", t_start: float, dt: float, n: int):
@@ -938,11 +940,13 @@ def _drive_terms(terms, forces: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _window_prefactor(
-    basis: HillBasis, bc: BoundaryConditions, params: TrapParameters, periods: tuple[int, float]
+    basis: HillBasis, bc: BoundaryConditions, params: TrapParameters, periods: tuple[int, float],
+    ends: tuple, delta: complex,
 ) -> PrefactorTrack:
     """The prefactor from the Floquet ``basis`` over one drive period P from
     t', or over the window when that is shorter; ``periods`` splits the
-    window into N whole periods and a remainder r.
+    window into N whole periods and a remainder r, and ``ends`` and
+    ``delta`` are those of :func:`_periodic_series`.
 
     D = (f+(t') f-(t) - f-(t') f+(t)) / W, so with T = t'' - t', log D(t'') =
     i nu T + log((e^{-2 i nu T} p+(t') p-(t'') - p-(t') p+(t'')) / W), in log
@@ -974,10 +978,9 @@ def _window_prefactor(
     if n_periods and not whole:
         grid = np.linspace(t0, bc.t_end, max(1, math.ceil(T * basis.rate / _GRID_PHASE)) + 1)
         parts = _floquet_parts(basis, grid)
-    ends = _floquet_parts(basis, [t0 + rem, bc.t_end]) if whole else parts[:, -1:]
-    (p0, dp0, m0, dm0), (p1, _, m1, _) = parts[:, 0].tolist(), ends[:, -1].tolist()
+    p0, dp0, m0, dm0, p1, m1 = ends
     wronskian = p0 * dm0 - dp0 * m0
-    ratio = (cmath.exp(-2j * nu * T) * p0 * m1 - m0 * p1) / wronskian
+    ratio = delta / wronskian
     if ratio == 0.0:
         raise ConjugatePointError("D(t'') = 0; the endpoints are conjugate")
     log_d = 1j * nu * T + cmath.log(ratio)
@@ -998,7 +1001,8 @@ def _window_prefactor(
         if rem > 0.0:
             below = s < rem
             turn = cmath.exp(1j * nu.real * rem)
-            f_tail = np.append(f_star[below], (ends[2, 0] / m0 / turn, ends[0, 0] / p0 * turn)[sign])
+            tail = _floquet_parts(basis, [t0 + rem])[:, 0]
+            f_tail = np.append(f_star[below], (tail[2] / m0 / turn, tail[0] / p0 * turn)[sign])
             times = np.append(grid[below], t0 + rem)
             mu_r = _nearest_branch(_step_arg(times, f_tail, basis.rate), cmath.phase(f_tail[-1]))
         # D / f* at t'': the e^{i nu T} of D cancels against f+ and doubles
@@ -1084,8 +1088,9 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
 
     The pair is :func:`~paulpath.mathieu.hill_basis` over one drive period,
     or over the window when that is shorter: no ODE pass and no tolerance.
-    The periodic responses and the boundary solve (:func:`_periodic_series`)
-    and the prefactor (:func:`_window_prefactor`) are computed here once.
+    The pair's values at the window's ends, the periodic responses and
+    the boundary solve (:func:`_periodic_series`) and the prefactor
+    (:func:`_window_prefactor`) are computed here once.
 
     Raises
     ------
@@ -1103,11 +1108,11 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     periods = whole_periods(inputs.bc.duration, spec.drive_omega)
     t0, t1 = inputs.bc.t_start, inputs.bc.t_end
     basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))
-    columns, powers, boundary = _periodic_series(basis, spec, inputs.bc, inputs.params.mass)
+    columns, powers, boundary, ends, delta = _periodic_series(basis, spec, inputs.bc, inputs.params.mass)
     return RecordScorer(
         inputs=inputs,
         basis=basis,
-        prefactor=_window_prefactor(basis, inputs.bc, inputs.params, periods),
+        prefactor=_window_prefactor(basis, inputs.bc, inputs.params, periods, ends, delta),
         _columns=columns,
         _powers=powers,
         _boundary=boundary,

@@ -23,7 +23,7 @@ from paulpath import (
     richardson,
 )
 from paulpath.oracle import _BLOCK, _CHUNK, _eliminate
-from paulpath.records import ConstantRecord, SinusoidRecord
+from paulpath.records import ConstantRecord, SinusoidRecord, record_forcing_scale
 
 
 def test_free_particle_sliced_is_exact():
@@ -115,8 +115,9 @@ def test_lattice_geometry():
 
 def test_bad_sampling_name_rejected():
     inputs = scaled_inputs(u=0.0, v=0.0, T=1.0)
-    with pytest.raises(BadGridError):
+    with pytest.raises(BadGridError) as info:
         discrete_propagator(inputs, 4, sampling="right")
+    assert info.value.field == "sampling"
 
 
 def test_singular_slice_raises():
@@ -151,8 +152,9 @@ def _elimination_reference(diag, b):
 def _slice_increments(n, phase_per_slice, damping, seed):
     """Damped oscillatory increments eps^2 w with complex w, whose
     diagonal 2 - eps^2 w the references take, and a random complex
-    right-hand side.  The damping keeps Q well away from singular, so
-    two backward-stable solves agree to rounding."""
+    right-hand side.  The damping keeps Q and its pivots well away from
+    singular, so the elimination's solve, which does not pivot rows, and
+    the reference's agree to rounding."""
     rng = np.random.default_rng(seed)
     w = (1.0 + 0.3 * rng.uniform(-1, 1, n)) * (1.0 - 1j * damping)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -187,8 +189,10 @@ def test_eliminate_takes_slices_of_many_radians():
 def test_eliminate_keeps_the_branch_past_two_pi():
     # ~38 zeros of the discrete solution: the pivot args add up to far
     # more than 2 pi, so Log det(Q) is not the sum of the pivot logs.  Q
-    # is close to singular here, and on larger n the two solves of its
-    # quadratic form part by more than rounding (4e-12 at 4x the slices)
+    # is close to singular here, and on larger n the reference's solve on
+    # the formed diagonal 2 - e_j parts from the elimination by more than
+    # rounding (2e-12 at 4x the slices, with the elimination 2e-14 off a
+    # long-double solve)
     inc, b = _slice_increments(12289, 0.01, 0.1, seed=7)
     log_sum = _assert_matches_reference(inc, b)
     assert abs(log_sum.imag) > 20 * math.pi
@@ -237,27 +241,38 @@ def test_eliminate_names_a_tiny_pivot_in_the_second_chunk():
         _eliminate(inc, b)
 
 
-def _log_pivot_sum_longdouble(inc):
-    """Sum of principal Log pivots by the sequential increment recurrence
-    r_j = r_{j-1}/(1 + r_{j-1}) - e_j, all in ``np.clongdouble``."""
-    r = np.empty(inc.size, dtype=np.clongdouble)
-    z = np.clongdouble(1.0)
-    for j, e in enumerate(np.asarray(inc, dtype=np.clongdouble)):
-        r[j] = z - e
-        z = r[j] / (1 + r[j])
-    return complex(np.log(1 + r).sum())
+def _elimination_longdouble(inc, b):
+    """Log-pivot sum and b^T Q^-1 b by a sequential Thomas solve, all in
+    ``np.clongdouble``: the pivots delta_j = 1 + r_j of the increment
+    recurrence r_j = r_{j-1}/(1 + r_{j-1}) - e_j, their principal logs,
+    and sum w_j^2/delta_j with w_j = b_j + w_{j-1}/delta_{j-1}."""
+    log_sum = u = quad = np.clongdouble(0)
+    z = np.clongdouble(1)
+    for e, b_j in zip(np.asarray(inc, np.clongdouble).tolist(), np.asarray(b, np.clongdouble).tolist()):
+        r = z - e
+        delta = 1 + r
+        log_sum += np.log(delta)
+        z = r / delta
+        w = b_j + u
+        u = w / delta
+        quad += w * u
+    return complex(log_sum), quad
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("size", [1e-3, 1e-6, 1e-9])
 def test_eliminate_keeps_a_pivot_near_a_caustic_accurate(size):
     # |delta_k| = size: log1p(2 Re r + |r|^2) alone would cancel to
-    # ~1e-16/size^2 there (7e-5 at 1e-6)
+    # ~1e-16/size^2 there (7e-5 at 1e-6).  The quadratic form's solve does
+    # not pivot rows, so it loses about 1e-16/size relative next to delta_k
     n, k = 2 * _CHUNK + 10, _CHUNK + 17
     inc, b = _slice_increments(n, 0.01, 0.05, seed=3)
     inc[k] = 2.0 - (1.0 / _pivots(2.0 - inc[:k])[-1] + size)
-    log_sum, _ = _eliminate(inc, b)
-    assert abs(log_sum - _log_pivot_sum_longdouble(inc)) < 1e-12
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert abs(log_sum - ref_log) < 1e-12
+    quad_rtol = {1e-3: 1e-12, 1e-6: 1e-12, 1e-9: 3e-10}[size]  # 1e-9: 6.9e-11 measured
+    assert abs(complex(quad - ref_quad)) <= quad_rtol * abs(complex(ref_quad))
 
 
 def test_log_pivot_sum_keeps_its_digits_on_a_fine_lattice():
@@ -276,7 +291,32 @@ def test_log_pivot_sum_keeps_its_digits_on_a_fine_lattice():
         lat.midpoints
     ).astype(np.clongdouble)
     inc = (w[:-1] + w[1:]) * (np.longdouble(eps) ** 2 / 2)  # in long double
-    assert abs(log_sum - _log_pivot_sum_longdouble(inc)) < 1e-12
+    assert abs(log_sum - _elimination_longdouble(inc, np.zeros(n))[0]) < 1e-12
+
+
+def test_quadratic_form_keeps_its_digits_on_a_fine_lattice():
+    # A validate-ladder-like window at 2^18 slices: the (m/eps) x boundary
+    # terms of b put the quadratic-form term of log K near 7e4, and a
+    # row-pivoted solve on the formed diagonal 2 - eps^2 w put it off by
+    # ~1e-8
+    n = 2**18
+    inputs = scaled_inputs(
+        u=-0.54, v=0.75, T=1.55, resolution=5.9, omega=1.69, mass=1.89,
+        x_start=-0.41, x_end=0.5, record=ConstantRecord(amplitude=3.4),
+    )
+    lat = SlicedLattice(inputs.bc.t_start, inputs.bc.t_end, n)
+    m, hbar, eps = inputs.params.mass, inputs.params.hbar, lat.epsilon
+    # inc and b as discrete_propagator forms them (midpoint rule)
+    w = effective_frequency(inputs.coeffs, inputs.meas, inputs.params).w_squared(lat.midpoints)
+    inc = (w[:-1] + w[1:]) * (0.5 * eps**2)
+    a = inputs.record(lat.midpoints)
+    b = (-0.5j * eps * record_forcing_scale(inputs.meas, inputs.params)) * (a[:-1] + a[1:])
+    b[0] -= (m / eps) * inputs.bc.x_start
+    b[-1] -= (m / eps) * inputs.bc.x_end
+    _, quad = _eliminate(inc, b)
+    term = 0.5 * eps / (m * hbar)  # the quadratic form's weight in log K
+    assert abs(term * quad) > 1e4
+    assert abs(term * complex(quad - _elimination_longdouble(inc, b)[1])) < 1e-10
 
 
 def test_measured_constant_record_extrapolates_to_pipeline():

@@ -738,6 +738,24 @@ def test_record_scorer_matches_the_direct_route_on_any_grid():
         assert abs(scored - direct) <= 1e-10 * abs(direct), n_samples
 
 
+@pytest.mark.parametrize("nu_t", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_record_scorer_keeps_its_digits_as_nu_nears_zero(nu_t):
+    # A free particle under a weak measurement, w2 = -4i/r^2 over T = 1,
+    # so |nu| T = 2/r: the particular response q_p = F g0 + F' g2 grows as
+    # 1/(|nu| T)^2 and the kicks cancel it.  Measured: 1.5e-13, 3.1e-10,
+    # 1.4e-9 and 7.0e-10, the same against restricted_propagator(tol=1e-13)
+    inputs = scaled_inputs(
+        u=0.0, v=0.0, T=1.0, resolution=2.0 / nu_t, record=SinusoidRecord(3e4, 31.7, 0.2)
+    )
+    scorer = record_scorer(inputs)
+    assert abs(scorer.basis.nu) == pytest.approx(nu_t, rel=1e-9)
+    scored = scorer.log_amplitude(inputs.record)
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**16), discrete_propagator(inputs, 2**17)
+    )
+    assert abs(scored - extr) <= 1e-8 * abs(extr)
+
+
 def test_record_scorer_refuses_a_coarse_basis(monkeypatch):
     # four harmonics on each side leave a Fourier tail ~1e-6 of the
     # largest coefficient, far above rounding
