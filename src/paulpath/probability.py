@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import RecordWindowError
 from .integrate import DEFAULT_TOL
 from .propagator import PropagatorInputs, record_scorer, restricted_propagator
@@ -83,7 +85,9 @@ class RankedRecord:
     log_p_z is NaN when the ranking ran on a single axis, in which case
     log_p equals log_p_x.  log_odds is log_p minus the best candidate's
     log_p, hence 0 for the winner and negative elsewhere.  log_p is
-    derived, not stored: a row holds four values in 64 bytes.
+    derived, not stored: a row is 64 bytes, plus 24 for each of its three
+    float objects.  A :class:`Ranking` keeps no rows; it builds them when
+    they are read.
     """
 
     record_id: str
@@ -97,28 +101,73 @@ class RankedRecord:
         return self.log_p_x if math.isnan(self.log_p_z) else self.log_p_x + self.log_p_z
 
 
+class Ranking(Sequence[RankedRecord]):
+    """The rows of :func:`rank_records`, best first, read-only and compact:
+    the ids as a tuple and (log_p_x, log_p_z, log_odds) as one read-only
+    float64 array of shape (rows, 3), 24 bytes a row; each
+    :class:`RankedRecord` is built when it is read.  A slice is a
+    Ranking.  Rankings compare by value with each other and with lists or
+    tuples of rows, NaN equal to NaN (log_p_z of a single-axis ranking).
+    """
+
+    __slots__ = ("_ids", "_values")
+
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray):
+        values.flags.writeable = False
+        self._ids, self._values = ids, values
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ranking(self._ids[index], self._values[index])
+        return RankedRecord(self._ids[index], *self._values[index].tolist())
+
+    def __iter__(self):
+        for record_id, values in zip(self._ids, self._values.tolist()):
+            yield RankedRecord(record_id, *values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple)) and all(isinstance(r, RankedRecord) for r in other):
+            other = Ranking(
+                tuple(r.record_id for r in other),
+                np.array([(r.log_p_x, r.log_p_z, r.log_odds) for r in other]).reshape(-1, 3),
+            )
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return self._ids == other._ids and np.array_equal(
+            self._values, other._values, equal_nan=True
+        )
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
+
+
 def rank_records(
     x_base: PropagatorInputs,
     records: Sequence[MeasurementRecord],
     z_base: Optional[PropagatorInputs] = None,
     record_ids: Optional[Sequence[str]] = None,
     threads: int = 1,
-) -> list[RankedRecord]:
+) -> Ranking:
     """Score candidate records and order them by descending log_p.
 
     Each record is scored on the axis of ``x_base`` (and of ``z_base``
     when given, applying the same candidate to both axes); the record
-    inside a base is not read.  Each axis is solved once, by
+    inside a base is not read.  Each axis is solved by
     :func:`~paulpath.propagator.record_scorer` in closed form (the
     Floquet pair of the axis: no ODE pass, no tolerance, and no refusal
-    for the window's length), and scores all candidates with one
+    for the window's length), once per trap and window across calls, and
+    scores all candidates with one
     :meth:`~paulpath.propagator.RecordScorer.log_amplitudes` call: the
     candidates that share a grid share one O(samples x harmonics) pass
     over it, and each costs O(samples) more, whatever the number of drive
-    periods.  Ties keep the input order of the records, so duplicated
-    candidates come out adjacent and stable.  ``threads`` is accepted
-    and ignored: the candidates on one grid are scored together in one
-    vectorised pass, which leaves a thread pool nothing to share out.
+    periods.  The order is a stable sort, so ties keep the input order of
+    the records, and duplicated candidates come out adjacent.  ``threads``
+    is accepted and ignored: the candidates on one grid are scored
+    together in one vectorised pass, which leaves a thread pool nothing to
+    share out.
     """
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
@@ -129,25 +178,18 @@ def rank_records(
             )
         ids = list(record_ids)
     if not records:
-        return []
+        return Ranking((), np.empty((0, 3)))
 
     score_x = record_scorer(x_base)
     score_z = None if z_base is None else record_scorer(z_base)
-    log_p_x = (2.0 * score_x.log_amplitudes(records).real).tolist()
+    values = np.empty((len(records), 3))
+    values[:, 0] = 2.0 * score_x.log_amplitudes(records).real
     if score_z is None:
-        log_p_z = [math.nan] * len(records)
-        totals = log_p_x
+        values[:, 1] = math.nan
+        totals = values[:, 0]
     else:
-        log_p_z = (2.0 * score_z.log_amplitudes(records).real).tolist()
-        totals = [lx + lz for lx, lz in zip(log_p_x, log_p_z)]
-    best = max(totals)
-    order = sorted(range(len(records)), key=lambda i: (-totals[i], i))
-    return [
-        RankedRecord(
-            record_id=ids[i],
-            log_p_x=log_p_x[i],
-            log_p_z=log_p_z[i],
-            log_odds=totals[i] - best,
-        )
-        for i in order
-    ]
+        values[:, 1] = 2.0 * score_z.log_amplitudes(records).real
+        totals = values[:, 0] + values[:, 1]
+    values[:, 2] = totals - totals.max()
+    order = np.argsort(-totals, kind="stable")
+    return Ranking(tuple(ids[i] for i in order.tolist()), values[order])

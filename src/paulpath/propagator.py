@@ -56,6 +56,7 @@ record term alone spans hundreds of decades.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -139,6 +140,11 @@ _SCAN_REACH = 64.0
 #: (scaled time, rad) of the window, or a root of its polynomial in
 #: cos(s) within it of [-1, 1], counts as a zero on the window
 _ZERO_MARGIN = 1e-6
+
+#: settings (trap, stiffness, measurement, window) whose record-free
+#: scorer work :func:`_scorer_core` keeps, 26-29 KB each on the bundled
+#: short window
+_SCORER_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -1023,7 +1029,9 @@ class RecordScorer:
     ignored), with its diagnostics: ``nu``, ``multiplier`` = |e^{i nu P}|,
     ``harmonics``, the coefficient ``tail`` and the ``wronskian_residual``.
     ``prefactor`` is the determinant prefactor.  Build it with
-    :func:`record_scorer`; :meth:`log_amplitude` is the batch of one.
+    :func:`record_scorer`, which shares the basis and the arrays, read-only,
+    among the scorers of equal settings; :meth:`log_amplitude` is the
+    batch of one.
     """
 
     inputs: PropagatorInputs
@@ -1090,7 +1098,9 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     or over the window when that is shorter: no ODE pass and no tolerance.
     The pair's values at the window's ends, the periodic responses and
     the boundary solve (:func:`_periodic_series`) and the prefactor
-    (:func:`_window_prefactor`) are computed here once.
+    (:func:`_window_prefactor`) read no record, so :func:`_scorer_core`
+    computes them once per trap, stiffness, measurement and window, and
+    the scorers of equal settings share them (read-only).
 
     Raises
     ------
@@ -1104,16 +1114,33 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
         drive, or the free particle), or a Floquet multiplier is 1.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
-    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
-    periods = whole_periods(inputs.bc.duration, spec.drive_omega)
-    t0, t1 = inputs.bc.t_start, inputs.bc.t_end
-    basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))
-    columns, powers, boundary, ends, delta = _periodic_series(basis, spec, inputs.bc, inputs.params.mass)
+    basis, prefactor, columns, powers, boundary = _scorer_core(
+        inputs.params, inputs.coeffs, inputs.meas, inputs.bc
+    )
     return RecordScorer(
         inputs=inputs,
         basis=basis,
-        prefactor=_window_prefactor(basis, inputs.bc, inputs.params, periods, ends, delta),
+        prefactor=prefactor,
         _columns=columns,
         _powers=powers,
         _boundary=boundary,
     )
+
+
+@functools.lru_cache(maxsize=_SCORER_CACHE_SIZE)
+def _scorer_core(
+    params: TrapParameters, coeffs: FrequencyCoefficients, meas: MeasurementConfig,
+    bc: BoundaryConditions,
+):
+    """(basis, prefactor, columns, powers, boundary) of :class:`RecordScorer`
+    for one axis and window, every array read-only; kept for the last
+    ``_SCORER_CACHE_SIZE`` settings (a failed build is not kept)."""
+    spec = effective_frequency(coeffs, meas, params)
+    periods = whole_periods(bc.duration, spec.drive_omega)
+    t0, t1 = bc.t_start, bc.t_end
+    basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))
+    columns, powers, boundary, ends, delta = _periodic_series(basis, spec, bc, params.mass)
+    prefactor = _window_prefactor(basis, bc, params, periods, ends, delta)
+    for array in (basis.t, basis.coefficients, basis._parts, columns, powers, boundary):
+        array.flags.writeable = False
+    return basis, prefactor, columns, powers, boundary

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from paulpath import (
     Axis,
     BoundaryConditions,
@@ -20,6 +22,7 @@ from paulpath import (
     effective_frequency,
     render,
 )
+from paulpath.propagator import _scorer_core
 from paulpath.records import ConstantRecord
 
 # One line per acceptance criterion, filled in by test_acceptance.py and
@@ -33,6 +36,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_scorer_memo():
+    """Each test builds its own scorers: a core an earlier test left in the
+    memo would skip the builds that tests count or patch."""
+    _scorer_core.cache_clear()
+    yield
+    _scorer_core.cache_clear()
 
 
 def scaled_trap(u: float, v: float, omega: float = 2.0, mass: float = 1.0,

@@ -2,6 +2,7 @@
 the candidate-ranking helper."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import scaled_inputs
 
 from paulpath import (
     LogProbability,
+    RankedRecord,
     RecordWindowError,
     discrete_propagator,
     joint_probability,
@@ -158,6 +160,58 @@ def test_threaded_ranking_matches_serial():
     serial = rank_records(base, records, threads=1)
     threaded = rank_records(base, records, threads=4)
     assert serial == threaded
+
+
+def test_ranking_reads_as_a_sequence_of_rows():
+    base = _base(record=None)
+    records = [_rendered(base, ConstantRecord(amplitude=0.1 * k)) for k in range(4)]
+    ranked = rank_records(base, records, record_ids=["a", "b", "c", "d"])
+    rows = list(ranked)
+    assert len(ranked) == 4 and all(isinstance(row, RankedRecord) for row in rows)
+    assert [row.record_id for row in rows] == ["a", "b", "c", "d"]
+    # single axis: each read builds a fresh NaN, so a list of rows is not
+    # equal to itself read again, but the ranking is equal to it
+    assert rows != list(ranked)
+    assert ranked == rows and rows == ranked and ranked == tuple(rows)
+    assert ranked[-1].record_id == "d" and ranked[-4].record_id == "a"
+    with pytest.raises(IndexError):
+        ranked[4]
+    with pytest.raises(IndexError):
+        ranked[-5]
+    assert ranked[1:3] == rows[1:3] and ranked[::-1] == rows[::-1]
+    assert len(ranked[5:]) == 0 and ranked[5:] == []
+    assert ranked != rows[:3] and ranked != rows[::-1]
+    assert ranked != [replace(rows[0], log_odds=-1.0)] + rows[1:]
+    assert ranked != ["a", "b", "c", "d"]
+    with pytest.raises(TypeError):
+        ranked[0] = rows[1]
+    with pytest.raises(ValueError, match="read-only"):
+        ranked._values[0, 0] = 0.0
+
+
+def test_ranking_keeps_at_most_half_the_bytes_of_a_row_list():
+    x_base = _base(record=None)
+    z_base = _base(u=-0.4, v=-0.6, record=None)
+    records = [_rendered(x_base, ConstantRecord(amplitude=0.1 * k)) for k in range(6)]
+    ids = [f"r{k}" for k in range(6)]
+    n = 200
+
+    def grown(make, kept):
+        # bytes one more batch of n adds, so one-time allocations drop out
+        kept.extend(make(i) for i in range(n))
+        before = tracemalloc.get_traced_memory()[0]
+        kept.extend(make(i) for i in range(n))
+        return (tracemalloc.get_traced_memory()[0] - before) / n
+
+    rankings, lists = [], []
+    tracemalloc.start()
+    try:
+        compact = grown(lambda i: rank_records(x_base, records, z_base, ids), rankings)
+        rows = grown(lambda i: list(rankings[i]), lists)
+    finally:
+        tracemalloc.stop()
+    assert lists[0] == rankings[0]
+    assert compact <= 0.5 * rows, (compact, rows)
 
 
 def test_id_count_mismatch_rejected():

@@ -867,3 +867,77 @@ def test_batch_runs_one_pass_per_record_grid(monkeypatch):
     # four grids: one pass each, with every record of the grid stacked
     assert sorted(passes) == [14, 50, 65, 2001]
     assert sorted(stacks) == [(2, 14), (2, 2001), (3, 50), (3, 65)]
+
+
+# --- scorer memo --------------------------------------------------------------
+
+
+_MEMO_CASES = {
+    "short-x": _short_base(Axis.X, "sinusoid"),
+    "short-z": _short_base(Axis.Z, "sinusoid"),
+    "10.37-periods": _driven_window(X_LIKE, 10.37, amplitude=1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_MEMO_CASES))
+def test_memoised_scorer_is_bit_identical_to_a_fresh_build(case):
+    base = _MEMO_CASES[case]
+    records = _batch(base)
+    fresh = record_scorer(base).log_amplitudes(records)
+    cached = record_scorer(base)
+    assert propagator._scorer_core.cache_info().hits == 1
+    assert cached.inputs is base
+    assert cached.log_amplitudes(records).tobytes() == fresh.tobytes()
+    propagator._scorer_core.cache_clear()
+    assert record_scorer(base).log_amplitudes(records).tobytes() == fresh.tobytes()
+
+
+def test_equal_settings_share_one_basis_and_others_rebuild(monkeypatch):
+    builds = []
+    hill = propagator.hill_basis
+    monkeypatch.setattr(propagator, "hill_basis", lambda *a: builds.append(a) or hill(*a))
+    base = _short_base(Axis.X, "sinusoid")
+    keys = ("params", "coeffs", "meas", "bc")
+    twin = replace(base, **{key: replace(getattr(base, key)) for key in keys})
+    assert all(getattr(twin, key) is not getattr(base, key) for key in keys)
+    record_scorer(base)
+    record_scorer(twin)
+    # another record in the same settings is no new setting either
+    record_scorer(replace(twin, record=render(_FAMILIES["constant"], twin.meas)))
+    assert len(builds) == 1
+    for changed in (
+        replace(base, meas=with_resolution(base.meas, 2.0 * base.meas.resolution)),
+        replace(base, bc=replace(base.bc, x_end=base.bc.x_end + _UM)),
+        replace(base, params=replace(base.params, ac_voltage=1.01 * base.params.ac_voltage)),
+    ):
+        count = len(builds)
+        record_scorer(changed)
+        assert len(builds) == count + 1
+
+
+def test_memoised_arrays_are_read_only():
+    scorer = record_scorer(_driven_window(X_LIKE, 10.37, amplitude=1.0))
+    arrays = (
+        scorer.basis.t, scorer.basis.coefficients, scorer.basis._parts,
+        scorer._columns, scorer._powers, scorer._boundary,
+    )
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_memo_is_bounded_and_keeps_no_failure(monkeypatch):
+    base = _driven_window(X_LIKE, 0.4, amplitude=1.0)
+    size = propagator._SCORER_CACHE_SIZE
+    for k in range(size + 3):
+        record_scorer(replace(base, bc=replace(base.bc, x_end=0.01 * k)))
+        assert propagator._scorer_core.cache_info().currsize <= size
+    assert propagator._scorer_core.cache_info().currsize == size
+    propagator._scorer_core.cache_clear()
+    coarse = _driven_window(X_LIKE, 10.37, amplitude=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(mathieu, "_MAX_HARMONICS", 4)
+        with pytest.raises(ToleranceNotMetError, match="harmonics"):
+            record_scorer(coarse)
+    assert propagator._scorer_core.cache_info().currsize == 0
+    assert math.isfinite(record_scorer(coarse).log_amplitude(coarse.record).real)
