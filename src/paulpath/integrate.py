@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import OutOfRangeError, ToleranceNotMetError
 
@@ -124,6 +123,9 @@ def solve_complex_ivp(rhs, span, y0, rtol, atol):
     ToleranceNotMetError
         If the integrator gives up.
     """
+    # imported on first use: scipy.integrate dominates the package's import time
+    from scipy.integrate import DOP853
+
     t0, t1 = map(float, span)
     if t1 == t0:
         raise OutOfRangeError(f"integration window {span} has zero length", field="span")

@@ -15,9 +15,7 @@ w2, F and the record are sampled at t_k + eps/2):
                   + eps F_k (x_k + x_{k+1})/2 ]
 
 The symmetric attachment of the potential and drive to both slice ends
-is what makes the error genuinely O(eps**2); attaching them to the left
-end only (the ``sampling="left"`` flag) drops it to O(eps), which the
-convergence tests use as a negative control.
+is what makes the error genuinely O(eps**2).
 
 Collecting interior coordinates y: S_N = (1/2) y^T P y + b^T y + c with
 P tridiagonal, P_jj = (m/eps) (2 - e_j), e_j = eps^2 (w_{j-1} + w_j)/2,
@@ -57,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGridError, ConfigError, SingularSliceError
+from .errors import BadGridError, ConfigError, SingularSliceError, ToleranceNotMetError
 from .propagator import PropagatorInputs, _nearest_branch
 from .records import record_forcing_scale
 from .trapmodel import effective_frequency, whole_periods
@@ -72,6 +70,11 @@ _BLOCK = 32
 #: pivots per chunk of the blocked elimination scan; it bounds the
 #: elimination's temporaries on fine lattices, and keeps them in cache
 _CHUNK = 16384
+
+#: most log growth g of the homogeneous solutions over a drive-periodic
+#: window: the transfer block's power loses about e^g rounding units,
+#: and this bound keeps that below 1e-6
+_MAX_GROWTH = math.log(1e-6 / np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,6 @@ class SlicedLattice:
     def midpoints(self) -> np.ndarray:
         eps = self.epsilon
         return self.t_start + (np.arange(self.n_slices) + 0.5) * eps
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self.t_start + self.epsilon * np.arange(self.n_slices + 1)
-
-    def doubled(self) -> "SlicedLattice":
-        return SlicedLattice(self.t_start, self.t_end, 2 * self.n_slices)
 
 
 def _chunk_eliminate(inc: np.ndarray, b: np.ndarray, z: complex, u: complex, first: int, n: int):
@@ -259,17 +255,11 @@ def _eliminate(inc: np.ndarray, b: np.ndarray):
     return log_sum, quad
 
 
-def discrete_propagator(
-    inputs: PropagatorInputs,
-    n_slices: int,
-    sampling: str = "midpoint",
-) -> complex:
+def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
     """Log-amplitude of the sliced restricted propagator.
 
-    ``sampling`` chooses where w2, F and the record are read within each
-    slice: "midpoint" (the O(eps**2) production rule) or "left" (the
-    O(eps) variant kept for order-of-convergence demonstrations; it also
-    attaches the potential and drive to the left slice end only).
+    w2, F and the record are read at the slice midpoints (the O(eps**2)
+    rule of the module docstring).
 
     Raises SingularSliceError on a discrete caustic.
     """
@@ -280,39 +270,20 @@ def discrete_propagator(
     spec = effective_frequency(inputs.coeffs, inputs.meas, params)
     scale = record_forcing_scale(inputs.meas, params)
 
-    if sampling == "midpoint":
-        ts = lat.midpoints
-    elif sampling == "left":
-        ts = lat.endpoints[:-1]
-    else:
-        raise BadGridError(
-            f"sampling must be 'midpoint' or 'left', got {sampling!r}",
-            field="sampling",
-        )
+    ts = lat.midpoints
     w = spec.w_squared(ts)
     a = inputs.record(ts)
     force = -1j * scale  # F_k = force * a_k
 
     xa, xb = inputs.bc.x_start, inputs.bc.x_end
-    if sampling == "midpoint":
-        inc = w[:-1] + w[1:]
-        inc *= 0.5 * eps**2
-        b = (0.5 * eps * force) * (a[:-1] + a[1:])
-        c = (
-            m / (2.0 * eps) * (xa**2 + xb**2)
-            - eps * (m / 4.0) * (w[0] * xa**2 + w[-1] * xb**2)
-            + (eps / 2.0) * force * (a[0] * xa + a[-1] * xb)
-        )
-    else:
-        # left rule: potential/drive attach to x_k for k = 0..N-1, so the
-        # interior j = 1..N-1 sees only w_j, and x'' carries no potential
-        inc = (eps**2) * w[1:]
-        b = (eps * force) * a[1:]
-        c = (
-            m / (2.0 * eps) * (xa**2 + xb**2)
-            - eps * (m / 2.0) * w[0] * xa**2
-            + eps * force * a[0] * xa
-        )
+    inc = w[:-1] + w[1:]
+    inc *= 0.5 * eps**2
+    b = (0.5 * eps * force) * (a[:-1] + a[1:])
+    c = (
+        m / (2.0 * eps) * (xa**2 + xb**2)
+        - eps * (m / 4.0) * (w[0] * xa**2 + w[-1] * xb**2)
+        + (eps / 2.0) * force * (a[0] * xa + a[-1] * xb)
+    )
     b[0] -= (m / eps) * xa
     b[-1] -= (m / eps) * xb
 
@@ -430,6 +401,11 @@ def periodic_propagator(inputs: PropagatorInputs, slices_per_period: int) -> com
     SingularSliceError
         If D_n vanishes at the scale of the window (a discrete caustic)
         or no Floquet solution has Im z > 0.
+    ToleranceNotMetError
+        If the window holds a whole period and the lattice's homogeneous
+        solutions grow by e^g with g > ``_MAX_GROWTH`` (about 22.2) over
+        it, g from the transfer block's Floquet multiplier: the block's
+        power loses about e^g rounding units, more than 1e-6.
     """
     k = slices_per_period
     if k < 16 or k & (k - 1):
@@ -481,6 +457,12 @@ def periodic_propagator(inputs: PropagatorInputs, slices_per_period: int) -> com
         if not z_star.imag > 0.0:
             raise SingularSliceError(
                 "no Floquet solution of the lattice has Im(u/x) > 0"
+            )
+        growth = abs(math.log(abs(lam))) * inputs.bc.duration / period
+        if growth > _MAX_GROWTH:
+            raise ToleranceNotMetError(
+                f"the lattice's solutions grow by e^{growth:.1f} over the window;"
+                f" the transfer-block power resolves at most e^{_MAX_GROWTH:.1f}"
             )
         mu = _nearest_branch(
             _arg_steps(paths[0] + z_star * paths[1]), cmath.phase(lam)

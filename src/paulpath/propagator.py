@@ -63,7 +63,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.integrate import quad, simpson
 
 from .errors import (
     CausticOnWindowError,
@@ -78,9 +77,7 @@ from .mathieu import (
     HillBasis,
     _basis_pass,
     _floquet_parts,
-    evaluate_f,
     hill_basis,
-    mathieu_series,
 )
 from .records import (
     Forcing,
@@ -306,6 +303,8 @@ def classical_action(
     re-evaluates L = m q'^2/2 - m w2 q^2/2 + F q on the stored grid and
     applies Simpson's rule.
     """
+    from scipy.integrate import simpson
+
     m = params.mass
     w2 = spec.w_squared(sol.grid)
     f = drive(sol.grid)
@@ -516,8 +515,6 @@ def fluctuation_prefactor_from_f(
     params: TrapParameters,
     spec: EffectiveFrequencySpec,
     window: tuple[float, float],
-    f_source: str = "ode",
-    n_terms: int = 2,
     tol: float = DEFAULT_TOL,
 ) -> complex:
     """Endpoint-product prefactor sqrt(m / (2 pi i hbar f' f'' int f**-2)).
@@ -526,46 +523,27 @@ def fluctuation_prefactor_from_f(
     (reduction of order shows f(t') f(t'') int f**-2 dt is exactly the
     D of the robust route, independent of which solution f is).
 
-    f_source selects the reference solution: "ode" takes f = h0 (f(t') = 1,
-    f'(t') = 0) of the adaptive basis pass of the true stiffness and
-    inherits only integrator error; "series" uses the truncated cosine
-    series of :mod:`paulpath.mathieu` (n_terms harmonics), which solves a
-    slightly different stiffness, so its prefactor carries the truncation
-    error.
-    f must have no zero on the window: the series is checked in closed
-    form (:func:`_series_zero_free_or_raise`), the ODE solution at the
-    integrator's steps under the step-phase guard of :func:`_step_arg`.
+    f = h0 (f(t') = 1, f'(t') = 0) of the adaptive basis pass of the true
+    stiffness, so the prefactor inherits only integrator error.  f must
+    have no zero on the window; it is checked at the integrator's steps
+    under the step-phase guard of :func:`_step_arg`.
 
     The square root is the principal branch; on windows that stay short
     of the first caustic this coincides with the tracked branch of the
     robust route (the regime in which this formula is used for
     validation).
     """
+    from scipy.integrate import quad
+
     t0, t1 = window
     if not t1 > t0:
         raise OutOfRangeError("window must have positive duration", field="window")
-    if f_source == "series":
-        coeffs = mathieu_series(dimensionless(spec), n_terms)
-        half_omega = 0.5 * spec.drive_omega
+    sol, rate = _basis_pass(spec, t0, t1, tol)
+    _check_step_phase(sol.t, rate)
+    _zero_free_or_raise(sol.y[0])
 
-        def f_eval(t):
-            return evaluate_f(coeffs, half_omega * np.asarray(t, dtype=float))
-
-        _series_zero_free_or_raise(coeffs.coefficients, half_omega * t0, half_omega * t1)
-
-    elif f_source == "ode":
-        sol, rate = _basis_pass(spec, t0, t1, tol)
-        _check_step_phase(sol.t, rate)
-        _zero_free_or_raise(sol.y[0])
-
-        def f_eval(t):
-            return sol.dense(t)[0]
-
-    else:
-        raise OutOfRangeError(
-            f"f_source must be 'series' or 'ode', got {f_source!r}",
-            field="numerics.f_source",
-        )
+    def f_eval(t):
+        return sol.dense(t)[0]
 
     def integrand_re(t):
         return float((1.0 / f_eval(t) ** 2).real)

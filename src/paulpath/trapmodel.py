@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,8 +270,3 @@ def whole_periods(duration: float, drive_omega: float) -> tuple[int, float]:
         return int(nearest), 0.0
     n = math.floor(ratio)
     return int(n), duration - n * period
-
-
-def with_resolution(meas: MeasurementConfig, resolution: float) -> MeasurementConfig:
-    """Copy of ``meas`` with a different Gaussian resolution."""
-    return replace(meas, resolution=resolution)

@@ -58,7 +58,6 @@ from paulpath import (
     residual_max_magnitude,
     restricted_propagator,
     richardson,
-    with_resolution,
 )
 from paulpath import closed_form_prefactor
 from paulpath.cli import axis_inputs, check_phase_budget, load_scenario
@@ -115,7 +114,7 @@ def test_acceptance_3_harmonic_prefactor():
         )
         for value in (
             prefactor_track(params, spec, (0.0, T)).value,
-            fluctuation_prefactor_from_f(params, spec, (0.0, T), f_source="ode"),
+            fluctuation_prefactor_from_f(params, spec, (0.0, T)),
         ):
             worst = max(worst, abs(value - analytic) / abs(analytic))
     assert _report(
@@ -317,8 +316,8 @@ def test_acceptance_7_measurement_off_limit():
     worst = 0.0
     for axis in (Axis.X, Axis.Z):
         inputs = axis_inputs(scenario, axis)
-        wide = replace(inputs, meas=with_resolution(inputs.meas, 1.0e3))
-        off = replace(inputs, meas=with_resolution(inputs.meas, math.inf))
+        wide = replace(inputs, meas=replace(inputs.meas, resolution=1.0e3))
+        off = replace(inputs, meas=replace(inputs.meas, resolution=math.inf))
         la = restricted_propagator(wide).log_amplitude
         lb = restricted_propagator(off).log_amplitude
         worst = max(worst, abs(la - lb) / abs(lb))

@@ -532,3 +532,27 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_prob_runs_without_importing_the_adaptive_integrator(tmp_path):
+    # scipy.integrate is most of a fresh process's start-up; only the
+    # checks and the ODE column of `mathieu` load it
+    out = tmp_path / "prob.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import paulpath.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        f"code = paulpath.cli.main(['prob', '--scenario', {SHORT!r}, '--out', {str(out)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.integrate' not in sys.modules, 'prob'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()

@@ -29,7 +29,6 @@ from paulpath import (
     residual_coefficients,
     residual_max_magnitude,
     record_scorer,
-    with_resolution,
 )
 from paulpath import mathieu
 from paulpath.cli import axis_inputs, load_scenario
@@ -193,7 +192,7 @@ def _spec(inputs):
 def _short(axis, measured=True):
     base = axis_inputs(_SHORT, axis)
     if not measured:
-        base = replace(base, meas=with_resolution(base.meas, math.inf))
+        base = replace(base, meas=replace(base.meas, resolution=math.inf))
     return _spec(base), (base.bc.t_start, base.bc.t_end)
 
 

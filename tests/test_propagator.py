@@ -39,7 +39,6 @@ from paulpath import (
     render,
     restricted_propagator,
     richardson,
-    with_resolution,
 )
 from paulpath import integrate, mathieu, propagator
 from paulpath.cli import axis_inputs, load_scenario
@@ -185,7 +184,7 @@ def test_harmonic_prefactors_match_analytic():
         params.mass * w0 / (2j * math.pi * params.hbar * math.sin(w0 * T))
     )
     robust = prefactor_track(params, spec, (0.0, T)).value
-    from_f = fluctuation_prefactor_from_f(params, spec, (0.0, T), f_source="ode")
+    from_f = fluctuation_prefactor_from_f(params, spec, (0.0, T))
     assert abs(robust - analytic) < 1e-10 * abs(analytic)
     assert abs(from_f - analytic) < 1e-10 * abs(analytic)
     assert abs(from_f - robust) < 1e-8 * abs(robust)
@@ -219,7 +218,7 @@ def test_from_f_raises_on_window_with_zero():
     params, spec = constant_frequency_spec(w0=w0)
     # f = cos(w0 t) vanishes at t = pi/8 < 0.6
     with pytest.raises(CausticOnWindowError):
-        fluctuation_prefactor_from_f(params, spec, (0.0, 0.6), f_source="ode")
+        fluctuation_prefactor_from_f(params, spec, (0.0, 0.6))
 
 
 def test_from_f_ode_refuses_zeros_between_fixed_samples():
@@ -227,13 +226,11 @@ def test_from_f_ode_refuses_zeros_between_fixed_samples():
     # grid aliases away; the integrator's steps see each of them
     params, spec = constant_frequency_spec(w0=1.0)
     with pytest.raises(CausticOnWindowError):
-        fluctuation_prefactor_from_f(
-            params, spec, (0.0, 2000 * 2.0 * math.pi + 0.3), f_source="ode"
-        )
+        fluctuation_prefactor_from_f(params, spec, (0.0, 2000 * 2.0 * math.pi + 0.3))
 
 
-@pytest.mark.parametrize("route", ["closed-form", "series"])
-def test_series_prefactors_refuse_zeros_between_fixed_samples(route):
+@pytest.mark.parametrize("prefactor", [closed_form_prefactor], ids=["closed-form"])
+def test_series_prefactors_refuse_zeros_between_fixed_samples(prefactor):
     # scaled window (0.05, 2000 * 2 pi (1 + 1e-7) + 0.35): cos s + alpha
     # cos 3s vanishes at every pi/2 + k pi, and 2001 samples with a step
     # of 2 pi (1 + 1e-7) all land near s = 0.05 (mod 2 pi)
@@ -243,10 +240,7 @@ def test_series_prefactors_refuse_zeros_between_fixed_samples(route):
     a, b = 0.05, 2000 * 2.0 * math.pi * (1.0 + 1e-7) + 0.35
     window = (2.0 * a / REF.drive_omega, 2.0 * b / REF.drive_omega)
     with pytest.raises(CausticOnWindowError):
-        if route == "closed-form":
-            closed_form_prefactor(REF, spec, window)
-        else:
-            fluctuation_prefactor_from_f(REF, spec, window, f_source="series")
+        prefactor(REF, spec, window)
 
 
 def test_from_f_matches_robust_on_reference_subwindow():
@@ -255,25 +249,7 @@ def test_from_f_matches_robust_on_reference_subwindow():
     )
     window = (0.0, 0.5e-6)  # scaled half-width 0.5, inside the first zero
     robust = prefactor_track(REF, spec, window).value
-    from_f = fluctuation_prefactor_from_f(REF, spec, window, f_source="ode")
-    assert abs(from_f - robust) < 1e-8 * abs(robust)
-
-
-def test_series_f_source_exact_on_matched_stiffness():
-    # The series route rests on an endpoint-product identity that is
-    # exact when the stiffness is the one generated by the truncated f
-    # itself, so on that stiffness it must match the robust tracker.
-    spec = effective_frequency(
-        derive_frequency_coefficients(REF, Axis.X), REF_MEAS, REF
-    )
-    params_dl = dimensionless(spec)
-    coeffs = mathieu_series(params_dl, n_terms=2)
-    stiff = TruncationStiffness(coefficients=coeffs, drive_omega=REF.drive_omega)
-    window = (0.5e-6, 1.3e-6)  # two-term series zero-free here
-    from_f = fluctuation_prefactor_from_f(
-        REF, spec, window, f_source="series", n_terms=2
-    )
-    robust = prefactor_track(REF, stiff, window).value
+    from_f = fluctuation_prefactor_from_f(REF, spec, window)
     assert abs(from_f - robust) < 1e-8 * abs(robust)
 
 
@@ -638,7 +614,7 @@ _FAMILIES = {
 def _short_base(axis, family):
     base = axis_inputs(_SHORT, axis)
     if family == "measurement-off":
-        base = replace(base, meas=with_resolution(base.meas, math.inf))
+        base = replace(base, meas=replace(base.meas, resolution=math.inf))
     return base
 
 
@@ -906,7 +882,7 @@ def test_equal_settings_share_one_basis_and_others_rebuild(monkeypatch):
     record_scorer(replace(twin, record=render(_FAMILIES["constant"], twin.meas)))
     assert len(builds) == 1
     for changed in (
-        replace(base, meas=with_resolution(base.meas, 2.0 * base.meas.resolution)),
+        replace(base, meas=replace(base.meas, resolution=2.0 * base.meas.resolution)),
         replace(base, bc=replace(base.bc, x_end=base.bc.x_end + _UM)),
         replace(base, params=replace(base.params, ac_voltage=1.01 * base.params.ac_voltage)),
     ):

@@ -18,7 +18,6 @@ from paulpath import (
     derive_frequency_coefficients,
     dimensionless,
     effective_frequency,
-    with_resolution,
 )
 from paulpath.mathieu import mathieu_series
 from paulpath.trapmodel import EffectiveFrequencySpec, whole_periods
@@ -71,7 +70,7 @@ def test_measurement_shift_value():
 
 
 def test_infinite_resolution_shift_is_exactly_zero():
-    meas = with_resolution(REF_MEAS, math.inf)
+    meas = replace(REF_MEAS, resolution=math.inf)
     assert meas.weight_rate == 0.0
     spec = effective_frequency(
         derive_frequency_coefficients(REF, Axis.X), meas, REF
@@ -173,14 +172,6 @@ def test_config_errors_name_the_field():
         MeasurementConfig(t_start=1.0, t_end=1.0, resolution=1e-6)
     with pytest.raises(ConfigError, match="measurement.resolution_m"):
         MeasurementConfig(t_start=0.0, t_end=1.0, resolution=-2e-6)
-
-
-def test_with_resolution_copies():
-    narrowed = with_resolution(REF_MEAS, 1.0e-6)
-    assert narrowed.resolution == 1.0e-6
-    assert narrowed.t_start == REF_MEAS.t_start
-    assert narrowed.t_end == REF_MEAS.t_end
-    assert REF_MEAS.resolution == 2.0e-6
 
 
 def test_whole_periods_split():
