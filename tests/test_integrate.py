@@ -1,18 +1,23 @@
-"""The adaptive kernel: stored DOP853 interpolant and integrator counts.
+"""The adaptive kernel: DOP853 steps, interpolants built on read, and
+integrator counts.
 
-``ComplexIvpSolution.dense`` re-implements the evaluation of scipy's
-``OdeSolution`` over per-step coefficients stored in blocks.  These tests
-pin it to scipy bit for bit, so a scipy release that changes the DOP853
-dense output layout or its segment rule shows up here.
+``solve_complex_ivp`` re-implements scipy's DOP853 stepping, and
+``ComplexIvpSolution.dense`` the interpolant build of scipy's
+``DOP853.dense_output`` and the evaluation of its ``OdeSolution``, over
+stage rows stored in blocks.  These tests pin all three to scipy bit for
+bit, so a scipy release that changes the DOP853 step control, tableau,
+dense output layout or segment rule shows up here.
 """
 
 import numpy as np
 import pytest
+from conftest import scaled_trap
 from scipy.integrate import solve_ivp
 
-from paulpath import integrate
-from paulpath.errors import OutOfRangeError
+from paulpath import integrate, mathieu
+from paulpath.errors import OutOfRangeError, ToleranceNotMetError
 from paulpath.integrate import solve_complex_ivp
+from paulpath.propagator import prefactor_track
 from paulpath.records import Forcing
 from paulpath.trapmodel import EffectiveFrequencySpec
 
@@ -41,7 +46,7 @@ CASES = {
 }
 
 
-def _scipy_reference(rhs, y0, atol):
+def _scipy_reference(rhs, y0, atol, span=SPAN, rtol=1e-11):
     """The same solve through ``solve_ivp``: state packed as (re, im) per
     component, atol repeated for both parts."""
 
@@ -50,7 +55,7 @@ def _scipy_reference(rhs, y0, atol):
 
     y0 = np.array(y0, dtype=complex).view(float)
     return solve_ivp(
-        packed, SPAN, y0, method="DOP853", rtol=1e-11, atol=np.repeat(atol, 2),
+        packed, span, y0, method="DOP853", rtol=rtol, atol=np.repeat(atol, 2),
         dense_output=True,
     )
 
@@ -113,13 +118,89 @@ def test_solution_counts_the_integrator_work(case):
         return rhs(t, y)
 
     sol = solve_complex_ivp(counted, SPAN, np.array(y0, dtype=complex), 1e-11, 1e-14 * scales)
-    assert sol.rhs_evals == len(calls)
+    # DOP853: 2 calls to start, 12 per step attempt, no interpolant yet
+    assert sol.rhs_evals == len(calls) == 2 + 12 * (sol.steps + sol.rejected)
     assert sol.steps == sol.t.size - 1 > 0
+    assert sol.rejected > 0
     assert sol.min_step == np.min(np.diff(sol.t)) > 0
-    # DOP853: 2 calls to start, 12 per step attempt, 3 per interpolant
-    assert (sol.rhs_evals - 2 - 15 * sol.steps) % 12 == 0
+    # 3 calls per interpolant, on the first read of its step only
+    solved = len(calls)
+    mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+    sol.dense([mid[5], mid[40], mid[5]])
+    assert sol.rhs_evals == len(calls) == solved + 3 * 2
+    sol.dense(mid[:8])
+    assert sol.rhs_evals == len(calls) == solved + 3 * 9
+    sol.dense(np.linspace(mid[1], mid[7], 50))
+    sol.dense(mid[40])
+    assert sol.rhs_evals == len(calls) == solved + 3 * 9
+    sol.dense(sol.t)
+    assert sol.rhs_evals == len(calls) == solved + 3 * sol.steps
+
+
+@pytest.mark.parametrize("block", [512, 16], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("span", [SPAN, (3.0, -5.0)], ids=["forward", "backward"])
+def test_scattered_reads_match_scipy_bit_for_bit(monkeypatch, span, block):
+    # interpolants are built in the order the steps are first read; a few
+    # scattered steps first, scalars and arrays, then the whole window
+    monkeypatch.setattr(integrate, "_BLOCK", block)
+    rhs, y0, scales = CASES["forced-6"]
+    atol = 1e-14 * scales
+    sol = solve_complex_ivp(rhs, span, np.array(y0, dtype=complex), 1e-11, atol)
+    ref = _scipy_reference(rhs, y0, atol, span)
+    assert np.array_equal(sol.t, ref.t)
+    mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+    for read in (mid[37], mid[[90, 3, 90, 17]], sol.t[-1], mid[-20:-10], sol.t[60]):
+        assert np.array_equal(sol.dense(read), _as_complex(ref.sol(read)))
+    t = np.concatenate([sol.t, mid, np.linspace(span[0], span[1], 301)])
+    assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
+
+
+def test_tiny_rtol_is_raised_as_scipy_raises_it():
+    # scipy raises rtol to 100 eps with a warning; the solve matches its
+    # clipped solve bit for bit
+    rhs, y0, scales = CASES["basis-4"]
+    atol = 1e-14 * scales
+    sol = solve_complex_ivp(rhs, SPAN, np.array(y0, dtype=complex), 1e-16, atol)
+    with pytest.warns(UserWarning, match="rtol"):
+        ref = _scipy_reference(rhs, y0, atol, rtol=1e-16)
+    assert np.array_equal(sol.t, ref.t)
+    assert np.array_equal(sol.y, _as_complex(ref.y))
+    assert np.array_equal(sol.dense(sol.t[3:9]), _as_complex(ref.sol(sol.t[3:9])))
+
+
+def test_prefactor_track_builds_no_interpolant(monkeypatch):
+    # the determinant's phase is read at the accepted steps: the pass
+    # makes the solve's own calls and no interpolant's
+    solutions, calls = [], []
+    solve = integrate.solve_complex_ivp
+
+    def recorded(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        solutions.append(solve(counted, *args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(mathieu, "solve_complex_ivp", recorded)
+    prefactor_track(scaled_trap(0.37, 1.3, omega=2.7), SPEC, SPAN)
+    (sol,) = solutions
+    assert len(calls) == sol.rhs_evals == 2 + 12 * (sol.steps + sol.rejected)
 
 
 def test_zero_length_window_is_refused():
     with pytest.raises(OutOfRangeError, match="zero length"):
         solve_complex_ivp(_basis_rhs, (1.0, 1.0), np.ones(4, dtype=complex), 1e-11, 1e-14)
+
+
+@pytest.mark.parametrize("bad_from", [0.0, 1.5], ids=["at-the-start", "mid-window"])
+def test_a_right_hand_side_that_is_not_finite_is_refused(bad_from):
+    # past bad_from every error test fails and the step shrinks by the
+    # minimum factor until it is below the spacing of the floats at t, as
+    # scipy's DOP853 gives up; a NaN from the start makes the initial step
+    # NaN, on which scipy's loop never ends
+    def rhs(t, y):
+        return _basis_rhs(t, y) if t < bad_from else np.full(4, np.nan, dtype=complex)
+
+    with pytest.raises(ToleranceNotMetError, match="below the spacing"):
+        solve_complex_ivp(rhs, SPAN, np.ones(4, dtype=complex), 1e-11, 1e-14)
