@@ -190,8 +190,9 @@ def solve_complex_ivp(rhs, span, y0, rtol, atol):
     Parameters
     ----------
     rhs : callable
-        rhs(t, y) -> complex ndarray, y complex ndarray.  ``y`` may be a
-        buffer the loop reuses: read it during the call, do not keep it.
+        rhs(t, y) -> sequence of complex (a list is cheapest), y complex
+        ndarray.  ``y`` may be a buffer the loop reuses: read it during
+        the call, do not keep it.
     span : (t0, t1)
         Integration window, t1 != t0.
     y0 : complex ndarray

@@ -536,7 +536,7 @@ def _basis_pass(spec, t0: float, t1: float, tol: float):
     def rhs(t, y):
         w2 = spec.w_squared(t)
         h0, dh0, h1, dh1 = y.tolist()
-        return np.array([dh0, -w2 * h0, dh1, -w2 * h1], dtype=complex)
+        return [dh0, -w2 * h0, dh1, -w2 * h1]
 
     init = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
     scales = np.array([1.0, rate, min(length, 1.0 / rate), 1.0])

@@ -234,13 +234,17 @@ def classical_trajectory(
     f_max = float(np.max(np.abs(drive.values))) if drive.values.size else 0.0
     x_scale = max(abs(bc.x_start), abs(bc.x_end), f_max / (m * rate * rate), 1e-30)
 
+    # the right-hand sides are the passes' per-stage cost: w2 is
+    # spec.w_squared's scalar expression inline, F the drive's scalar rule,
+    # and a list is the cheapest return
+    u_tilde, v, omega, cos = spec.u_tilde, spec.v, spec.drive_omega, math.cos
+    drive_at = drive.scalar_rule()
+
     def rhs_basis(t, y):
-        w2 = spec.w_squared(t)
-        f = drive(t)
+        w2 = u_tilde - v * cos(omega * t)
+        f = drive_at(t)
         h0, dh0, h1, dh1, p, dp = y.tolist()
-        return np.array(
-            [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + f / m], dtype=complex
-        )
+        return [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + f / m]
 
     init = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex)
     scales = np.array(
@@ -255,11 +259,11 @@ def classical_trajectory(
     c = (bc.x_end - bc.x_start * basis.y_end[0] - basis.y_end[4]) / h1[-1]
 
     def rhs_traj(t, y):
-        w2 = spec.w_squared(t)
-        f = drive(t)
+        w2 = u_tilde - v * cos(omega * t)
+        f = drive_at(t)
         q, dq, _, _ = y.tolist()
         lagr = 0.5 * m * dq * dq - 0.5 * m * w2 * q * q + f * q
-        return np.array([dq, -w2 * q + f / m, lagr, f * q], dtype=complex)
+        return [dq, -w2 * q + f / m, lagr, f * q]
 
     q_scale = max(x_scale, abs(c) * min(T, 1.0 / rate))
     s_scale = max(m * q_scale**2 * rate, 1e-60)

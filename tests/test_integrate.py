@@ -40,9 +40,22 @@ def _forced_rhs(t, y):
     )
 
 
+def _listed(rhs):
+    """``rhs`` returning a list of complex, as the package's right-hand
+    sides do, in place of an ndarray."""
+
+    def listed(t, y):
+        return rhs(t, y).tolist()
+
+    return listed
+
+
 CASES = {
     "basis-4": (_basis_rhs, [1, 0, 0, 1], np.array([1.0, 2.7, 0.37, 1.0])),
     "forced-6": (_forced_rhs, [1, 0, 0, 1, 0, 0], np.array([1.0, 2.7, 0.37, 1.0, 0.5, 1.4])),
+    "forced-6-list": (
+        _listed(_forced_rhs), [1, 0, 0, 1, 0, 0], np.array([1.0, 2.7, 0.37, 1.0, 0.5, 1.4])
+    ),
 }
 
 
@@ -51,7 +64,7 @@ def _scipy_reference(rhs, y0, atol, span=SPAN, rtol=1e-11):
     component, atol repeated for both parts."""
 
     def packed(t, y):
-        return rhs(t, y.view(complex)).view(float)
+        return np.asarray(rhs(t, y.view(complex)), dtype=complex).view(float)
 
     y0 = np.array(y0, dtype=complex).view(float)
     return solve_ivp(
@@ -92,20 +105,17 @@ def test_dense_matches_scipy_bit_for_bit(monkeypatch, case, block):
 def test_dense_matches_scipy_on_a_backward_window(monkeypatch, block):
     monkeypatch.setattr(integrate, "_BLOCK", block)
     span = (3.0, -5.0)
+    y0 = np.array([1, 0, 0, 1], dtype=complex)
     atol = 1e-14 * CASES["basis-4"][2]
-    sol = solve_complex_ivp(_basis_rhs, span, np.array([1, 0, 0, 1], dtype=complex), 1e-11, atol)
-
-    def packed(t, y):
-        return _basis_rhs(t, y.view(complex)).view(float)
-
-    ref = solve_ivp(
-        packed, span, np.array([1, 0, 0, 1], dtype=complex).view(float), method="DOP853",
-        rtol=1e-11, atol=np.repeat(atol, 2), dense_output=True,
-    )
-    t = np.concatenate([sol.t, np.linspace(-5.1, 3.1, 211)])
-    assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
-    for scalar in (-5.0, 3.0, 0.123, -5.5):
-        assert np.array_equal(sol.dense(scalar), _as_complex(ref.sol(scalar)))
+    ref = _scipy_reference(_basis_rhs, y0, atol, span)
+    for rhs in (_basis_rhs, _listed(_basis_rhs)):
+        sol = solve_complex_ivp(rhs, span, y0, 1e-11, atol)
+        assert np.array_equal(sol.t, ref.t)
+        assert np.array_equal(sol.y, _as_complex(ref.y))
+        t = np.concatenate([sol.t, np.linspace(-5.1, 3.1, 211)])
+        assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
+        for scalar in (-5.0, 3.0, 0.123, -5.5):
+            assert np.array_equal(sol.dense(scalar), _as_complex(ref.sol(scalar)))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -141,18 +151,21 @@ def test_solution_counts_the_integrator_work(case):
 @pytest.mark.parametrize("span", [SPAN, (3.0, -5.0)], ids=["forward", "backward"])
 def test_scattered_reads_match_scipy_bit_for_bit(monkeypatch, span, block):
     # interpolants are built in the order the steps are first read; a few
-    # scattered steps first, scalars and arrays, then the whole window
+    # scattered steps first, scalars and arrays, then the whole window; a
+    # right-hand side returning a list gives the ndarray one's solve
     monkeypatch.setattr(integrate, "_BLOCK", block)
     rhs, y0, scales = CASES["forced-6"]
     atol = 1e-14 * scales
-    sol = solve_complex_ivp(rhs, span, np.array(y0, dtype=complex), 1e-11, atol)
     ref = _scipy_reference(rhs, y0, atol, span)
-    assert np.array_equal(sol.t, ref.t)
-    mid = 0.5 * (sol.t[1:] + sol.t[:-1])
-    for read in (mid[37], mid[[90, 3, 90, 17]], sol.t[-1], mid[-20:-10], sol.t[60]):
-        assert np.array_equal(sol.dense(read), _as_complex(ref.sol(read)))
-    t = np.concatenate([sol.t, mid, np.linspace(span[0], span[1], 301)])
-    assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
+    for case in ("forced-6", "forced-6-list"):
+        sol = solve_complex_ivp(CASES[case][0], span, np.array(y0, dtype=complex), 1e-11, atol)
+        assert np.array_equal(sol.t, ref.t)
+        assert np.array_equal(sol.y, _as_complex(ref.y))
+        mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+        for read in (mid[37], mid[[90, 3, 90, 17]], sol.t[-1], mid[-20:-10], sol.t[60]):
+            assert np.array_equal(sol.dense(read), _as_complex(ref.sol(read)))
+        t = np.concatenate([sol.t, mid, np.linspace(span[0], span[1], 301)])
+        assert np.array_equal(sol.dense(t), _as_complex(ref.sol(t)))
 
 
 def test_tiny_rtol_is_raised_as_scipy_raises_it():

@@ -121,6 +121,32 @@ def test_forced_harmonic_matches_closed_solution():
     assert np.max(np.abs(sol.q - expected)) < 1e-11
 
 
+def test_a_drive_not_finite_at_the_start_is_refused(monkeypatch):
+    # F(t') = NaN makes the first derivative, and with it the initial
+    # step, NaN: the right-hand side is then called at a NaN time, where
+    # the drive's scalar rule gives NaN (np.interp's value, not an
+    # exception), and the solve is refused
+    params, spec = constant_frequency_spec(w0=1.4)
+    T = 1.7
+    bc = BoundaryConditions(x_start=0.2, x_end=-0.1, t_start=0.0, t_end=T)
+    drive = Forcing(t_start=0.0, dt=T, values=np.array([np.nan, 0.5], dtype=complex))
+    times, scalar_rule = [], Forcing.scalar_rule
+
+    def recorded(self):
+        drive_at = scalar_rule(self)
+
+        def at(t):
+            times.append(t)
+            return drive_at(t)
+
+        return at
+
+    monkeypatch.setattr(Forcing, "scalar_rule", recorded)
+    with pytest.raises(ToleranceNotMetError):
+        classical_trajectory(spec, drive, bc, params)
+    assert any(math.isnan(t) for t in times)
+
+
 def test_action_quadrature_agrees_with_boundary_formula():
     inputs = scaled_inputs(
         u=0.4, v=0.5, T=2.2, resolution=1.3, x_start=0.3, x_end=-0.5,

@@ -116,27 +116,42 @@ def test_forcing_interpolates_linearly():
     assert drive(0.75) == pytest.approx(-1j * scale * 0.5, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 400])
+@pytest.mark.parametrize("n", [2, 3, 17, 400, 2001])
 def test_forcing_scalar_branch_is_np_interp_bit_for_bit(n):
-    # the right-hand sides call the drive with one float per step stage;
-    # that branch must give exactly what the array (np.interp) path gives
+    # the right-hand sides read the drive through its scalar rule, one
+    # float per step stage; it must give exactly what np.interp gives over
+    # many points, for every float: the knots and their float neighbours,
+    # the ends, NaN and +-inf
     rng = np.random.default_rng(n)
     values = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 3.7e-20
     values[n // 2] = 0.0
+    values[(n - 1) // 3] = complex(-0.0, -0.0)  # a zero record's drive
     drive = Forcing(t_start=-0.31, dt=0.0137, values=values)
     nodes = drive.times
     span = nodes[-1] - nodes[0]
     t = np.concatenate([
         nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
         nodes[:-1] + 0.5 * drive.dt,
         [nodes[0] - 1.0, nodes[0] - 1e-15, nodes[-1] + 1e-15, nodes[-1] + 1.0],
+        [np.nan, -np.nan, np.inf, -np.inf],
         rng.uniform(nodes[0] - 0.01 * span, nodes[-1] + 0.01 * span, 2000),
     ])
     array = drive(t)
+    drive_at = drive.scalar_rule()
     for kind in (float, np.float64):
-        scalar = np.array([drive(kind(tt)) for tt in t])
-        assert np.array_equal(scalar.view(float), array.view(float)), kind
-    assert all(type(drive(kind(t[0]))) is complex for kind in (float, np.float64))
+        scalar = np.array([drive_at(kind(tt)) for tt in t])
+        assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64)), kind
+        assert all(type(drive_at(kind(tt))) is complex for tt in t[::97])
+    assert type(drive(float(t[0]))) is complex
+
+
+def test_forcing_at_nan_is_nan_not_the_last_sample():
+    # np.interp's value at NaN, from the array rule and the scalar rule
+    drive = Forcing(0.0, 0.5, np.array([1 + 1j, 2, 3 - 1j]))
+    for value in (drive(math.nan), drive.scalar_rule()(math.nan)):
+        assert math.isnan(value.real) and value.imag == 0.0
 
 
 def test_render_rejects_too_few_values():
