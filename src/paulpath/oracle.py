@@ -35,7 +35,10 @@ the last line being the record-norm weight at the same midpoints.  All
 per-pivot logs are principal; the pivot product is never formed.  The
 pivots come from a blocked scan of the increment form, in vectorised
 passes over chunks of fixed length (``_CHUNK``), so no per-slice Python
-loop runs and the elimination's temporaries do not grow with N.  The
+loop runs.  Each chunk samples w2 and the record at its own midpoints
+and writes its increments and b into one reused buffer, so no array
+the length of the lattice is formed and a call's working memory is
+O(``_CHUNK``) at any N (~2.2 MB traced from 2^16 to 2^21 slices).  The
 entries 2 - e_j are never formed, so e_j ~ eps^2 keeps all its digits
 on fine lattices.  b^T P^{-1} b, which carries no branch, reuses the
 same pivots: P = (m/eps) L D L^T with D = diag(delta_j), so it is the
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadGridError, ConfigError, SingularSliceError, ToleranceNotMetError
-from .propagator import PropagatorInputs, _nearest_branch
-from .records import record_forcing_scale
+from .propagator import PropagatorInputs, _check_windows_consistent, _nearest_branch
+from .records import check_spans_window, record_forcing_scale
 from .trapmodel import effective_frequency, whole_periods
 
 #: pivot magnitudes below this, relative to the slice scale 2, are a
@@ -68,7 +71,11 @@ _PIVOT_RTOL = 1e-12
 _BLOCK = 32
 
 #: pivots per chunk of the blocked elimination scan; it bounds the
-#: elimination's temporaries on fine lattices, and keeps them in cache
+#: elimination's working memory at any lattice size (~2.2 MB traced).
+#: On a 2 MB L2 a ladder of 2^12..2^16 slices ran ~10% faster at 8192
+#: (interleaved with 16384 in one process; 6144 and 12288 no faster),
+#: but the pivot-log and quadratic-form sums are taken per chunk, so a
+#: shorter chunk moves the value of every longer lattice by rounding units
 _CHUNK = 16384
 
 #: most log growth g of the homogeneous solutions over a drive-periodic
@@ -104,16 +111,22 @@ class SlicedLattice:
 
     @property
     def midpoints(self) -> np.ndarray:
-        eps = self.epsilon
-        return self.t_start + (np.arange(self.n_slices) + 0.5) * eps
+        return self.midpoints_between(0, self.n_slices)
+
+    def midpoints_between(self, lo: int, hi: int) -> np.ndarray:
+        """The midpoints of slices lo..hi-1 (numbered from 0)."""
+        return self.t_start + (np.arange(lo, hi) + 0.5) * self.epsilon
 
 
-def _chunk_eliminate(inc: np.ndarray, b: np.ndarray, z: complex, u: complex, first: int, n: int):
+def _chunk_eliminate(padded: np.ndarray, c: int, z: complex, u: complex, first: int, n: int):
     """Log pivots and the quadratic form over one chunk, by a blocked scan.
 
-    ``z`` = s/p and ``u`` = w/delta are the chain states before the
-    chunk's first pivot, which is pivot ``first + 1`` of ``n``; returns
-    (sum of Log pivots, sum of w_j^2/delta_j, z and u after the chunk).
+    ``padded`` (shape (2, L), L the chunk's ``c`` pivots rounded up to
+    whole blocks) holds the chunk's increments e_j in row 0 and b_j in
+    row 1, zero past ``c``; row 1 is overwritten.  ``z`` = s/p and
+    ``u`` = w/delta are the chain states before the chunk's first pivot,
+    which is pivot ``first + 1`` of ``n``; returns (sum of Log pivots,
+    sum of w_j^2/delta_j, z and u after the chunk).
     The pivots delta_j = 1 + r_j follow the linear recurrence
     s_j = s_{j-1} - e_j p_{j-1}, p_j = p_{j-1} + s_j (p_j the j-th leading
     minor, r_j = s_j / p_{j-1}, z_j = s_j / p_j).  The chunk is cut into
@@ -144,13 +157,10 @@ def _chunk_eliminate(inc: np.ndarray, b: np.ndarray, z: complex, u: complex, fir
     1 + Re r is exact (Sterbenz) and log |1 + r|^2 is taken from it, so
     pivots near a discrete caustic keep their relative accuracy.
     """
-    c = inc.size
     length = min(_BLOCK, c)
-    blocks = -(-c // length)
-    # zeros pad the last block past the chunk's end; e[j, k] is e at pivot
-    # j of block k, and w holds b there, then w in place
-    padded = np.zeros((2, blocks * length), dtype=complex)
-    padded[0, :c], padded[1, :c] = inc, b
+    blocks = padded.shape[1] // length
+    # e[j, k] is e at pivot j of block k, and w holds b there, then w in
+    # place
     e, w = padded.reshape(2, blocks, length).transpose(0, 2, 1)
     state = np.zeros((2, 2, blocks), dtype=complex)  # (p or s, column, block)
     state[0, 0] = state[1, 1] = 1.0
@@ -224,14 +234,30 @@ def _eliminate(inc: np.ndarray, b: np.ndarray):
 
     inc holds the increments e_j; the caller's matrix is P = (m/eps) Q,
     and the m/eps scale stays with the caller.  Returns (sum of Log
-    pivots, b^T Q^-1 b).
+    pivots, b^T Q^-1 b).  It runs :func:`_scan`, the elimination of
+    :func:`discrete_propagator`, on chunks copied from ``inc`` and ``b``.
+    """
 
-    The pivots delta_j = 1 + r_j, r_1 = 1 - e_1 and
-    r_j = r_{j-1}/(1 + r_{j-1}) - e_j, come from a blocked scan of the
-    increment form (:func:`_chunk_eliminate`), ``_CHUNK`` pivots at a
-    time with the chain states carried between chunks, so the
-    elimination's temporaries do not grow with the lattice.  The first
-    pivot with |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic) raises
+    def fill(lo, hi, e, b_chunk):
+        e[:] = inc[lo:hi]
+        b_chunk[:] = b[lo:hi]
+
+    return _scan(inc.size, fill)
+
+
+def _scan(n: int, fill):
+    """Log-pivot sum and b^T Q^-1 b over ``n`` pivots, ``_CHUNK`` at a time.
+
+    ``fill(lo, hi, e, b)`` writes the increments e_j and the entries b_j
+    of pivots lo + 1..hi into ``e`` and ``b``, the rows of one buffer that
+    every chunk reuses, so the elimination's working memory is
+    O(``_CHUNK``) at any n.  Each chunk runs the blocked scan of
+    :func:`_chunk_eliminate`, and the chain states are carried between
+    chunks.
+
+    The pivots are delta_j = 1 + r_j, r_1 = 1 - e_1 and
+    r_j = r_{j-1}/(1 + r_{j-1}) - e_j.  The first pivot with
+    |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic) raises
     SingularSliceError with its index; it is the only singularity check.
     The quadratic form reuses the pivots: Q = L D L^T, D = diag(delta_j),
     and b^T Q^-1 b = sum_j w_j^2/delta_j with w_j = b_j + w_{j-1}/delta_{j-1}
@@ -243,13 +269,17 @@ def _eliminate(inc: np.ndarray, b: np.ndarray):
     needs no formed diagonal 2 - e_j, whose rounding put a row-pivoted
     solve ~1e-7 off in log K at 2^20 slices; this one stays within ~3e-11.
     """
-    n = inc.size
     log_sum = quad = 0j
     z, u = 1.0 + 0j, 0j  # z = s_0/p_0 (the minors D_0 = 1, D_-1 = 0); w_1 = b_1
+    buffer = np.empty(2 * -(-min(n, _CHUNK) // _BLOCK) * _BLOCK, dtype=complex)
     for lo in range(0, n, _CHUNK):
-        chunk_sum, chunk_quad, z, u = _chunk_eliminate(
-            inc[lo : lo + _CHUNK], b[lo : lo + _CHUNK], z, u, lo, n
-        )
+        c = min(_CHUNK, n - lo)
+        length = min(_BLOCK, c)
+        size = -(-c // length) * length  # whole blocks
+        padded = buffer[: 2 * size].reshape(2, size)
+        fill(lo, lo + c, padded[0, :c], padded[1, :c])
+        padded[:, c:] = 0.0  # zeros pad the last block past the chunk's end
+        chunk_sum, chunk_quad, z, u = _chunk_eliminate(padded, c, z, u, lo, n)
         log_sum += chunk_sum
         quad += chunk_quad
     return log_sum, quad
@@ -259,37 +289,67 @@ def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
     """Log-amplitude of the sliced restricted propagator.
 
     w2, F and the record are read at the slice midpoints (the O(eps**2)
-    rule of the module docstring).
+    rule of the module docstring).  The set-up is streamed: each chunk of
+    pivots samples its own midpoints and writes its increments and b
+    straight into the elimination's buffer (see :func:`_scan`), so no
+    array the length of the lattice is formed and the call's working
+    memory is O(``_CHUNK``) at any N (``_CHUNK`` says how its length was
+    chosen).  The record norm sum_k a_k^2 is
+    summed chunk by chunk, which may move it by a rounding unit from a
+    sum over all N samples at once; a lattice of at most ``_CHUNK`` + 1
+    slices is one chunk and sums it at once.
 
-    Raises SingularSliceError on a discrete caustic.
+    Raises
+    ------
+    ConfigError
+        If the boundary window is not the measurement window.
+    RecordWindowError
+        If the record does not span the measurement window.
+    SingularSliceError
+        On a discrete caustic.
     """
+    _check_windows_consistent(inputs.bc, inputs.meas)
+    check_spans_window(inputs.record, inputs.meas)
     lat = SlicedLattice(inputs.bc.t_start, inputs.bc.t_end, n_slices)
     params = inputs.params
     m, hbar = params.mass, params.hbar
     eps = lat.epsilon
     spec = effective_frequency(inputs.coeffs, inputs.meas, params)
-    scale = record_forcing_scale(inputs.meas, params)
-
-    ts = lat.midpoints
-    w = spec.w_squared(ts)
-    a = inputs.record(ts)
-    force = -1j * scale  # F_k = force * a_k
-
+    force = -1j * record_forcing_scale(inputs.meas, params)  # F_k = force * a_k
+    inc_scale, b_scale = 0.5 * eps**2, 0.5 * eps * force
     xa, xb = inputs.bc.x_start, inputs.bc.x_end
-    inc = w[:-1] + w[1:]
-    inc *= 0.5 * eps**2
-    b = (0.5 * eps * force) * (a[:-1] + a[1:])
-    c = (
-        m / (2.0 * eps) * (xa**2 + xb**2)
-        - eps * (m / 4.0) * (w[0] * xa**2 + w[-1] * xb**2)
-        + (eps / 2.0) * force * (a[0] * xa + a[-1] * xb)
-    )
-    b[0] -= (m / eps) * xa
-    b[-1] -= (m / eps) * xb
+    last = n_slices - 1
+    ends = {}  # w and a at the first and the last midpoint
+    norms = []  # sum_k a_k^2, chunk by chunk
 
-    log_sum, quad_scaled = _eliminate(inc, b)
+    def fill(lo, hi, inc, b):
+        # pivots lo + 1..hi couple the midpoints lo..hi
+        ts = lat.midpoints_between(lo, hi + 1)
+        w = spec.w_squared(ts)
+        a = inputs.record(ts)
+        np.add(w[:-1], w[1:], out=inc)
+        inc *= inc_scale
+        np.add(a[:-1], a[1:], out=b)
+        b *= b_scale
+        if lo == 0:
+            ends["first"] = w[0], a[0]
+            b[0] -= (m / eps) * xa
+        if hi == last:
+            ends["last"] = w[-1], a[-1]
+            b[-1] -= (m / eps) * xb
+        else:
+            a = a[:-1]  # midpoint hi is the next chunk's first
+        norms.append(float(np.dot(a, a)))
+
+    log_sum, quad_scaled = _scan(last, fill)
     # quad_scaled is b^T Q^{-1} b with Q = tridiag(-1, 2 - e, -1); P = (m/eps) Q
     quad = (eps / m) * quad_scaled
+    (w_first, a_first), (w_last, a_last) = ends["first"], ends["last"]
+    c = (
+        m / (2.0 * eps) * (xa**2 + xb**2)
+        - eps * (m / 4.0) * (w_first * xa**2 + w_last * xb**2)
+        + (eps / 2.0) * force * (a_first * xa + a_last * xb)
+    )
 
     log_k = (
         0.5 * cmath.log(m / (2.0j * math.pi * hbar * eps))
@@ -298,7 +358,7 @@ def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
         - 0.5j * quad / hbar
     )
     # the record-norm weight, discretized at the same sample times
-    rec_term = -inputs.meas.weight_rate * eps * float(np.dot(a, a))
+    rec_term = -inputs.meas.weight_rate * eps * sum(norms)
     return complex(log_k + rec_term)
 
 
@@ -397,7 +457,10 @@ def periodic_propagator(inputs: PropagatorInputs, slices_per_period: int) -> com
     BadGridError
         If K is not a power of two >= 16.
     ConfigError
-        If the record is not constant.
+        If the boundary window is not the measurement window, or the
+        record is not constant.
+    RecordWindowError
+        If the record does not span the measurement window.
     SingularSliceError
         If D_n vanishes at the scale of the window (a discrete caustic)
         or no Floquet solution has Im z > 0.
@@ -407,6 +470,8 @@ def periodic_propagator(inputs: PropagatorInputs, slices_per_period: int) -> com
         it, g from the transfer block's Floquet multiplier: the block's
         power loses about e^g rounding units, more than 1e-6.
     """
+    _check_windows_consistent(inputs.bc, inputs.meas)
+    check_spans_window(inputs.record, inputs.meas)
     k = slices_per_period
     if k < 16 or k & (k - 1):
         raise BadGridError(

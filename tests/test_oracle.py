@@ -3,6 +3,8 @@ Richardson pairing, and the discrete-caustic guard."""
 
 import cmath
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +14,21 @@ from scipy.sparse.linalg import spsolve
 from conftest import scaled_inputs
 
 from paulpath import (
+    Axis,
     BadGridError,
     ConfigError,
+    RecordWindowError,
     SingularSliceError,
     SlicedLattice,
     ToleranceNotMetError,
     discrete_propagator,
     effective_frequency,
     periodic_propagator,
+    render,
     restricted_propagator,
     richardson,
 )
+from paulpath.cli import axis_inputs, load_scenario
 from paulpath.oracle import _BLOCK, _CHUNK, _eliminate
 from paulpath.records import ConstantRecord, SinusoidRecord, record_forcing_scale
 
@@ -313,6 +319,60 @@ def test_measured_constant_record_extrapolates_to_pipeline():
     )
     assert abs(extrap - truth) < 1e-9
     assert abs(extrap - truth) < 10.0 * max(err_est, 1e-12)
+
+
+def test_sliced_lattice_memory_does_not_grow_with_the_slices():
+    # each chunk samples its own midpoints and writes straight into the
+    # elimination's buffer: no array the length of the lattice is formed
+    inputs = _driven_inputs()
+    peaks = []
+    for n in (2**16, 2**20):
+        tracemalloc.start()
+        try:
+            discrete_propagator(inputs, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+# --- inputs the pipeline refuses ------------------------------------------
+
+
+def _short_x_constant():
+    """The bundled short window's X axis with a constant record, which
+    the drive-periodic lattice takes too."""
+    base = axis_inputs(load_scenario("barium_short_window.scenario"), Axis.X)
+    return replace(base, record=render(ConstantRecord(0.5e-6), base.meas, n_samples=65))
+
+
+_ORACLES = {
+    "sliced": lambda inputs: discrete_propagator(inputs, 1024),
+    "periodic": lambda inputs: periodic_propagator(inputs, 64),
+}
+
+
+@pytest.mark.parametrize("oracle", list(_ORACLES))
+def test_oracles_refuse_a_record_that_stops_short_of_the_window(oracle):
+    # np.interp would hold the last sample over the rest of the window
+    inputs = _short_x_constant()
+    rec = inputs.record
+    half = replace(inputs, record=replace(rec, samples=rec.samples[: rec.n_samples // 2 + 1]))
+    with pytest.raises(RecordWindowError):
+        restricted_propagator(half)
+    with pytest.raises(RecordWindowError):
+        _ORACLES[oracle](half)
+
+
+@pytest.mark.parametrize("oracle", list(_ORACLES))
+def test_oracles_refuse_a_boundary_window_off_the_measurement_window(oracle):
+    inputs = _short_x_constant()
+    short = replace(inputs, bc=replace(inputs.bc, t_end=0.5 * inputs.bc.t_end))
+    with pytest.raises(ConfigError) as pipeline:
+        restricted_propagator(short)
+    with pytest.raises(ConfigError) as refused:
+        _ORACLES[oracle](short)
+    assert refused.value.field == pipeline.value.field == "boundary.window"
 
 
 # --- drive-periodic lattice -----------------------------------------------

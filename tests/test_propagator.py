@@ -655,6 +655,44 @@ def test_record_scorer_matches_direct_route(axis, family):
     assert abs(scored.imag - direct.imag) <= 1e-10
 
 
+_LAZY_GRID_CASES = {
+    "short-x": lambda: _short_base(Axis.X, "sinusoid"),
+    "damped-resolution-1.0-6.5-periods": lambda: scaled_inputs(
+        u=0.11, v=1.1, T=6.5 * math.pi, resolution=1.0, x_start=0.3, x_end=-0.5,
+        record=_DAMPED_RECORDS["sinusoid"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAZY_GRID_CASES))
+def test_grid_is_built_on_first_read(case):
+    from paulpath.records import forcing as record_forcing
+
+    inputs = _LAZY_GRID_CASES[case]()
+    sol = restricted_propagator(inputs).classical
+    traj, basis = sol._passes
+    # rhs_evals: 2 to start, 12 per step attempt, 3 per interpolant built;
+    # the pipeline read D(t'') alone, one interpolant of the basis pass
+    assert traj.rhs_evals == 2 + 12 * (traj.steps + traj.rejected)
+    assert basis.rhs_evals == 2 + 12 * (basis.steps + basis.rejected) + 3
+    # reading the grid builds the interpolants it reads
+    assert sol.d_function[-1].tobytes() == np.complex128(sol.d_end).tobytes()
+    assert basis.rhs_evals > 2 + 12 * (basis.steps + basis.rejected) + 3
+    assert sol.q.size == sol.grid.size
+    assert traj.rhs_evals > 2 + 12 * (traj.steps + traj.rejected)
+    built = (traj.rhs_evals, basis.rhs_evals)
+    # the same arrays, bit for bit, as a fresh solve whose grid is read
+    # in another order
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    drive = record_forcing(inputs.record, inputs.meas, inputs.params)
+    ref = classical_trajectory(spec, drive, inputs.bc, inputs.params)
+    for name in ("d_function", "q_dot", "q"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes()
+    # a second read builds nothing and gives the kept array
+    assert sol.q is sol.q and sol.d_function is sol.d_function
+    assert (traj.rhs_evals, basis.rhs_evals) == built
+
+
 _PREFACTOR_WINDOWS = {
     "short-x": lambda: _short_base(Axis.X, "sinusoid"),
     "short-z": lambda: _short_base(Axis.Z, "sinusoid"),
