@@ -264,8 +264,11 @@ def _scan(n: int, fill):
     (the tridiagonal Thomas recurrence).
 
     That solve does not pivot rows, so next to a pivot of size |delta| it
-    loses about 1e-16/|delta| relative: 9e-14 at |delta| = 1e-6 and 7e-11
-    at 1e-9, where a row-pivoted solve keeps ~6e-13.  In exchange it
+    loses digits in proportion to 1/|delta|, by a factor that depends on
+    the problem: 9e-14 relative at |delta| = 1e-6 and 7e-11 at 1e-9 on a
+    2 ``_CHUNK`` + 10 lattice with ``_CHUNK`` = 16384, but 1.5e-12 and
+    1.1e-9 on the same construction with 8192, where a row-pivoted solve
+    keeps ~6e-13.  In exchange it
     needs no formed diagonal 2 - e_j, whose rounding put a row-pivoted
     solve ~1e-7 off in log K at 2^20 slices; this one stays within ~3e-11.
     """

@@ -180,13 +180,14 @@ class ClassicalSolution:
 
     ``q``, ``q_dot`` and ``d_function`` (D) sample the solution on
     ``grid``.  Each is built from the passes' dense output the first time
-    it is read, and then kept; a step's interpolant costs three
-    right-hand-side calls, and D(t'') alone builds one.  So a result
-    keeps both passes (``_passes``: the trajectory pass, then the basis
-    pass) alive, with their step values, their stage rows and the drive
-    their right-hand sides read: 8.6 MB on the 520-zero window of the
-    benchmark's long-window workload (8712 basis steps, seed 1), where
-    the three grid arrays take 25 KB.
+    it is read, and then kept; a step's interpolant costs 16
+    right-hand-side calls (the step is re-run), and D(t'') alone builds
+    one.  So a result keeps both passes (``_passes``: the trajectory
+    pass, then the basis pass) alive, with their step values and the
+    drive their right-hand sides read: 1.06 MB on the 520-zero window of
+    the benchmark's long-window workload (8712 basis steps, seed 1), of
+    which the basis pass's step values are 0.84 MB and the three grid
+    arrays would take 25 KB.
     """
 
     grid: np.ndarray

@@ -534,19 +534,20 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.exists()
 
 
-def test_prob_runs_without_importing_the_adaptive_integrator(tmp_path):
-    # scipy.integrate is most of a fresh process's start-up; only the
-    # checks and the ODE column of `mathieu` load it
-    out = tmp_path / "prob.csv"
+def _runs_without_scipy_integrate(tmp_path, command):
+    """Run ``paulpath <command>`` on the short window in a fresh process
+    and check that scipy.integrate is loaded neither by the import nor by
+    the run."""
+    out = tmp_path / f"{command}.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "import paulpath.cli\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
-        f"code = paulpath.cli.main(['prob', '--scenario', {SHORT!r}, '--out', {str(out)!r}])\n"
+        f"code = paulpath.cli.main([{command!r}, '--scenario', {SHORT!r}, '--out', {str(out)!r}])\n"
         "assert code == 0, code\n"
-        "assert 'scipy.integrate' not in sys.modules, 'prob'\n"
+        f"assert 'scipy.integrate' not in sys.modules, {command!r}\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -556,3 +557,14 @@ def test_prob_runs_without_importing_the_adaptive_integrator(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_prob_runs_without_importing_the_adaptive_integrator(tmp_path):
+    # scipy.integrate is most of a fresh process's start-up; only the
+    # checks and the ODE column of `mathieu` load it
+    _runs_without_scipy_integrate(tmp_path, "prob")
+
+
+def test_propagate_runs_without_importing_the_adaptive_integrator(tmp_path):
+    # the direct route's DOP853 passes carry their own copy of the tableau
+    _runs_without_scipy_integrate(tmp_path, "propagate")

@@ -4,15 +4,16 @@ integrator counts.
 ``solve_complex_ivp`` re-implements scipy's DOP853 stepping, and
 ``ComplexIvpSolution.dense`` the interpolant build of scipy's
 ``DOP853.dense_output`` and the evaluation of its ``OdeSolution``, over
-stage rows stored in blocks.  These tests pin all three to scipy bit for
-bit, so a scipy release that changes the DOP853 step control, tableau,
-dense output layout or segment rule shows up here.
+steps re-run from their stored values.  These tests pin all three, and
+the copied tableau, to scipy bit for bit, so a scipy release that changes
+the DOP853 step control, tableau, dense output layout or segment rule
+shows up here.
 """
 
 import numpy as np
 import pytest
 from conftest import scaled_trap
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from paulpath import integrate, mathieu
 from paulpath.errors import OutOfRangeError, ToleranceNotMetError
@@ -78,6 +79,13 @@ def _as_complex(y_packed):
     return np.ascontiguousarray(y_packed.T).view(complex).T
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"])
+def test_tableau_is_scipys_byte_for_byte(name):
+    ours, theirs = getattr(integrate, name), getattr(DOP853, name)
+    assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+    assert ours.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("block", [512, 16], ids=["one-block", "many-blocks"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_dense_matches_scipy_bit_for_bit(monkeypatch, case, block):
@@ -133,18 +141,19 @@ def test_solution_counts_the_integrator_work(case):
     assert sol.steps == sol.t.size - 1 > 0
     assert sol.rejected > 0
     assert sol.min_step == np.min(np.diff(sol.t)) > 0
-    # 3 calls per interpolant, on the first read of its step only
+    # 16 calls per interpolant (the step re-run, then the 3 extra
+    # stages), on the first read of its step only
     solved = len(calls)
     mid = 0.5 * (sol.t[1:] + sol.t[:-1])
     sol.dense([mid[5], mid[40], mid[5]])
-    assert sol.rhs_evals == len(calls) == solved + 3 * 2
+    assert sol.rhs_evals == len(calls) == solved + 16 * 2
     sol.dense(mid[:8])
-    assert sol.rhs_evals == len(calls) == solved + 3 * 9
+    assert sol.rhs_evals == len(calls) == solved + 16 * 9
     sol.dense(np.linspace(mid[1], mid[7], 50))
     sol.dense(mid[40])
-    assert sol.rhs_evals == len(calls) == solved + 3 * 9
+    assert sol.rhs_evals == len(calls) == solved + 16 * 9
     sol.dense(sol.t)
-    assert sol.rhs_evals == len(calls) == solved + 3 * sol.steps
+    assert sol.rhs_evals == len(calls) == solved + 16 * sol.steps
 
 
 @pytest.mark.parametrize("block", [512, 16], ids=["one-block", "many-blocks"])

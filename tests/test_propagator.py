@@ -3,6 +3,7 @@ assembled restricted propagator."""
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -671,13 +672,13 @@ def test_grid_is_built_on_first_read(case):
     inputs = _LAZY_GRID_CASES[case]()
     sol = restricted_propagator(inputs).classical
     traj, basis = sol._passes
-    # rhs_evals: 2 to start, 12 per step attempt, 3 per interpolant built;
+    # rhs_evals: 2 to start, 12 per step attempt, 16 per interpolant built;
     # the pipeline read D(t'') alone, one interpolant of the basis pass
     assert traj.rhs_evals == 2 + 12 * (traj.steps + traj.rejected)
-    assert basis.rhs_evals == 2 + 12 * (basis.steps + basis.rejected) + 3
+    assert basis.rhs_evals == 2 + 12 * (basis.steps + basis.rejected) + 16
     # reading the grid builds the interpolants it reads
     assert sol.d_function[-1].tobytes() == np.complex128(sol.d_end).tobytes()
-    assert basis.rhs_evals > 2 + 12 * (basis.steps + basis.rejected) + 3
+    assert basis.rhs_evals > 2 + 12 * (basis.steps + basis.rejected) + 16
     assert sol.q.size == sol.grid.size
     assert traj.rhs_evals > 2 + 12 * (traj.steps + traj.rejected)
     built = (traj.rhs_evals, basis.rhs_evals)
@@ -691,6 +692,28 @@ def test_grid_is_built_on_first_read(case):
     # a second read builds nothing and gives the kept array
     assert sol.q is sol.q and sol.d_function is sol.d_function
     assert (traj.rhs_evals, basis.rhs_evals) == built
+
+
+def test_a_kept_result_holds_the_step_values_only():
+    # a kept result holds its passes' step values (16 bytes per step and
+    # complex component: 6 in the basis pass, 4 in the trajectory pass)
+    # and little else; the stage rows of every step would be ~10x that
+    inputs = scaled_inputs(
+        u=0.11, v=1.1, T=40 * math.pi, resolution=1.0, x_start=0.3, x_end=-0.5,
+        record=SinusoidRecord(amplitude=0.4, omega=1.3, phase=0.2), n_samples=17,
+    )
+    restricted_propagator(inputs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = restricted_propagator(inputs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    traj, basis = result.classical._passes
+    assert basis.steps >= 1000
+    step_values = 16 * ((basis.steps + 1) * 6 + (traj.steps + 1) * 4)
+    assert kept <= 2 * step_values + 64 * 1024, (kept, step_values)
 
 
 _PREFACTOR_WINDOWS = {
