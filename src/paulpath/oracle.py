@@ -20,11 +20,12 @@ is what makes the error genuinely O(eps**2).
 Collecting interior coordinates y: S_N = (1/2) y^T P y + b^T y + c with
 P tridiagonal, P_jj = (m/eps) (2 - e_j), e_j = eps^2 (w_{j-1} + w_j)/2,
 off-diagonal -m/eps.  Sequential elimination of the quadratic form gives
-dimensionless pivots delta_j = 1 + r_j, in increment form
+dimensionless pivots delta_j = p_j/p_{j-1}, the ratios of the leading
+minors of Q = P eps/m, which follow the increment form
 
-    r_1 = 1 - e_1,   r_j = r_{j-1}/(1 + r_{j-1}) - e_j,
+    s_j = s_{j-1} - e_j p_{j-1},   p_j = p_{j-1} + s_j,   s_0 = p_0 = 1
 
-(the discrete determinant recurrence delta_j = 2 - e_j - 1/delta_{j-1})
+(the discrete determinant recurrence p_j = (2 - e_j) p_{j-1} - p_{j-2})
 and the log-amplitude
 
     log K = (1/2) Log(m / (2 pi i hbar eps)) - (1/2) sum_j Log delta_j
@@ -33,18 +34,18 @@ and the log-amplitude
 
 the last line being the record-norm weight at the same midpoints.  All
 per-pivot logs are principal; the pivot product is never formed.  The
-pivots come from a blocked scan of the increment form, in vectorised
-passes over chunks of fixed length (``_CHUNK``), so no per-slice Python
-loop runs.  Each chunk samples w2 and the record at its own midpoints
-and writes its increments and b into one reused buffer, so no array
-the length of the lattice is formed and a call's working memory is
-O(``_CHUNK``) at any N (~2.2 MB traced from 2^16 to 2^21 slices).  The
+minors, and then b^T P^{-1} b, come from compiled banded triangular
+solves (BLAS ``ztbsv``) over chunks of fixed length (``_CHUNK``), so no
+per-slice Python loop runs.  Each chunk samples w2 and the record at its
+own midpoints and writes its increments and b into reused buffers, so no
+array the length of the lattice is formed and a call's working memory is
+O(``_CHUNK``) at any N (~1.1 MB traced from 2^16 to 2^20 slices).  The
 entries 2 - e_j are never formed, so e_j ~ eps^2 keeps all its digits
 on fine lattices.  b^T P^{-1} b, which carries no branch, reuses the
 same pivots: P = (m/eps) L D L^T with D = diag(delta_j), so it is the
-forward substitution of the Thomas recurrence, run in the same blocks
-(within ~3e-11 of a long-double solve in log K at 2^20 slices on the
-benchmark's validate-ladder scenarios).
+forward substitution of the Thomas recurrence, with a tiny pivot and the
+next one taken as a 2x2 block (within ~3e-11 of a long-double solve
+in log K at 2^20 slices on the benchmark's validate-ladder scenarios).
 
 :func:`periodic_propagator` evaluates the same integral on a lattice
 tied to the drive period, for windows of millions of periods.
@@ -67,16 +68,22 @@ from .trapmodel import effective_frequency, whole_periods
 #: discrete caustic
 _PIVOT_RTOL = 1e-12
 
-#: pivots per block of the blocked elimination scan
-_BLOCK = 32
+#: pivots per chunk of the elimination; it bounds the elimination's
+#: working memory at any lattice size (~1.1 MB traced at 2^16 slices).
+#: Interleaved in one process on validate-ladder scenarios, the ladder
+#: of 2^12..2^16 slices ran fastest at 4096: 2-5% slower at 8192 (2.2 MB),
+#: 10-14% slower at 16384 (4.2 MB) and 9-11% slower at 2048, where the
+#: per-run Python work starts to show (first quartiles of two runs).
+#: The pivot-log and quadratic-form sums are taken per chunk, so the
+#: chunk length moves a longer lattice's value by rounding units
+_CHUNK = 4096
 
-#: pivots per chunk of the blocked elimination scan; it bounds the
-#: elimination's working memory at any lattice size (~2.2 MB traced).
-#: On a 2 MB L2 a ladder of 2^12..2^16 slices ran ~10% faster at 8192
-#: (interleaved with 16384 in one process; 6144 and 12288 no faster),
-#: but the pivot-log and quadratic-form sums are taken per chunk, so a
-#: shorter chunk moves the value of every longer lattice by rounding units
-_CHUNK = 16384
+#: a pivot below this magnitude is eliminated together with the next one
+#: as a 2x2 block, which keeps the quadratic form's digits next to it
+_TINY_PIVOT = 1e-4
+
+#: a run of pivots whose end minor leaves this magnitude range is halved
+_MINOR_RANGE = (1e-280, 1e280)
 
 #: most log growth g of the homogeneous solutions over a drive-periodic
 #: window: the transfer block's power loses about e^g rounding units,
@@ -118,124 +125,15 @@ class SlicedLattice:
         return self.t_start + (np.arange(lo, hi) + 0.5) * self.epsilon
 
 
-def _chunk_eliminate(padded: np.ndarray, c: int, z: complex, u: complex, first: int, n: int):
-    """Log pivots and the quadratic form over one chunk, by a blocked scan.
-
-    ``padded`` (shape (2, L), L the chunk's ``c`` pivots rounded up to
-    whole blocks) holds the chunk's increments e_j in row 0 and b_j in
-    row 1, zero past ``c``; row 1 is overwritten.  ``z`` = s/p and
-    ``u`` = w/delta are the chain states before the chunk's first pivot,
-    which is pivot ``first + 1`` of ``n``; returns (sum of Log pivots,
-    sum of w_j^2/delta_j, z and u after the chunk).
-    The pivots delta_j = 1 + r_j follow the linear recurrence
-    s_j = s_{j-1} - e_j p_{j-1}, p_j = p_{j-1} + s_j (p_j the j-th leading
-    minor, r_j = s_j / p_{j-1}, z_j = s_j / p_j).  The chunk is cut into
-    blocks of ``_BLOCK`` pivots, and four passes replace the per-pivot
-    Python loop:
-
-    1. the linear state steps through all blocks at once, column by
-       column, from the unit states (1, 0) and (0, 1): each block's 2x2
-       map, rescaled every 16 columns against overflow (a block map acts
-       on z = s/p as a Moebius map, which ignores a common scale);
-    2. the maps chain over the blocks as Python complex numbers, giving
-       the true z at each block's start;
-    3. the increment recurrence r_j = z_{j-1} - e_j, z_j = r_j/(1 + r_j)
-       runs in every block at once from those starts, and beside it the
-       forward substitution of Q = L D L^T, D = diag(delta_j):
-       w_j = b_j + u_{j-1}, u_j = w_j/delta_j, from u = 0 at each block's
-       start.  1/delta_j is taken as 1/(1 + r_j); 1 - z_j would cancel
-       where |delta_j| is large;
-    4. u is affine in its value at a block's start, with slope the
-       product of the block's 1/delta_j, so the starts chain as in pass
-       2; w and u then re-run in every block from the true starts, and
-       b^T Q^-1 b is the pairwise sum of w_j u_j.
-
-    No entry 1 - e or 2 - e is formed, so eps^2 w keeps all its digits.
-    Each principal Log delta_j is 0.5 log1p(2 Re r + |r|^2) +
-    i atan2(Im r, 1 + Re r): the branch of log K lives in these per-pivot
-    logs, and the pivot product is never formed.  Where |1 + r| < 1/2,
-    1 + Re r is exact (Sterbenz) and log |1 + r|^2 is taken from it, so
-    pivots near a discrete caustic keep their relative accuracy.
-    """
-    length = min(_BLOCK, c)
-    blocks = padded.shape[1] // length
-    # e[j, k] is e at pivot j of block k, and w holds b there, then w in
-    # place
-    e, w = padded.reshape(2, blocks, length).transpose(0, 2, 1)
-    state = np.zeros((2, 2, blocks), dtype=complex)  # (p or s, column, block)
-    state[0, 0] = state[1, 1] = 1.0
-    p, s = state
-    kick = np.empty_like(p)
-    for j, col in enumerate(e):
-        np.multiply(col, p, out=kick)
-        s -= kick
-        p += s
-        if j % 16 == 15:
-            state /= np.abs(state).max(axis=(0, 1))
-    p0, p1, s0, s1 = (x.tolist() for x in (p[0], p[1], s[0], s[1]))
-    starts = []
-    for k in range(blocks):
-        starts.append(z)
-        den = p0[k] + z * p1[k]
-        # an exact zero pivot ends this block: the screen below names it
-        z = (s0[k] + z * s1[k]) / den if den else complex("nan")
-    z_run = np.array(starts)
-    r = np.empty((length, blocks), dtype=complex)
-    inv = np.empty_like(r)
-    u_part = np.zeros(blocks, dtype=complex)
-    # after an exact zero pivot the recurrence divides by zero and runs
-    # on NaN, and near a caustic log1p may see -1 or less: the screen
-    # and the exact branch below deal with both
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for col, b_col, r_col, inv_col in zip(e, w, r, inv):
-            np.subtract(z_run, col, out=r_col)
-            np.add(r_col, 1.0, out=inv_col)
-            np.reciprocal(inv_col, out=inv_col)
-            np.multiply(r_col, inv_col, out=z_run)
-            u_part += b_col
-            u_part *= inv_col
-        pad = c - (blocks - 1) * length
-        r[pad:, -1] = 0.0  # the padding's pivots are 1
-        re, im = r.real, r.imag
-        x = 1.0 + re
-        im2 = im * im
-        mag2 = x * x + im2
-        low = mag2.min()
-        if not low >= (2.0 * _PIVOT_RTOL) ** 2:  # NaN fails this too
-            j, k = np.divmod(np.flatnonzero(~(mag2 >= (2.0 * _PIVOT_RTOL) ** 2)), blocks)
-            i = np.argmin(k * length + j)
-            raise SingularSliceError(
-                f"elimination pivot {first + k[i] * length + j[i] + 1} of {n}"
-                f" underflowed: {1.0 + r[j[i], k[i]]:.3e}"
-            )
-        log_mod2 = np.log1p(re * (x + 1.0) + im2)
-    if low < 0.25:
-        near = mag2 < 0.25
-        log_mod2[near] = np.log(mag2[near])
-    # pass 4: u at a block's end is u_part + u_unit (u at its start)
-    u_part, u_unit = u_part.tolist(), np.prod(inv, axis=0).tolist()
-    u_starts = []
-    for k in range(blocks):
-        u_starts.append(u)
-        u = u_part[k] + u_unit[k] * u
-    carry = np.array(u_starts)
-    # w and u from the true starts, in place of b and of 1/delta; the
-    # quadratic form is sum_j w_j u_j
-    for w_col, inv_col in zip(w, inv):
-        np.add(carry, w_col, out=w_col)
-        carry = np.multiply(w_col, inv_col, out=inv_col)
-    w[pad:, -1] = 0.0
-    quad = np.sum(w * inv)
-    return complex(0.5 * log_mod2.sum(), np.arctan2(im, x).sum()), complex(quad), z, u
-
-
 def _eliminate(inc: np.ndarray, b: np.ndarray):
     """Log-pivot sum and b^T Q^-1 b for Q = tridiag(-1, 2 - e_j, -1).
 
     inc holds the increments e_j; the caller's matrix is P = (m/eps) Q,
     and the m/eps scale stays with the caller.  Returns (sum of Log
     pivots, b^T Q^-1 b).  It runs :func:`_scan`, the elimination of
-    :func:`discrete_propagator`, on chunks copied from ``inc`` and ``b``.
+    :func:`discrete_propagator`, on chunks copied from ``inc`` and ``b``,
+    so its callers see the same banded solves, runs, 2x2 blocks and
+    chunk boundaries as the oracle.
     """
 
     def fill(lo, hi, e, b_chunk):
@@ -245,47 +143,140 @@ def _eliminate(inc: np.ndarray, b: np.ndarray):
     return _scan(inc.size, fill)
 
 
+def _pair(w, p0, p1, p2, e1, b1):
+    """A tiny pivot k and pivot k + 1 as one 2x2 block of the Thomas solve.
+
+    ``w`` is w_k, ``p0``, ``p1``, ``p2`` the minors p_{k-1}, p_k, p_{k+1},
+    and ``e1``, ``b1`` are e_{k+1}, b_{k+1}.  Returns the block's part of
+    the quadratic form, w_k^2/delta_k + w_{k+1}^2/delta_{k+1}, and the
+    carry u_{k+1} = w_{k+1}/delta_{k+1}.  With delta_j = p_j/p_{j-1} and
+    p_{k+1} + p_{k-1} = (2 - e_{k+1}) p_k, neither holds a 1/delta_k.
+    """
+    wp = w * p0
+    return (wp * (w * (2.0 - e1) + 2.0 * b1) + b1 * b1 * p1) / p2, (b1 * p1 + wp) / p2
+
+
 def _scan(n: int, fill):
     """Log-pivot sum and b^T Q^-1 b over ``n`` pivots, ``_CHUNK`` at a time.
 
     ``fill(lo, hi, e, b)`` writes the increments e_j and the entries b_j
-    of pivots lo + 1..hi into ``e`` and ``b``, the rows of one buffer that
+    of pivots lo + 1..hi into ``e`` and ``b``, views of the buffers that
     every chunk reuses, so the elimination's working memory is
-    O(``_CHUNK``) at any n.  Each chunk runs the blocked scan of
-    :func:`_chunk_eliminate`, and the chain states are carried between
-    chunks.
+    O(``_CHUNK``) at any n.  The chunk's pivots are eliminated in runs,
+    each a pair of compiled banded triangular solves (BLAS ``ztbsv``):
 
-    The pivots are delta_j = 1 + r_j, r_1 = 1 - e_1 and
-    r_j = r_{j-1}/(1 + r_{j-1}) - e_j.  The first pivot with
-    |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic) raises
-    SingularSliceError with its index; it is the only singularity check.
-    The quadratic form reuses the pivots: Q = L D L^T, D = diag(delta_j),
-    and b^T Q^-1 b = sum_j w_j^2/delta_j with w_j = b_j + w_{j-1}/delta_{j-1}
-    (the tridiagonal Thomas recurrence).
+    1. the leading minors p_j of Q, in increment form: unknowns
+       (s_a, p_a, s_{a+1}, p_{a+1}, ...) of a unit lower band of width 2,
+       s_j = s_{j-1} - e_j p_{j-1} and p_j = p_{j-1} + s_j, from the
+       minors the last run left, rescaled so that p_a = 1.  No entry
+       2 - e_j is formed, so e_j ~ eps^2 keeps all its digits.  The pivots
+       are delta_j = p_j/p_{j-1}, so their principal logs telescope across
+       a near-caustic pair: Re sum Log delta_j = log |p_end / p_a|, and
+       Im sum Log delta_j is the sum of atan2(0 - Im(1/delta_j),
+       Re(1/delta_j)), whose 0 - turns a zero imaginary part into +0 and
+       so gives a real negative pivot Arg +pi;
+    2. b^T Q^-1 b from Q = L D L^T, D = diag(delta_j): the Thomas forward
+       substitution w_j = b_j + w_{j-1}/delta_{j-1}, a unit lower band of
+       width 1, and sum_j w_j^2/delta_j.
 
-    That solve does not pivot rows, so next to a pivot of size |delta| it
-    loses digits in proportion to 1/|delta|, by a factor that depends on
-    the problem: 9e-14 relative at |delta| = 1e-6 and 7e-11 at 1e-9 on a
-    2 ``_CHUNK`` + 10 lattice with ``_CHUNK`` = 16384, but 1.5e-12 and
-    1.1e-9 on the same construction with 8192, where a row-pivoted solve
-    keeps ~6e-13.  In exchange it
-    needs no formed diagonal 2 - e_j, whose rounding put a row-pivoted
-    solve ~1e-7 off in log K at 2^20 slices; this one stays within ~3e-11.
+    The first pivot with |delta| < 2 ``_PIVOT_RTOL`` (a discrete caustic)
+    raises SingularSliceError with its index; it is the only singularity
+    check.  A run whose end minor leaves ``_MINOR_RANGE`` or is not
+    finite (slices of many radians grow the minors by |e| per pivot) is
+    halved and run again.  The solve of step 2 does not pivot rows, and
+    next to a pivot of size |delta| it would lose digits in proportion to
+    1/|delta|; a row-pivoted solve needs the formed diagonal 2 - e_j,
+    whose rounding put it ~1e-7 off in log K at 2^20 slices.  So a pivot
+    below ``_TINY_PIVOT`` is eliminated with the next one as a 2x2 block
+    (:func:`_pair`), whose terms hold no 1/delta_k, and the substitution
+    restarts after it; a tiny pivot that ends a run hands its w_k to the
+    next run, whose minors are rescaled to p_{k-1} = 1 for it.  Next to
+    |delta| = 1e-9 the quadratic form then stays within ~1e-14 of a
+    40-digit solve at any chunking (the unpivoted solve was 7e-11 to
+    1.2e-9 off, depending on the problem).
     """
-    log_sum = quad = 0j
-    z, u = 1.0 + 0j, 0j  # z = s_0/p_0 (the minors D_0 = 1, D_-1 = 0); w_1 = b_1
-    buffer = np.empty(2 * -(-min(n, _CHUNK) // _BLOCK) * _BLOCK, dtype=complex)
+    from scipy.linalg.blas import ztbsv  # the oracle alone loads scipy.linalg
+
+    size = min(n, _CHUNK)
+    # one allocation for the four buffers, which the allocator then reuses
+    # from call to call rather than mapping fresh pages each time; the
+    # bands' fixed entries are -1
+    work = np.full(11 * size + 8, -1.0 + 0j)
+    minors, x, thomas, b = np.split(work, [6 * size + 6, 8 * size + 8, 10 * size + 8])
+    # unknowns s_j, p_j in columns 2j, 2j + 1 of a unit lower band, and
+    # e_j in row 1 of column 2j - 1, below p_{j-1}
+    minors = minors.reshape((3, 2 * size + 2), order="F")
+    e = minors[1, 1::2]
+    # a unit lower band with -1/delta_j below the diagonal; b is solved in
+    # place
+    thomas = thomas.reshape((2, size), order="F")
+    log_mod = log_arg = 0.0
+    quad = 0j
+    s = p = 1.0 + 0j  # the minors p_0 = 1 and s_0 = p_0 - p_-1
+    u = 0j  # w_1 = b_1 + u
+    pending = None  # w_k of a tiny pivot k that ended the last run
     for lo in range(0, n, _CHUNK):
         c = min(_CHUNK, n - lo)
-        length = min(_BLOCK, c)
-        size = -(-c // length) * length  # whole blocks
-        padded = buffer[: 2 * size].reshape(2, size)
-        fill(lo, lo + c, padded[0, :c], padded[1, :c])
-        padded[:, c:] = 0.0  # zeros pad the last block past the chunk's end
-        chunk_sum, chunk_quad, z, u = _chunk_eliminate(padded, c, z, u, lo, n)
-        log_sum += chunk_sum
-        quad += chunk_quad
-    return log_sum, quad
+        fill(lo, lo + c, e[:c], b[:c])
+        a, span = 0, c
+        # an exact zero pivot divides by zero: the screen names it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while a < c:
+                m = min(span, c - a)
+                col, end = 2 * a + 1, 2 * (a + m) + 1  # the columns of p_a, p_{a+m}
+                x[col], x[col + 1] = p, s
+                x[col + 2 : end + 1] = 0.0
+                ztbsv(2, minors[:, col : end + 1], x, offx=col, lower=1, diag=1, overwrite_x=1)
+                p_end, s_end = complex(x[end]), complex(x[end - 1])
+                if m > 1 and not _MINOR_RANGE[0] < abs(p_end) < _MINOR_RANGE[1]:  # or NaN
+                    span = m // 2
+                    continue
+                mins = x[col : end + 1 : 2]  # p_a .. p_{a+m}
+                inv = np.divide(mins[:-1], mins[1:])  # 1/delta_j
+                mag = np.abs(inv)
+                high = mag.max()
+                if not high <= 0.5 / _PIVOT_RTOL:  # NaN fails this too
+                    i = int(np.argmin(mag <= 0.5 / _PIVOT_RTOL))
+                    raise SingularSliceError(
+                        f"elimination pivot {lo + a + i + 1} of {n} underflowed:"
+                        f" {mins[i + 1] / mins[i]:.3e}"
+                    )
+                np.negative(inv, out=thomas[1, a : a + m])
+                log_mod += math.log(abs(p_end)) - math.log(abs(p))
+                # Arg delta = -Arg(1/delta); 0 - Im makes a zero imaginary part +0
+                log_arg += float(np.arctan2(0.0 - inv.imag, inv.real).sum())
+                i = 0  # the first pivot of the run that the substitution has not reached
+                if pending is not None:
+                    term, u = _pair(pending, 1.0, mins[0], mins[1], e[a], b[a])
+                    quad += term
+                    i, pending = 1, None
+                tiny = np.flatnonzero(mag * _TINY_PIVOT > 1.0) if high * _TINY_PIVOT > 1.0 else ()
+                # the last pivot has no partner for a 2x2 block
+                for k in [k for k in tiny if lo + a + k + 1 < n] + [m]:
+                    if k < i:
+                        continue
+                    if k > i:  # the substitution over pivots i..k-1, in place of b
+                        b[a + i] += u
+                        band = thomas[:, a + i : a + k]
+                        ztbsv(1, band, b, offx=a + i, lower=1, diag=1, overwrite_x=1)
+                        terms = b[a + i : a + k] * inv[i:k]  # u_j = w_j/delta_j
+                        u = terms[-1]
+                        terms *= b[a + i : a + k]
+                        quad += terms.sum()
+                    if k == m:
+                        break
+                    w = b[a + k] + u
+                    if k == m - 1:
+                        pending = w
+                        break
+                    term, u = _pair(w, *mins[k : k + 3], e[a + k + 1], b[a + k + 1])
+                    quad += term
+                    i = k + 2
+                # the next run starts from p = 1, or from p_{k-1} = 1 for a pending block
+                scale = p_end if pending is None else mins[m - 1]
+                s, p = s_end / scale, p_end / scale
+                a += m
+    return complex(log_mod, log_arg), complex(quad)
 
 
 def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
@@ -294,7 +285,7 @@ def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
     w2, F and the record are read at the slice midpoints (the O(eps**2)
     rule of the module docstring).  The set-up is streamed: each chunk of
     pivots samples its own midpoints and writes its increments and b
-    straight into the elimination's buffer (see :func:`_scan`), so no
+    straight into the elimination's buffers (see :func:`_scan`), so no
     array the length of the lattice is formed and the call's working
     memory is O(``_CHUNK``) at any N (``_CHUNK`` says how its length was
     chosen).  The record norm sum_k a_k^2 is

@@ -536,18 +536,19 @@ def test_console_entry_point_smoke(tmp_path):
 
 def _runs_without_scipy_integrate(tmp_path, command):
     """Run ``paulpath <command>`` on the short window in a fresh process
-    and check that scipy.integrate is loaded neither by the import nor by
-    the run."""
+    and check that scipy.integrate and scipy.linalg are loaded neither by
+    the import nor by the run."""
     out = tmp_path / f"{command}.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "import paulpath.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]\n"
+        "assert not loaded(), ('import', loaded())\n"
         f"code = paulpath.cli.main([{command!r}, '--scenario', {SHORT!r}, '--out', {str(out)!r}])\n"
         "assert code == 0, code\n"
-        f"assert 'scipy.integrate' not in sys.modules, {command!r}\n"
+        f"assert not loaded(), ({command!r}, loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

@@ -29,7 +29,7 @@ from paulpath import (
     richardson,
 )
 from paulpath.cli import axis_inputs, load_scenario
-from paulpath.oracle import _BLOCK, _CHUNK, _eliminate
+from paulpath.oracle import _CHUNK, _MINOR_RANGE, _eliminate
 from paulpath.records import ConstantRecord, SinusoidRecord, record_forcing_scale
 
 
@@ -157,7 +157,7 @@ def _assert_matches_reference(inc, b):
 @pytest.mark.parametrize(
     "n",
     [
-        1, 2, 5, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+        1, 2, 5, 300, 31, 32, 33, 16383, 16384, 16385, 49153,
         _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1,
     ],
 )
@@ -166,9 +166,9 @@ def test_eliminate_matches_reference(n):
 
 
 def test_eliminate_takes_slices_of_many_radians():
-    # |e_j| ~ 1e12: a block's unit states grow by ~1e12 per pivot, and
-    # would overflow over one block without rescaling
-    _assert_matches_reference(*_slice_increments(3 * _BLOCK + 5, 1e6, 0.5, seed=11))
+    # |e_j| ~ 1e12: the minors grow by ~1e12 per pivot, and would overflow
+    # within a few dozen pivots if the runs were not halved
+    _assert_matches_reference(*_slice_increments(3 * 32 + 5, 1e6, 0.5, seed=11))
 
 
 def test_eliminate_keeps_the_branch_past_two_pi():
@@ -205,7 +205,7 @@ def test_eliminate_names_an_exact_zero_pivot():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "k", [1, _BLOCK, _BLOCK + 1, _CHUNK, _CHUNK + 1],
+    "k", [1, 32, 33, _CHUNK, _CHUNK + 1],
     ids=["first", "block-last", "block-first", "chunk-last", "chunk-first"],
 )
 def test_eliminate_names_an_exact_zero_pivot_at_block_and_chunk_edges(k):
@@ -249,16 +249,106 @@ def _elimination_longdouble(inc, b):
 @pytest.mark.parametrize("size", [1e-3, 1e-6, 1e-9])
 def test_eliminate_keeps_a_pivot_near_a_caustic_accurate(size):
     # |delta_k| = size: log1p(2 Re r + |r|^2) alone would cancel to
-    # ~1e-16/size^2 there (7e-5 at 1e-6).  The quadratic form's solve does
-    # not pivot rows, so it loses about 1e-16/size relative next to delta_k
+    # ~1e-16/size^2 there (7e-5 at 1e-6).  A Thomas solve that divides by
+    # delta_k loses about 1e-16/size relative next to it; the elimination
+    # takes delta_k with the next pivot as a 2x2 block instead
     n, k = 2 * _CHUNK + 10, _CHUNK + 17
     inc, b = _slice_increments(n, 0.01, 0.05, seed=3)
     inc[k] = 2.0 - (1.0 / _pivots(2.0 - inc[:k])[-1] + size)
     log_sum, quad = _eliminate(inc, b)
     ref_log, ref_quad = _elimination_longdouble(inc, b)
     assert abs(log_sum - ref_log) < 1e-12
-    quad_rtol = {1e-3: 1e-12, 1e-6: 1e-12, 1e-9: 3e-10}[size]  # 1e-9: 6.9e-11 measured
+    # 1e-9: the division measured 6.9e-11 with _CHUNK = 16384 and 5.8e-10
+    # with 4096; the 2x2 block 4.8e-13 with 4096, the long-double
+    # reference's own error
+    quad_rtol = {1e-3: 1e-12, 1e-6: 1e-12, 1e-9: 3e-10}[size]
     assert abs(complex(quad - ref_quad)) <= quad_rtol * abs(complex(ref_quad))
+
+
+def _near_caustic(n, k, size, inc=None, b=None):
+    """Increments and b with pivot k + 1 set to about ``size``; by default
+    the damped problem of the near-caustic tests."""
+    if inc is None:
+        inc, b = _slice_increments(n, 0.01, 0.05, seed=3)
+    inc[k] = 2.0 - (1.0 / _pivots(2.0 - inc[:k])[-1] + size)
+    return inc, b
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [4096, 8192, 16384, 65536])
+def test_eliminate_keeps_a_pivot_near_a_caustic_accurate_at_any_length(length):
+    # the near-caustic problem built at fixed lengths, whatever the chunk
+    # length: |delta| = 1e-9 cost the quadratic form 1.2e-9 on the 8192
+    # problem when the Thomas solve divided by every pivot.  The
+    # long-double reference is itself 2.6e-13 to 4.8e-13 off a 40-digit
+    # solve on these problems
+    inc, b = _near_caustic(2 * length + 10, length + 17, 1e-9)
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert abs(log_sum - ref_log) < 1e-12
+    assert abs(complex(quad - ref_quad)) <= 1e-12 * abs(complex(ref_quad))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "k", [_CHUNK - 2, _CHUNK - 1, 2 * _CHUNK - 1],
+    ids=["chunk-last-but-one", "chunk-last", "second-chunk-last"],
+)
+def test_eliminate_pairs_a_tiny_pivot_across_chunks(k):
+    # pivot k + 1 is tiny: at a chunk's last pivot its 2x2 block ends in
+    # the next chunk
+    inc, b = _near_caustic(2 * _CHUNK + 10, k, 1e-9)
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert abs(log_sum - ref_log) < 1e-12
+    assert abs(complex(quad - ref_quad)) <= 1e-12 * abs(complex(ref_quad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_eliminate_pairs_a_tiny_pivot_that_ends_a_halved_run():
+    # an inverted potential grows the minors by ~1e210 over half a chunk,
+    # so a chunk's run overflows and is halved, and the tiny pivot ends
+    # the first half.  The tiny pivot is complex: a nearly real one of
+    # 1e-9 would put its partner -1/delta on the branch cut of the Log
+    n = 2 * _CHUNK + 10
+    grow = math.exp(210 * math.log(10) * 2 / _CHUNK)
+    rng = np.random.default_rng(5)
+    inc = -(grow + 1 / grow - 2) * (1 + 0.02 * rng.uniform(-1, 1, n)) * (1 - 0.05j)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    k = _CHUNK // 2 - 1
+    inc, b = _near_caustic(n, k, 1e-9 * (0.6 + 0.8j), inc, b)
+    top = math.log(_MINOR_RANGE[1])
+    assert _elimination_longdouble(inc[: _CHUNK // 2], b[: _CHUNK // 2])[0].real < top
+    assert _elimination_longdouble(inc[:_CHUNK], b[:_CHUNK])[0].real > top
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert abs(log_sum - ref_log) < 1e-12 * abs(ref_log)
+    assert abs(complex(quad - ref_quad)) <= 1e-12 * abs(complex(ref_quad))
+
+
+def test_eliminate_takes_a_tiny_last_pivot():
+    # the last pivot has no partner for a 2x2 block: its own term stays,
+    # and log K and the quadratic form carry its ~1e-16/1e-9 rounding
+    n = 5000
+    inc, b = _near_caustic(n, n - 1, 1e-9)
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert abs(log_sum - ref_log) < 1e-6
+    assert abs(complex(quad - ref_quad)) <= 1e-6 * abs(complex(ref_quad))
+
+
+def test_eliminate_keeps_the_branch_of_real_negative_pivots():
+    # undamped: e_j and the pivots are real, and a negative pivot's Log
+    # is log|delta| + i pi (the reference adds +0 to a zero imaginary
+    # part); the ratio of two minors may carry -0, which atan2 would send
+    # to -pi
+    inc, b = _slice_increments(2000, 0.05, 0.0, seed=1)
+    assert np.all(inc.imag == 0.0)
+    log_sum, quad = _eliminate(inc, b)
+    ref_log, ref_quad = _elimination_longdouble(inc, b)
+    assert ref_log.imag > 30 * math.pi  # 31 negative pivots
+    assert abs(log_sum - ref_log) < 1e-12 * abs(ref_log)
+    assert abs(complex(quad - ref_quad)) <= 1e-12 * abs(complex(ref_quad))
 
 
 def test_log_pivot_sum_keeps_its_digits_on_a_fine_lattice():
