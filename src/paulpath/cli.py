@@ -8,6 +8,12 @@ validate    compare the pipeline against the sliced-lattice oracle
 sweep       Cartesian parameter sweep with log_p columns, long format
 mathieu     dump series coefficients and reference-solution samples
 
+``propagate``, ``prob``, ``sweep`` and ``validate``'s pipeline column all
+score through :func:`~paulpath.propagator.record_scorer`, the closed form
+on the Floquet pair: no ODE pass and no tolerance, on a window of any
+length.  The phase budget guards only ``validate``'s sliced oracle, and
+``numerics.tol`` reaches only ``mathieu``'s ODE column.
+
 Scenario files are YAML with fixed, unit-suffixed key names; see the
 bundled ``*.scenario`` files for the schema written out with comments.
 All numeric output is CSV: comma separated, '.' decimal, ``%.12e``
@@ -49,7 +55,8 @@ from .probability import rank_records
 from .propagator import (
     BoundaryConditions,
     PropagatorInputs,
-    restricted_propagator,
+    fold_phase,
+    record_scorer,
 )
 from .records import (
     ConstantRecord,
@@ -84,7 +91,11 @@ class Numerics:
     """Knobs that tune accuracy and cost, not physics.
 
     ``n_samples`` is checked where an analytic record is rendered and
-    ``oracle_n`` where the sliced lattice is built.
+    ``oracle_n`` where the sliced lattice is built.  ``tol`` is the
+    adaptive integrator's relative tolerance: of the subcommands only
+    ``mathieu``'s ODE column (``f_source: ode``) reads it, the record
+    scorer has none.  ``phase_budget_rad`` bounds the window phase that
+    ``validate``'s sliced oracle takes (see :func:`check_phase_budget`).
     """
 
     tol: float = DEFAULT_TOL
@@ -344,16 +355,18 @@ def check_phase_budget(inputs: PropagatorInputs, budget: float) -> float:
 
     The estimate is T * sqrt(max |w_tilde^2|) (``peak_stiffness``, exact),
     the phase a constant stiffness at the window's stiffest point would
-    accumulate.  Above the budget, direct time-domain integration is
-    refused rather than silently returned with unknown accuracy.
+    accumulate.  ``validate`` runs it in front of the sliced oracle, whose
+    lattice must resolve that phase: above the budget the run is refused
+    rather than left to take unbounded work or return with unknown
+    accuracy.  The record scorer needs no such guard.
     """
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
     peak = spec.peak_stiffness(inputs.bc.t_start, inputs.bc.t_end)
     estimate = math.sqrt(peak) * inputs.bc.duration
     if estimate > budget:
         raise PhaseBudgetError(
-            f"estimated window phase {estimate:.3e} rad exceeds the budget"
-            f" {budget:.3e} rad; raise numerics.phase_budget_rad to force the run"
+            f"estimated window phase {estimate:.3e} rad exceeds the sliced oracle's"
+            f" budget {budget:.3e} rad; raise numerics.phase_budget_rad to force the run"
         )
     return estimate
 
@@ -422,21 +435,13 @@ def cmd_propagate(args, scenario: Scenario) -> int:
     rows = []
     for axis in (Axis.X, Axis.Z):
         inputs = axis_inputs(scenario, axis)
-        check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
-        res = restricted_propagator(inputs, tol=scenario.numerics.tol)
-        rows.append(
-            [
-                axis.value,
-                res.log_modulus,
-                res.phase,
-                res.winding,
-                res.classical.action.real,
-                res.classical.action.imag,
-                res.record_term,
-                res.prefactor_term.real,
-                res.prefactor_term.imag,
-            ]
-        )
+        scorer = record_scorer(inputs)
+        (log_k,), (record_term,), (action,) = scorer.parts([inputs.record])
+        prefactor = scorer.prefactor.log_value
+        rows.append([
+            axis.value, log_k.real, *fold_phase(log_k.imag), action.real, action.imag,
+            record_term, prefactor.real, prefactor.imag,
+        ])
     write_csv(args.out, header, _meta(args, "cmd=propagate"), rows)
     return 0
 
@@ -498,7 +503,7 @@ def cmd_validate(args, scenario: Scenario) -> int:
         levels = [scenario.numerics.oracle_n // 2, scenario.numerics.oracle_n]
     inputs = axis_inputs(scenario, Axis.X)
     check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
-    pipe = restricted_propagator(inputs, tol=scenario.numerics.tol).log_amplitude
+    pipe = record_scorer(inputs).log_amplitude(inputs.record)
     oracle = {n: discrete_propagator(inputs, n) for n in levels}
     header = [
         "n_slices",
@@ -595,13 +600,8 @@ def cmd_sweep(args, scenario: Scenario) -> int:
 
     def run_point(values: tuple[float, ...]):
         sc = point_scenario(values)
-        x_in = axis_inputs(sc, Axis.X)
-        z_in = axis_inputs(sc, Axis.Z)
-        check_phase_budget(x_in, sc.numerics.phase_budget_rad)
-        check_phase_budget(z_in, sc.numerics.phase_budget_rad)
-        lx = 2.0 * restricted_propagator(x_in, tol=sc.numerics.tol).log_amplitude.real
-        lz = 2.0 * restricted_propagator(z_in, tol=sc.numerics.tol).log_amplitude.real
-        return lx, lz
+        inputs = [axis_inputs(sc, axis) for axis in (Axis.X, Axis.Z)]
+        return [2.0 * record_scorer(i).log_amplitude(i.record).real for i in inputs]
 
     points = list(itertools.product(*grids)) if grids else []
     results = [run_point(pt) for pt in points]
@@ -657,7 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", required=True, help="scenario file (path or bundled name)")
     common.add_argument("--out", default="stdout", help="output CSV path, or stdout")
     common.add_argument("--threads", type=int, default=1, help="ignored; runs are serial")
-    common.add_argument("--tol", type=float, default=None, help="override numerics.tol")
+    common.add_argument(
+        "--tol", type=float, default=None,
+        help="override numerics.tol, the tolerance of mathieu's ODE column",
+    )
 
     parser = argparse.ArgumentParser(
         prog="paulpath",

@@ -77,6 +77,7 @@ from .mathieu import (
     HillBasis,
     _basis_pass,
     _floquet_parts,
+    _fourier_rows,
     hill_basis,
 )
 from .records import (
@@ -681,8 +682,7 @@ class PropagatorResult:
 
     log_amplitude is exactly record_term + action_term + prefactor_term
     (the assembler adds, it never re-derives).  Its imaginary part is the
-    continuous phase; ``phase`` folds it into (-pi, pi] and ``winding``
-    keeps the discarded 2 pi turns, so the pair is lossless.
+    continuous phase; ``phase`` and ``winding`` are its :func:`fold_phase`.
     """
 
     log_amplitude: complex
@@ -698,14 +698,20 @@ class PropagatorResult:
 
     @property
     def phase(self) -> float:
-        wrapped = math.remainder(self.log_amplitude.imag, 2.0 * math.pi)
-        if wrapped <= -math.pi:
-            wrapped = math.pi
-        return wrapped
+        return fold_phase(self.log_amplitude.imag)[0]
 
     @property
     def winding(self) -> int:
-        return int(round((self.log_amplitude.imag - self.phase) / (2.0 * math.pi)))
+        return fold_phase(self.log_amplitude.imag)[1]
+
+
+def fold_phase(theta: float) -> tuple[float, int]:
+    """The continuous phase ``theta`` as (phase, winding): phase in (-pi, pi]
+    and the 2 pi turns it drops, theta = phase + 2 pi winding (lossless)."""
+    phase = math.remainder(theta, 2.0 * math.pi)
+    if phase <= -math.pi:
+        phase = math.pi
+    return phase, int(round((theta - phase) / (2.0 * math.pi)))
 
 
 def _check_windows_consistent(bc: BoundaryConditions, meas: MeasurementConfig):
@@ -834,8 +840,8 @@ def _periodic_series(basis: HillBasis, spec: EffectiveFrequencySpec, bc: Boundar
         minus, -back * plus, slope, g2, down * minus, plus, g2, slope,
         plus, minus, plus, minus, g0, g0, g0, g2, g2, g2,
     ])
-    ends = np.array([plus, -back * plus, minus, down * minus, g0, g2, slope, flat * g0]) @ np.exp(
-        np.multiply.outer(flat, [bc.t_start, bc.t_end])
+    ends = np.array([plus, -back * plus, minus, down * minus, g0, g2, slope, flat * g0]) @ (
+        _fourier_rows(omega, (bc.t_start, bc.t_end), depth)
     )
     (p0, p1), (dp0, dp1), (m0, m1), (dm0, dm1), (g00, g01), (g20, g21), (s0, s1), (h0, h1) = (
         ends.tolist()
@@ -878,12 +884,8 @@ def _grid_terms(scorer: "RecordScorer", t_start: float, dt: float, n: int):
     reach = abs(basis.nu) + columns.shape[1] // 2 * basis.drive_omega
     weights = _SEGMENT_MIX @ _phi(powers, dt, reach).reshape(9, -1) * columns[8:]
     weights[:7] *= dt
-    # e^{i n w t_j} at the knots, by steps of e^{i n w dt}
-    flat = powers[-columns.shape[1]:, 1]
-    waves = np.empty((flat.size, n), dtype=complex)
-    waves[:, 0] = np.exp(flat * t_start)
-    waves[:, 1:] = np.exp(flat * dt)[:, None]
-    np.cumprod(waves, axis=1, out=waves)
+    # e^{i n w t_j} at the knots
+    waves = _fourier_rows(basis.drive_omega, t_start + dt * np.arange(n), columns.shape[1] // 2)
     values = np.concatenate((columns[:8], weights[:4], weights[4:7] + weights[7:])) @ waves
     pm, dp, _, _, dm, pp = values[:6, 0].tolist()
     kicks = values[0:2, 1:-1] * values[2:4, 1:-1] - values[4:6, 1:-1] * values[6:8, 1:-1]
@@ -1036,8 +1038,9 @@ class RecordScorer:
     ``harmonics``, the coefficient ``tail`` and the ``wronskian_residual``.
     ``prefactor`` is the determinant prefactor.  Build it with
     :func:`record_scorer`, which shares the basis and the arrays, read-only,
-    among the scorers of equal settings; :meth:`log_amplitude` is the
-    batch of one.
+    among the scorers of equal settings.  :meth:`parts` scores a batch of
+    records part by part, :meth:`log_amplitudes` gives its sums, and
+    :meth:`log_amplitude` is the batch of one.
     """
 
     inputs: PropagatorInputs
@@ -1048,9 +1051,13 @@ class RecordScorer:
     _powers: np.ndarray = field(repr=False)
     _boundary: np.ndarray = field(repr=False)
 
-    def log_amplitudes(self, records: Sequence[MeasurementRecord]) -> np.ndarray:
-        """log K of each of ``records`` in closed form, as a complex array
-        in their order.
+    def parts(
+        self, records: Sequence[MeasurementRecord]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log K, record term, action S_cl in J s) of each of ``records`` in
+        closed form, as arrays in their order: log K is the sum record term
+        + i S_cl / hbar + ``prefactor.log_value``, the parts that
+        :class:`PropagatorResult` adds too.
 
         The records are grouped by grid (start, step and sample count), and
         every grid's span is checked before any record is scored.  Each
@@ -1073,7 +1080,7 @@ class RecordScorer:
         for members in groups.values():
             check_spans_window(records[members[0]], meas)
         if not records:
-            return np.empty(0, dtype=complex)
+            return np.empty(0, dtype=complex), np.empty(0), np.empty(0, dtype=complex)
         terms, norms = [], []
         for (t_start, dt, n), members in groups.items():
             samples = np.array([records[i].samples for i in members])
@@ -1082,14 +1089,17 @@ class RecordScorer:
             norms.append(norm_integrals(samples, dt))
         terms = np.concatenate(terms, axis=1)
         edges, plus, minus = self._boundary[1:].T @ terms[:6] + self._boundary[0, :, None]
-        action = edges + 0.5 * (terms[6] + plus * terms[7] + minus * terms[8])
-        out = np.empty(len(records), dtype=complex)
-        out[[i for members in groups.values() for i in members]] = (
-            -meas.weight_rate * np.concatenate(norms)
-            + 1j * action / params.hbar
-            + self.prefactor.log_value
-        )
-        return out
+        order = [i for members in groups.values() for i in members]
+        record_terms, actions = np.empty(len(records)), np.empty(len(records), dtype=complex)
+        record_terms[order] = -meas.weight_rate * np.concatenate(norms)
+        actions[order] = edges + 0.5 * (terms[6] + plus * terms[7] + minus * terms[8])
+        log_k = record_terms + 1j * actions / params.hbar + self.prefactor.log_value
+        return log_k, record_terms, actions
+
+    def log_amplitudes(self, records: Sequence[MeasurementRecord]) -> np.ndarray:
+        """log K of each of ``records``, a complex array in their order: the
+        first of :meth:`parts`."""
+        return self.parts(records)[0]
 
     def log_amplitude(self, record: MeasurementRecord) -> complex:
         """log K of one record: :meth:`log_amplitudes` of ``[record]``."""
@@ -1117,7 +1127,8 @@ def record_scorer(inputs: PropagatorInputs) -> RecordScorer:
     ToleranceNotMetError
         If the Hill series does not converge within its harmonic cap, the
         Floquet pair is degenerate (next to a band edge of an undamped
-        drive, or the free particle), or a Floquet multiplier is 1.
+        drive), a Floquet multiplier is 1, or the axis is the free particle
+        (u~ = v = 0), which has no Floquet pair.
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     basis, prefactor, columns, powers, boundary = _scorer_core(
@@ -1142,6 +1153,10 @@ def _scorer_core(
     for one axis and window, every array read-only; kept for the last
     ``_SCORER_CACHE_SIZE`` settings (a failed build is not kept)."""
     spec = effective_frequency(coeffs, meas, params)
+    if spec.u_tilde == 0.0 and spec.v == 0.0:
+        raise ToleranceNotMetError(
+            "the free particle (u~ = v = 0) has no Floquet pair; restricted_propagator takes it"
+        )
     periods = whole_periods(bc.duration, spec.drive_omega)
     t0, t1 = bc.t_start, bc.t_end
     basis = hill_basis(spec, (t0, t0 + 2.0 * math.pi / spec.drive_omega if periods[0] else t1))

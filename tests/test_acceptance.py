@@ -210,7 +210,7 @@ def test_acceptance_4b_oracle_equivalence_reference_window():
     details = []
     for axis in (Axis.X, Axis.Z):
         inputs = axis_inputs(scenario, axis)
-        # the direct route still refuses the window
+        # the sliced oracle's phase budget still refuses the window
         with pytest.raises(PhaseBudgetError):
             check_phase_budget(inputs, scenario.numerics.phase_budget_rad)
         scorer = record_scorer(inputs)

@@ -17,6 +17,7 @@ from paulpath import (
     HBAR_SI, Axis, ConfigError, cli, record_scorer, render, restricted_propagator,
 )
 from paulpath.cli import Numerics, axis_inputs, build_scenario, dump_scenario, load_scenario
+from paulpath.propagator import fold_phase
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord, write_record_csv
 
 SHORT = "barium_short_window.scenario"
@@ -76,7 +77,42 @@ def _rows(text):
     return header, [l.split(",") for l in lines[1:]]
 
 
-def test_propagate_short_window(tmp_path):
+def _written(monkeypatch, argv):
+    """(exit code, rows) of ``paulpath argv``, each row a dict by column of
+    the values the subcommand hands to the CSV writer, before formatting."""
+    rows = []
+    monkeypatch.setattr(
+        cli, "write_csv", lambda out, header, _, body: rows.extend(dict(zip(header, r)) for r in body)
+    )
+    return cli.main(argv), rows
+
+
+def _scorer_log_k(scenario, axis) -> complex:
+    """log K of the axis' own record by the record scorer."""
+    inputs = axis_inputs(scenario, axis)
+    return record_scorer(inputs).log_amplitude(inputs.record)
+
+
+def _check_propagate_rows(monkeypatch, name):
+    """``propagate`` on the scenario ``name`` writes the record scorer's
+    numbers unchanged, and the sum of its parts is its log K."""
+    code, rows = _written(monkeypatch, ["propagate", "--scenario", name])
+    assert code == 0
+    scenario = load_scenario(name)
+    for row, axis in zip(rows, (Axis.X, Axis.Z), strict=True):
+        inputs = axis_inputs(scenario, axis)
+        scorer = record_scorer(inputs)
+        log_k = scorer.log_amplitude(inputs.record)
+        assert row["axis"] == axis.value
+        assert row["log_modulus"] == log_k.real
+        assert (row["phase_rad"], row["winding"]) == fold_phase(log_k.imag)
+        prefactor = complex(row["log_prefactor_re"], row["log_prefactor_im"])
+        assert prefactor == scorer.prefactor.log_value
+        action = complex(row["action_re_js"], row["action_im_js"])
+        assert row["record_term"] + 1j * action / inputs.params.hbar + prefactor == log_k
+
+
+def test_propagate_short_window(tmp_path, monkeypatch):
     out = tmp_path / "prop.csv"
     rc = cli.main(["propagate", "--scenario", SHORT, "--out", str(out)])
     assert rc == 0
@@ -87,22 +123,40 @@ def test_propagate_short_window(tmp_path):
     # z axis carries the bundled half-resolution constant record
     rec_term = float(rows[1][header.index("record_term")])
     assert rec_term == pytest.approx(-0.5, abs=1e-12)
-    # the numbers match an in-process run at the same tolerance
-    scenario = load_scenario(SHORT)
-    res = restricted_propagator(axis_inputs(scenario, Axis.X), tol=scenario.numerics.tol)
-    assert float(rows[0][header.index("log_modulus")]) == pytest.approx(
-        res.log_modulus, rel=1e-12
-    )
-    assert int(rows[0][header.index("winding")]) == res.winding
+    # the numbers match an in-process run of the record scorer
+    log_k = _scorer_log_k(load_scenario(SHORT), Axis.X)
+    assert float(rows[0][header.index("log_modulus")]) == pytest.approx(log_k.real, rel=1e-12)
+    assert int(rows[0][header.index("winding")]) == fold_phase(log_k.imag)[1]
+    _check_propagate_rows(monkeypatch, SHORT)
 
 
-def test_propagate_reference_hits_phase_budget(tmp_path, capsys):
-    out = tmp_path / "ref.csv"
-    rc = cli.main(["propagate", "--scenario", REFERENCE, "--out", str(out)])
-    assert rc == 3
+def test_propagate_and_sweep_score_the_reference_window(monkeypatch, capsys):
+    # the record scorer takes the 30 s window; the phase budget guards
+    # only validate's sliced oracle
+    _check_propagate_rows(monkeypatch, REFERENCE)
+    argv = ["sweep", "--scenario", REFERENCE, "--param", "record.amplitude_m",
+            "--values", "0.0,1.0e-6"]
+    code, rows = _written(monkeypatch, argv)
+    assert code == 0 and len(rows) == 2
+    # the first point leaves record_z and the second record_x at the
+    # bundled amplitude
+    scenario = load_scenario(REFERENCE)
+    assert rows[0]["log_p_z"] == 2.0 * _scorer_log_k(scenario, Axis.Z).real
+    assert rows[1]["log_p_x"] == 2.0 * _scorer_log_k(scenario, Axis.X).real
+    assert all(r["log_p_joint"] == r["log_p_x"] + r["log_p_z"] for r in rows)
+    code, _ = _written(monkeypatch, ["validate", "--scenario", REFERENCE])
+    assert code == 3
+    assert "sliced oracle's budget" in capsys.readouterr().err
+
+
+def test_free_particle_is_refused_with_exit_3(tmp_path, capsys):
+    # no trap and no measurement: the record scorer has no Floquet pair
+    doc = CONJUGATE_YAML.replace("  dc_voltage_v: 1.0\n", "  dc_voltage_v: 0.0\n")
+    sc = tmp_path / "free.scenario"
+    sc.write_text(doc)
+    assert cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"]) == 3
     err = capsys.readouterr().err
-    assert "phase" in err
-    assert not out.exists()
+    assert "free particle" in err and "restricted_propagator" in err
 
 
 def test_conjugate_point_maps_to_exit_3(tmp_path, capsys):
@@ -222,16 +276,16 @@ def test_tol_override_meets_the_numerics_check(capsys):
     assert "numerics.tol" in capsys.readouterr().err
 
 
-def test_nan_phase_budget_refused_before_the_direct_route(tmp_path, monkeypatch, capsys):
+def test_nan_phase_budget_refused_before_the_scorer(tmp_path, monkeypatch, capsys):
     raw = yaml.safe_load(dump_scenario(load_scenario(REFERENCE)))
     raw["numerics"]["phase_budget_rad"] = math.nan
     sc = tmp_path / "nan_budget.scenario"
     sc.write_text(yaml.safe_dump(raw))
 
-    def direct_route(*args, **kwargs):
-        raise AssertionError("the direct route started")
+    def scorer(*args, **kwargs):
+        raise AssertionError("the record scorer started")
 
-    monkeypatch.setattr(cli, "restricted_propagator", direct_route)
+    monkeypatch.setattr(cli, "record_scorer", scorer)
     rc = cli.main(["propagate", "--scenario", str(sc), "--out", "stdout"])
     assert rc == 2
     assert "numerics.phase_budget_rad" in capsys.readouterr().err
@@ -263,6 +317,43 @@ def test_validate_short_window_passes(tmp_path):
     # identification lines ride along as comments
     assert any(l.startswith("# alpha = ") for l in text.splitlines())
     assert any(l.startswith("# beta = ") for l in text.splitlines())
+
+
+def test_validate_pipeline_column_is_the_scorers(monkeypatch):
+    code, rows = _written(monkeypatch, ["validate", "--scenario", SHORT])
+    assert code == 0 and rows
+    log_k = _scorer_log_k(load_scenario(SHORT), Axis.X)
+    for row in rows:
+        assert complex(row["pipeline_re"], row["pipeline_im"]) == log_k
+
+
+def test_cli_numbers_agree_with_the_direct_route(monkeypatch):
+    # the record scorer against the adaptive DOP853 route on the short
+    # window: each number as its share of log K, log-modulus parts within
+    # 1e-10 of |log K|'s real part and phase parts within 1e-10 rad
+    scenario = load_scenario(SHORT)
+    direct = {axis: restricted_propagator(axis_inputs(scenario, axis)) for axis in (Axis.X, Axis.Z)}
+
+    def close(got: complex, want: complex, axis):
+        scale = abs(direct[axis].log_modulus)
+        assert abs(got.real - want.real) <= 1e-10 * scale, (axis, got, want)
+        assert abs(got.imag - want.imag) <= 1e-10, (axis, got, want)
+
+    hbar = scenario.trap.hbar
+    _, rows = _written(monkeypatch, ["propagate", "--scenario", SHORT])
+    for row, (axis, res) in zip(rows, direct.items(), strict=True):
+        log_k = complex(row["log_modulus"], row["phase_rad"] + 2.0 * math.pi * row["winding"])
+        close(log_k, res.log_amplitude, axis)
+        close(row["record_term"], res.record_term, axis)
+        close(1j * complex(row["action_re_js"], row["action_im_js"]) / hbar, res.action_term, axis)
+        close(complex(row["log_prefactor_re"], row["log_prefactor_im"]), res.prefactor_term, axis)
+    argv = ["sweep", "--scenario", SHORT, "--param", "record.amplitude_m", "--values", "1.0e-6"]
+    _, (row,) = _written(monkeypatch, argv)
+    for key, axis in (("log_p_x", Axis.X), ("log_p_z", Axis.Z)):
+        close(row[key] / 2.0, direct[axis].log_modulus, axis)
+    _, rows = _written(monkeypatch, ["validate", "--scenario", SHORT])
+    for row in rows:
+        close(complex(row["pipeline_re"], row["pipeline_im"]), direct[Axis.X].log_amplitude, Axis.X)
 
 
 def test_validate_underresolved_fails_with_exit_4(tmp_path):
@@ -316,7 +407,7 @@ def test_prob_ranks_candidate_files(tmp_path):
 
 def test_prob_scores_the_reference_window(tmp_path):
     # prob runs only the closed-form scorer, so the 30 s window's phase
-    # budget, which guards the time-domain commands, does not stop it
+    # budget, which guards only validate's sliced oracle, does not stop it
     out = tmp_path / "ref.csv"
     assert cli.main(["prob", "--scenario", REFERENCE, "--out", str(out)]) == 0
     header, rows = _rows(_read(out))
@@ -347,14 +438,9 @@ def test_sweep_is_deterministic_and_matches_library(tmp_path):
 
     header, rows = _rows(_read(out1))
     # second point leaves both records at the bundled amplitude, so the
-    # sweep row must reproduce a direct in-process probability
+    # sweep row must reproduce an in-process score of the record scorer
     scenario = load_scenario(SHORT)
-    lx = 2.0 * restricted_propagator(
-        axis_inputs(scenario, Axis.X), tol=1e-9
-    ).log_amplitude.real
-    lz = 2.0 * restricted_propagator(
-        axis_inputs(scenario, Axis.Z), tol=1e-9
-    ).log_amplitude.real
+    lx, lz = (2.0 * _scorer_log_k(scenario, axis).real for axis in (Axis.X, Axis.Z))
     assert float(rows[1][header.index("log_p_x")]) == pytest.approx(lx, rel=1e-12)
     assert float(rows[1][header.index("log_p_z")]) == pytest.approx(lz, rel=1e-12)
     assert float(rows[1][header.index("log_p_joint")]) == pytest.approx(
@@ -534,10 +620,10 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.exists()
 
 
-def _runs_without_scipy_integrate(tmp_path, command):
-    """Run ``paulpath <command>`` on the short window in a fresh process
-    and check that scipy.integrate and scipy.linalg are loaded neither by
-    the import nor by the run."""
+def _runs_without_scipy_integrate(tmp_path, command, *extra):
+    """Run ``paulpath <command> <extra>`` on the short window in a fresh
+    process and check that scipy.integrate and scipy.linalg are loaded
+    neither by the import nor by the run."""
     out = tmp_path / f"{command}.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -546,7 +632,8 @@ def _runs_without_scipy_integrate(tmp_path, command):
         "import paulpath.cli\n"
         "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded(), ('import', loaded())\n"
-        f"code = paulpath.cli.main([{command!r}, '--scenario', {SHORT!r}, '--out', {str(out)!r}])\n"
+        f"argv = [{command!r}, '--scenario', {SHORT!r}, '--out', {str(out)!r}, *{extra!r}]\n"
+        "code = paulpath.cli.main(argv)\n"
         "assert code == 0, code\n"
         f"assert not loaded(), ({command!r}, loaded())\n"
     )
@@ -567,5 +654,11 @@ def test_prob_runs_without_importing_the_adaptive_integrator(tmp_path):
 
 
 def test_propagate_runs_without_importing_the_adaptive_integrator(tmp_path):
-    # the direct route's DOP853 passes carry their own copy of the tableau
+    # propagate scores through the record scorer, as prob does
     _runs_without_scipy_integrate(tmp_path, "propagate")
+
+
+def test_sweep_runs_without_importing_the_adaptive_integrator(tmp_path):
+    _runs_without_scipy_integrate(
+        tmp_path, "sweep", "--param", "record.amplitude_m", "--values", "0.0"
+    )

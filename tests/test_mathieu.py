@@ -295,11 +295,12 @@ def test_hill_basis_is_exact_for_the_free_particle():
 
 def test_hill_basis_refuses_the_free_particle():
     # no drive and no stiffness: nu = 0, and f+ = f- = 1 are one solution,
-    # not a pair; the record scorer refuses it too
+    # not a pair; the record scorer refuses it too, by name, before any
+    # Hill basis is built
     spec, _ = _scaled(u=0.0, v=0.0, T=3.0)
     with pytest.raises(ToleranceNotMetError, match="degenerate"):
         hill_basis(spec, (0.0, 3.0))
-    with pytest.raises(ToleranceNotMetError):
+    with pytest.raises(ToleranceNotMetError, match="free particle .* restricted_propagator"):
         record_scorer(scaled_inputs(u=0.0, v=0.0, T=3.0, x_start=0.1, x_end=0.2))
 
 
