@@ -11,8 +11,10 @@ mathieu     dump series coefficients and reference-solution samples
 ``propagate``, ``prob``, ``sweep`` and ``validate``'s pipeline column all
 score through :func:`~paulpath.propagator.record_scorer`, the closed form
 on the Floquet pair: no ODE pass and no tolerance, on a window of any
-length.  The phase budget guards only ``validate``'s sliced oracle, and
-``numerics.tol`` reaches only ``mathieu``'s ODE column.
+length.  ``prob`` and ``sweep`` take their log_p columns from
+:mod:`~paulpath.probability`, which refuses a joint probability over two
+different x and z windows.  The phase budget guards only ``validate``'s
+sliced oracle, and ``numerics.tol`` reaches only ``mathieu``'s ODE column.
 
 Scenario files are YAML with fixed, unit-suffixed key names; see the
 bundled ``*.scenario`` files for the schema written out with comments.
@@ -51,7 +53,7 @@ from .errors import (
 from .integrate import DEFAULT_TOL
 from .mathieu import integrate_mathieu_ode, evaluate_f, mathieu_series
 from .oracle import discrete_propagator, richardson
-from .probability import rank_records
+from .probability import joint_probability, probability_x, probability_z, rank_records
 from .propagator import (
     BoundaryConditions,
     PropagatorInputs,
@@ -162,6 +164,8 @@ _KIND, _VALUES, _PATH = "kind", "values_m", "path"
 
 
 def _float(v, field: str) -> float:
+    if isinstance(v, bool):  # YAML reads yes, on and true as booleans
+        raise ConfigError(f"not a number: {v!r}", field=field)
     if isinstance(v, str) and v.strip().lower() in ("inf", ".inf", "infinity"):
         return math.inf
     try:
@@ -449,14 +453,6 @@ def cmd_propagate(args, scenario: Scenario) -> int:
 def cmd_prob(args, scenario: Scenario) -> int:
     x_base = axis_inputs(scenario, Axis.X)
     z_base = axis_inputs(scenario, Axis.Z)
-    if (scenario.measurement_x.t_start, scenario.measurement_x.t_end) != (
-        scenario.measurement_z.t_start,
-        scenario.measurement_z.t_end,
-    ):
-        raise ConfigError(
-            "x and z measurement windows must match for a joint probability",
-            field="measurement_z",
-        )
     if args.records:
         ids = [Path(p).stem for p in args.records]
         records = [read_record_csv(p) for p in args.records]
@@ -598,18 +594,15 @@ def cmd_sweep(args, scenario: Scenario) -> int:
                 sc = replace(sc, **{section: replace(part, **{attr: val})})
         return sc
 
-    def run_point(values: tuple[float, ...]):
+    def run_point(values: tuple[float, ...]) -> list[float]:
         sc = point_scenario(values)
-        inputs = [axis_inputs(sc, axis) for axis in (Axis.X, Axis.Z)]
-        return [2.0 * record_scorer(i).log_amplitude(i.record).real for i in inputs]
+        x, z = (axis_inputs(sc, axis) for axis in (Axis.X, Axis.Z))
+        px, pz = probability_x(x), probability_z(z)
+        return [px.log_p, pz.log_p, joint_probability(px, pz).log_p]
 
     points = list(itertools.product(*grids)) if grids else []
-    results = [run_point(pt) for pt in points]
     header = ["point"] + list(params) + ["log_p_x", "log_p_z", "log_p_joint"]
-    rows = [
-        [i, *pt, lx, lz, lx + lz]
-        for i, (pt, (lx, lz)) in enumerate(zip(points, results))
-    ]
+    rows = [[i, *pt, *run_point(pt)] for i, pt in enumerate(points)]
     write_csv(args.out, header, _meta(args, "cmd=sweep"), rows)
     return 0
 

@@ -74,6 +74,6 @@ class RecordWindowError(ConfigError):
 
 class PhaseBudgetError(NumericalError):
     """The window carries more oscillation phase than the configured
-    budget; direct time-domain integration would be unreliable or
-    unacceptably slow.  Raised by front-end guards, never by the core
-    library."""
+    budget, which the sliced oracle of ``paulpath validate`` could resolve
+    only at unbounded cost.  Raised by that front-end guard, never by the
+    core library."""

@@ -3,10 +3,14 @@
 The unnormalized probability density of observing a record a(t) on one
 axis is |K_a|**2 of that axis' restricted propagator, so in log domain
 
-    log_p = 2 Re log K_a.
+    log_p = 2 Re log K_a,
 
-The transverse and axial motions are independent, which makes the joint
-log-probability of a record pair the plain sum of the per-axis values.
+with log K_a from :func:`~paulpath.propagator.record_scorer`, the closed
+form on the Floquet pair of the axis: no ODE pass and no tolerance, on a
+window of any length.  The transverse and axial motions are independent,
+which makes the joint log-probability of a record pair the plain sum of
+the per-axis values, over one window: :func:`joint_probability` and a
+two-axis :func:`rank_records` refuse factors over different windows.
 Common normalization constants cancel in ratios, so everything here is
 comparative: the ranking helper reports log-odds against the best
 candidate rather than absolute probabilities.
@@ -21,9 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RecordWindowError
-from .integrate import DEFAULT_TOL
-from .propagator import PropagatorInputs, record_scorer, restricted_propagator
+from .propagator import PropagatorInputs, record_scorer
 from .records import MeasurementRecord
+
+#: the time interval (t_start, t_end) a log-probability refers to
+Window = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -36,28 +42,48 @@ class LogProbability:
     """
 
     log_p: float
-    window: Optional[tuple[float, float]] = None
+    window: Optional[Window] = None
 
 
-def probability_x(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> LogProbability:
-    """log_p of the record in ``inputs`` via the transverse pipeline."""
-    res = restricted_propagator(inputs, tol=tol)
-    return LogProbability(
-        log_p=2.0 * res.log_amplitude.real,
-        window=(inputs.bc.t_start, inputs.bc.t_end),
-    )
+def _window(inputs: PropagatorInputs) -> Window:
+    return (inputs.bc.t_start, inputs.bc.t_end)
 
 
-def probability_z(inputs: PropagatorInputs, tol: float = DEFAULT_TOL) -> LogProbability:
+def _joint_window(x: Optional[Window], z: Optional[Window]) -> Optional[Window]:
+    """The window of a joint probability of factors over ``x`` and ``z``
+    (None: untagged), which must be one window when both are tagged.
+
+    Raises
+    ------
+    RecordWindowError
+        If both windows are given and differ.
+    """
+    if x is not None and z is not None and x != z:
+        raise RecordWindowError(
+            f"a joint probability needs one window, but the x window is {x}"
+            f" and the z window {z}"
+        )
+    return x if x is not None else z
+
+
+def probability_x(inputs: PropagatorInputs) -> LogProbability:
+    """log_p = 2 Re log K of the record in ``inputs``, scored by
+    :func:`~paulpath.propagator.record_scorer`, tagged with the window of
+    ``inputs.bc``."""
+    log_k = record_scorer(inputs).log_amplitude(inputs.record)
+    return LogProbability(log_p=2.0 * log_k.real, window=_window(inputs))
+
+
+def probability_z(inputs: PropagatorInputs) -> LogProbability:
     """log_p of the record in ``inputs`` on the axial direction.
 
-    The pipeline is identical to :func:`probability_x`; the axial physics
-    enters entirely through the sign-flipped stiffness coefficients and
-    the axial measurement/boundary data the caller placed in ``inputs``.
-    The function exists so call sites read the same way the two-axis
+    The rule is that of :func:`probability_x`; the axial physics enters
+    entirely through the sign-flipped stiffness coefficients and the
+    axial measurement/boundary data the caller placed in ``inputs``.  The
+    function exists so call sites read the same way the two-axis
     factorization is usually written.
     """
-    return probability_x(inputs, tol=tol)
+    return probability_x(inputs)
 
 
 def joint_probability(px: LogProbability, pz: LogProbability) -> LogProbability:
@@ -67,14 +93,8 @@ def joint_probability(px: LogProbability, pz: LogProbability) -> LogProbability:
     tags differ; a joint probability only makes sense for records that
     cover the same time interval.
     """
-    if px.window is not None and pz.window is not None and px.window != pz.window:
-        raise RecordWindowError(
-            f"cannot combine probabilities over different windows"
-            f" {px.window} and {pz.window}"
-        )
     return LogProbability(
-        log_p=px.log_p + pz.log_p,
-        window=px.window if px.window is not None else pz.window,
+        log_p=px.log_p + pz.log_p, window=_joint_window(px.window, pz.window)
     )
 
 
@@ -154,8 +174,10 @@ def rank_records(
     """Score candidate records and order them by descending log_p.
 
     Each record is scored on the axis of ``x_base`` (and of ``z_base``
-    when given, applying the same candidate to both axes); the record
-    inside a base is not read.  Each axis is solved by
+    when given, applying the same candidate to both axes, whose windows
+    must then be one as in :func:`joint_probability`); the record inside a
+    base is not read.  log_p_x and log_p_z follow the rule of
+    :func:`probability_x`.  Each axis is solved by
     :func:`~paulpath.propagator.record_scorer` in closed form (the
     Floquet pair of the axis: no ODE pass, no tolerance, and no refusal
     for the window's length), once per trap and window across calls, and
@@ -168,7 +190,14 @@ def rank_records(
     is accepted and ignored: the candidates on one grid are scored
     together in one vectorised pass, which leaves a thread pool nothing to
     share out.
+
+    Raises
+    ------
+    RecordWindowError
+        If ``z_base`` is given and its window is not that of ``x_base``.
     """
+    if z_base is not None:
+        _joint_window(_window(x_base), _window(z_base))
     if record_ids is None:
         ids = [f"record_{i}" for i in range(len(records))]
     else:

@@ -259,19 +259,24 @@ def read_record_csv(path: str | Path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
     The grid must be uniform; the header row is mandatory.  A missing or
-    unreadable file is a BadGridError naming its path, as a bad header is.
+    unreadable file is a BadGridError naming its path, as a bad header is
+    and a data row of fewer than two cells, which names its line too.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
     except OSError as exc:
         raise BadGridError(f"cannot read: {exc.strerror or exc}", field=str(path)) from exc
-    if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
+    if not rows or [c.strip() for c in rows[0][1]] != _CSV_HEADER:
         raise BadGridError(
             f"first line must be the header {','.join(_CSV_HEADER)}", field=str(path)
         )
+    for line, row in rows[1:]:
+        if len(row) < 2:
+            raise BadGridError(f"line {line}: need two cells, time and value", field=str(path))
     try:
-        data = np.array([[float(c) for c in row[:2]] for row in rows[1:]], dtype=float)
+        data = np.array([[float(c) for c in row[:2]] for _, row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise BadGridError(f"non-numeric cell: {exc}", field=str(path)) from exc
     if data.shape[0] < 2:

@@ -7,7 +7,8 @@ them need more than the direct routes can give:
 * oracle equivalence on the 30 s monitored window (4b): the effective
   stiffness advances about 3.3e7 rad of phase over 9.5e6 drive periods,
   which the direct integration and the power-of-two lattice cannot
-  reach (the CLI still refuses the window through its phase budget).
+  reach (of the CLI, only ``validate`` still refuses the window, through
+  its sliced oracle's phase budget).
   Both sides use the drive period instead: the record scorer raises its
   one-period map to the power N, and the drive-periodic lattice
   raises its one-period transfer block to the same power.

@@ -217,12 +217,15 @@ def test_non_number_sample_names_the_key(tmp_path, capsys):
     [
         ("  resolution_m: .inf\n\nmeasurement_z", "  resolution_m: -1\n\nmeasurement_z",
          "measurement_x.resolution_m"),
+        # YAML 1.1 reads yes as true, which is not a resolution of 1 m
+        ("  resolution_m: .inf\n\nmeasurement_z", "  resolution_m: yes\n\nmeasurement_z",
+         "measurement_x.resolution_m"),
         ("  t_end_s: {T}\n  resolution_m: .inf\n\nboundary_x".format(T=math.pi),
          "  t_end_s: -1.0\n  resolution_m: .inf\n\nboundary_x", "measurement_z.window"),
         ("  x_end_m: 0.2\n", "  x_end_m: .nan\n", "boundary_x.x_end_m"),
         ("  x_start_m: 0.0\n", "  x_start_m: .inf\n", "boundary_z.x_start_m"),
     ],
-    ids=["resolution", "window", "boundary-x-end", "boundary-z-start"],
+    ids=["resolution", "resolution-yes", "window", "boundary-x-end", "boundary-z-start"],
 )
 def test_domain_errors_name_the_section_and_key(tmp_path, capsys, old, new, field):
     assert old in CONJUGATE_YAML
@@ -252,6 +255,8 @@ def _conjugate_doc(**numerics):
         ("n_samples", math.nan),
         ("n_samples", math.inf),
         ("n_samples", 2.5),
+        ("n_samples", True),
+        ("tol", True),
         ("oracle_n", math.nan),
         ("f_source", "rk4"),
     ],
@@ -522,6 +527,27 @@ def test_mathieu_refuses_negative_samples(capsys):
     rc = cli.main(["mathieu", "--scenario", REFERENCE, "--out", "stdout", "--samples", "-1"])
     assert rc == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_prob_refuses_a_one_column_candidate_file(tmp_path, capsys):
+    bad = tmp_path / "one_column.csv"
+    bad.write_text("time_s,value_m\n0.0\n1.0e-6\n")
+    rc = cli.main(["prob", "--scenario", SHORT, "--out", "stdout", "--records", str(bad)])
+    assert rc == 2
+    assert f"{bad}: line 2: " in capsys.readouterr().err
+
+
+def test_sweep_and_prob_refuse_different_x_and_z_windows(tmp_path, capsys):
+    raw = yaml.safe_load(dump_scenario(load_scenario(SHORT)))
+    raw["measurement_z"]["t_end_s"] = 3.0e-6
+    sc = tmp_path / "windows.scenario"
+    sc.write_text(yaml.safe_dump(raw))
+    errors = []
+    for argv in (["sweep", "--param", "record.amplitude_m", "--values", "0.0,1.0e-6"], ["prob"]):
+        assert cli.main([*argv, "--scenario", str(sc), "--out", "stdout"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "(0.0, 2e-06)" in errors[0] and "(0.0, 3e-06)" in errors[0], errors[0]
 
 
 def test_prob_refuses_a_missing_candidate_file(tmp_path, capsys):

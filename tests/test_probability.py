@@ -23,6 +23,7 @@ from paulpath import (
     richardson,
 )
 from paulpath import integrate, mathieu, propagator
+from paulpath.propagator import record_scorer
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
 
@@ -41,10 +42,12 @@ def _rendered(base, spec, n=257):
 
 def test_log_p_is_twice_the_real_part():
     inputs = _base()
-    res = restricted_propagator(inputs)
     p = probability_x(inputs)
-    assert p.log_p == 2.0 * res.log_amplitude.real
+    assert p.log_p == 2.0 * record_scorer(inputs).log_amplitude(inputs.record).real
     assert p.window == (inputs.bc.t_start, inputs.bc.t_end)
+    # the direct route at a tight tolerance is a check of the rule, not its source
+    direct = 2.0 * restricted_propagator(inputs, tol=1e-13).log_amplitude.real
+    assert abs(p.log_p - direct) <= 1e-10 * abs(direct)
 
 
 def test_parity_flip_leaves_log_p_alone():
@@ -85,6 +88,17 @@ def test_joint_probability_rejects_window_mismatch():
     pz = LogProbability(log_p=-0.7, window=(0.0, 3.0))
     with pytest.raises(RecordWindowError):
         joint_probability(px, pz)
+
+
+def test_two_axis_ranking_rejects_window_mismatch():
+    # the rule of joint_probability, on the bases' windows, before any solve
+    x_base = _base(record=None)
+    z_base = _base(u=-0.4, v=-0.6, T=3.0, record=None)
+    rec = _rendered(x_base, ConstantRecord(amplitude=0.2))
+    with pytest.raises(RecordWindowError, match=r"\(0\.0, 2\.0\).*\(0\.0, 3\.0\)"):
+        rank_records(x_base, [rec], z_base=z_base)
+    with pytest.raises(RecordWindowError):
+        rank_records(x_base, [], z_base=z_base)
 
 
 def test_unmonitored_limit_forgets_the_record():
@@ -243,21 +257,28 @@ def test_ranking_solves_each_axis_once(monkeypatch):
     ranked = rank_records(x_base, records, z_base=z_base)
     assert len(ranked) == 3 and all(math.isfinite(r.log_p) for r in ranked)
     assert rank_records(x_base, []) == []
+    for case in records:
+        assert math.isfinite(probability_x(replace(x_base, record=case)).log_p)
+        assert math.isfinite(probability_z(replace(z_base, record=case)).log_p)
     assert calls == []
 
 
 def test_ranking_scores_a_window_the_direct_route_refuses():
-    # a driven Z-like window where the trajectory pass of the direct
-    # route misses its endpoint check at the default tolerance
+    # a driven Z-like window where the direct route, at its default
+    # tolerance, returns about 3.4e-8 off in Re log K; the record scorer
+    # behind both the ranking and probability_x is not
     inputs = scaled_inputs(
         u=-0.11, v=-1.1, T=50.0, resolution=1.3, x_start=0.3, x_end=-0.5,
         record=SinusoidRecord(0.3, 1.7, 0.2),
     )
     (row,) = rank_records(inputs, [inputs.record])
+    log_p = probability_x(inputs).log_p
     extr, _ = richardson(
         discrete_propagator(inputs, 2**15), discrete_propagator(inputs, 2**16)
     )
     assert abs(0.5 * row.log_p_x - extr.real) < 1e-8
+    assert abs(0.5 * log_p - extr.real) < 1e-8
+    assert log_p == row.log_p_x
 
 
 def test_mixed_grid_ranking_agrees_with_the_oracle():

@@ -2,6 +2,7 @@
 the induced complex forcing, and CSV round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ def test_csv_round_trip(tmp_path):
     path2 = tmp_path / "rec2.csv"
     write_record_csv(rec, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("time_s,value_m\n0.0\n1.0\n", 2),
+        ("time_s,value_m\n# a comment\n0.0,1.0\n1.0\n2.0,1.5\n", 4),
+    ],
+    ids=["one-column", "ragged"],
+)
+def test_csv_names_a_row_of_one_cell(tmp_path, text, line):
+    path = tmp_path / "short_row.csv"
+    path.write_text(text)
+    with pytest.raises(BadGridError, match=re.escape(f"{path}: line {line}: need two cells")):
+        read_record_csv(path)
 
 
 def test_csv_rejects_nonuniform_grid(tmp_path):
