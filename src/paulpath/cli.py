@@ -53,7 +53,13 @@ from .errors import (
 from .integrate import DEFAULT_TOL
 from .mathieu import integrate_mathieu_ode, evaluate_f, mathieu_series
 from .oracle import discrete_propagator, richardson
-from .probability import joint_probability, probability_x, probability_z, rank_records
+from .probability import (
+    _joint_window,
+    joint_probability,
+    probability_x,
+    probability_z,
+    rank_records,
+)
 from .propagator import (
     BoundaryConditions,
     PropagatorInputs,
@@ -581,6 +587,9 @@ def cmd_sweep(args, scenario: Scenario) -> int:
         grids = [[float(v) for v in vl.split(",")] for vl in value_lists]
     except ValueError:
         raise ConfigError("values must be comma-separated numbers", field="--values")
+    # the joint column's window rule, checked once before any output: no
+    # sweepable key moves a window, so every point has the scenario's
+    _joint_window(*((bc.t_start, bc.t_end) for bc in (scenario.boundary_x, scenario.boundary_z)))
 
     def point_scenario(values: tuple[float, ...]) -> Scenario:
         sc = scenario

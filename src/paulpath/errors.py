@@ -43,7 +43,12 @@ class NumericalError(PaulpathError):
 
 
 class ToleranceNotMetError(NumericalError):
-    """An adaptive integrator could not reach the requested tolerance."""
+    """A numerical method could not reach the accuracy its result needs:
+    the adaptive integrator's step fell below the float spacing or spans
+    too much phase, the missed endpoint of a trajectory, the Hill series
+    or Floquet exponent did not converge or its pair is near degenerate,
+    the periodic response or the free particle has no Floquet pair, or
+    the periodic oracle's solutions grow past what it resolves."""
 
 
 class ConjugatePointError(NumericalError):

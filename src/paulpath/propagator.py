@@ -181,14 +181,16 @@ class ClassicalSolution:
 
     ``q``, ``q_dot`` and ``d_function`` (D) sample the solution on
     ``grid``.  Each is built from the passes' dense output the first time
-    it is read, and then kept; a step's interpolant costs 16
-    right-hand-side calls (the step is re-run), and D(t'') alone builds
-    one.  So a result keeps both passes (``_passes``: the trajectory
-    pass, then the basis pass) alive, with their step values and the
-    drive their right-hand sides read: 1.06 MB on the 520-zero window of
-    the benchmark's long-window workload (8712 basis steps, seed 1), of
-    which the basis pass's step values are 0.84 MB and the three grid
-    arrays would take 25 KB.
+    it is read, and then kept; a pass's first read solves its problem
+    again through scipy's ``solve_ivp`` (see
+    :meth:`~paulpath.integrate.ComplexIvpSolution.dense`), and D(t'') is
+    the basis pass's last step value, so building the result reads no
+    interpolant.  So a result keeps both passes (``_passes``: the
+    trajectory pass, then the basis pass) alive, with their step values
+    and the drive their right-hand sides read: 1.06 MB on the 520-zero
+    window of the benchmark's long-window workload (8712 basis steps,
+    seed 1), of which the basis pass's step values are 0.84 MB and the
+    three grid arrays would take 25 KB.
     """
 
     grid: np.ndarray
@@ -311,7 +313,7 @@ def classical_trajectory(
         grid=grid,
         action=complex(traj.y_end[2]),
         forcing_integral=complex(traj.y_end[3]),
-        d_end=basis.dense(grid[-1])[2],
+        d_end=basis.y_end[2],
         d_arg=d_arg,
         _mismatch=float(mismatch),
         _passes=(traj, basis),
@@ -737,8 +739,10 @@ def restricted_propagator(
 
     The determinant input D is reused from the trajectory solve (D is
     its h1 basis solution), so no extra integration runs.  Only D(t'')
-    is read, which builds one interpolant; the result's grid arrays are
-    built when read (see :class:`ClassicalSolution`).
+    is read, the basis pass's last step value, so no interpolant is
+    built; the result's grid arrays are built when read (see
+    :class:`ClassicalSolution`), by solving each pass again, which the
+    right-hand sides allow because they are pure functions of (t, y).
     """
     _check_windows_consistent(inputs.bc, inputs.meas)
     spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)

@@ -260,7 +260,7 @@ def read_record_csv(path: str | Path) -> MeasurementRecord:
 
     The grid must be uniform; the header row is mandatory.  A missing or
     unreadable file is a BadGridError naming its path, as a bad header is
-    and a data row of fewer than two cells, which names its line too.
+    and a data row of other than two cells, which names its line too.
     """
     try:
         with open(path, newline="") as fh:
@@ -273,10 +273,10 @@ def read_record_csv(path: str | Path) -> MeasurementRecord:
             f"first line must be the header {','.join(_CSV_HEADER)}", field=str(path)
         )
     for line, row in rows[1:]:
-        if len(row) < 2:
+        if len(row) != 2:
             raise BadGridError(f"line {line}: need two cells, time and value", field=str(path))
     try:
-        data = np.array([[float(c) for c in row[:2]] for _, row in rows[1:]], dtype=float)
+        data = np.array([[float(c) for c in row] for _, row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise BadGridError(f"non-numeric cell: {exc}", field=str(path)) from exc
     if data.shape[0] < 2:

@@ -543,10 +543,14 @@ def test_sweep_and_prob_refuse_different_x_and_z_windows(tmp_path, capsys):
     sc = tmp_path / "windows.scenario"
     sc.write_text(yaml.safe_dump(raw))
     errors = []
-    for argv in (["sweep", "--param", "record.amplitude_m", "--values", "0.0,1.0e-6"], ["prob"]):
+    for argv in (
+        ["sweep", "--param", "record.amplitude_m", "--values", "0.0,1.0e-6"], ["sweep"], ["prob"]
+    ):
         assert cli.main([*argv, "--scenario", str(sc), "--out", "stdout"]) == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        errors.append(err)
+    assert errors[0] == errors[1] == errors[2]
     assert "(0.0, 2e-06)" in errors[0] and "(0.0, 3e-06)" in errors[0], errors[0]
 
 
@@ -646,19 +650,22 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.exists()
 
 
-def _runs_without_scipy_integrate(tmp_path, command, *extra):
-    """Run ``paulpath <command> <extra>`` on the short window in a fresh
-    process and check that scipy.integrate and scipy.linalg are loaded
-    neither by the import nor by the run."""
+def _runs_without_scipy_integrate(tmp_path, command, *extra, scenario=SHORT, allow_linalg=False):
+    """Run ``paulpath <command> <extra>`` on ``scenario`` (the short window)
+    in a fresh process and check that scipy.integrate, and scipy.linalg
+    unless ``allow_linalg``, are loaded neither by the import nor by the
+    run."""
     out = tmp_path / f"{command}.csv"
+    refused = ("scipy.integrate",) + (() if allow_linalg else ("scipy.linalg",))
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "import paulpath.cli\n"
-        "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]\n"
+        f"loaded = lambda: [m for m in {refused!r} if m in sys.modules]\n"
         "assert not loaded(), ('import', loaded())\n"
-        f"argv = [{command!r}, '--scenario', {SHORT!r}, '--out', {str(out)!r}, *{extra!r}]\n"
+        f"argv = [{command!r}, '--scenario', {str(scenario)!r}, '--out', {str(out)!r},"
+        f" *{extra!r}]\n"
         "code = paulpath.cli.main(argv)\n"
         "assert code == 0, code\n"
         f"assert not loaded(), ({command!r}, loaded())\n"
@@ -688,3 +695,17 @@ def test_sweep_runs_without_importing_the_adaptive_integrator(tmp_path):
     _runs_without_scipy_integrate(
         tmp_path, "sweep", "--param", "record.amplitude_m", "--values", "0.0"
     )
+
+
+def test_validate_runs_without_importing_the_adaptive_integrator(tmp_path):
+    # the sliced oracle loads scipy.linalg for its banded solves
+    _runs_without_scipy_integrate(tmp_path, "validate", allow_linalg=True)
+
+
+def test_mathieu_series_runs_without_importing_the_adaptive_integrator(tmp_path):
+    # only the ODE column (f_source: ode) solves an initial value problem
+    raw = yaml.safe_load(dump_scenario(load_scenario(SHORT)))
+    raw["numerics"]["f_source"] = "series"
+    sc = tmp_path / "series.scenario"
+    sc.write_text(yaml.safe_dump(raw))
+    _runs_without_scipy_integrate(tmp_path, "mathieu", scenario=sc)

@@ -672,13 +672,13 @@ def test_grid_is_built_on_first_read(case):
     inputs = _LAZY_GRID_CASES[case]()
     sol = restricted_propagator(inputs).classical
     traj, basis = sol._passes
-    # rhs_evals: 2 to start, 12 per step attempt, 16 per interpolant built;
-    # the pipeline read D(t'') alone, one interpolant of the basis pass
+    # rhs_evals: 2 to start, 12 per step attempt; the pipeline read D(t'')
+    # from the step values, so neither pass has solved for its dense output
     assert traj.rhs_evals == 2 + 12 * (traj.steps + traj.rejected)
-    assert basis.rhs_evals == 2 + 12 * (basis.steps + basis.rejected) + 16
-    # reading the grid builds the interpolants it reads
+    assert basis.rhs_evals == 2 + 12 * (basis.steps + basis.rejected)
+    # reading the grid solves for the dense output of the pass it reads
     assert sol.d_function[-1].tobytes() == np.complex128(sol.d_end).tobytes()
-    assert basis.rhs_evals > 2 + 12 * (basis.steps + basis.rejected) + 16
+    assert basis.rhs_evals > 2 + 12 * (basis.steps + basis.rejected)
     assert sol.q.size == sol.grid.size
     assert traj.rhs_evals > 2 + 12 * (traj.steps + traj.rejected)
     built = (traj.rhs_evals, basis.rhs_evals)
@@ -692,6 +692,14 @@ def test_grid_is_built_on_first_read(case):
     # a second read builds nothing and gives the kept array
     assert sol.q is sol.q and sol.d_function is sol.d_function
     assert (traj.rhs_evals, basis.rhs_evals) == built
+
+
+@pytest.mark.parametrize("case", list(_LAZY_GRID_CASES))
+def test_dense_output_interpolates_the_steps_of_the_solve(case):
+    sol = restricted_propagator(_LAZY_GRID_CASES[case]()).classical
+    sol.q, sol.d_function
+    for ivp in sol._passes:
+        assert np.array_equal(ivp._interpolant.ts, ivp.t)
 
 
 def test_a_kept_result_holds_the_step_values_only():

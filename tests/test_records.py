@@ -191,8 +191,9 @@ def test_csv_round_trip(tmp_path):
     [
         ("time_s,value_m\n0.0\n1.0\n", 2),
         ("time_s,value_m\n# a comment\n0.0,1.0\n1.0\n2.0,1.5\n", 4),
+        ("time_s,value_m\n0.0,1.0,7\n1.0,2.0\n", 2),
     ],
-    ids=["one-column", "ragged"],
+    ids=["one-column", "ragged", "three-cells"],
 )
 def test_csv_names_a_row_of_one_cell(tmp_path, text, line):
     path = tmp_path / "short_row.csv"
