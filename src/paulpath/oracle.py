@@ -36,16 +36,25 @@ the last line being the record-norm weight at the same midpoints.  All
 per-pivot logs are principal; the pivot product is never formed.  The
 minors, and then b^T P^{-1} b, come from compiled banded triangular
 solves (BLAS ``ztbsv``) over chunks of fixed length (``_CHUNK``), so no
-per-slice Python loop runs.  Each chunk samples w2 and the record at its
-own midpoints and writes its increments and b into reused buffers, so no
-array the length of the lattice is formed and a call's working memory is
-O(``_CHUNK``) at any N (~1.1 MB traced from 2^16 to 2^20 slices).  The
-entries 2 - e_j are never formed, so e_j ~ eps^2 keeps all its digits
-on fine lattices.  b^T P^{-1} b, which carries no branch, reuses the
-same pivots: P = (m/eps) L D L^T with D = diag(delta_j), so it is the
-forward substitution of the Thomas recurrence, with a tiny pivot and the
-next one taken as a 2x2 block (within ~3e-11 of a long-double solve
-in log K at 2^20 slices on the benchmark's validate-ladder scenarios).
+per-slice Python loop runs.  Each chunk writes its increments and b into
+reused buffers.  With w2 = u~ - v cos(omega t), the midpoint cosines of
+e_j add up to one at the node tau_j between them:
+e_j = eps^2 u~ - eps^2 v cos(omega eps/2) cos(omega tau_j).  The chunk
+takes cos(omega tau_j) as the real part of e^{i omega t_lo}, its first
+midpoint's phase, times one table of e^{i (k + 1/2) omega eps},
+k < ``_CHUNK``, built once per call: no cosine is taken per slice and no
+complex temporary is formed, and Im e_j = eps^2 Im u~ is written once.
+The record is read at the same midpoints, and b_j is imaginary but for
+the boundary terms.  No array the length of the lattice is formed, and a
+call's working memory is O(``_CHUNK``) at any N (~1.1 MB traced from
+2^16 to 2^20 slices, the 0.13 MB of tables and scratch included).  The
+entries 2 - e_j are never formed, so e_j ~ eps^2 keeps all its digits on
+fine lattices.
+b^T P^{-1} b, which carries no branch, reuses the same pivots:
+P = (m/eps) L D L^T with D = diag(delta_j), so it is the forward
+substitution of the Thomas recurrence, with a tiny pivot and the next
+one taken as a 2x2 block (within ~3e-11 of a long-double solve in log K
+at 2^20 slices on the benchmark's validate-ladder scenarios).
 
 :func:`periodic_propagator` evaluates the same integral on a lattice
 tied to the drive period, for windows of millions of periods.
@@ -70,12 +79,13 @@ _PIVOT_RTOL = 1e-12
 
 #: pivots per chunk of the elimination; it bounds the elimination's
 #: working memory at any lattice size (~1.1 MB traced at 2^16 slices).
-#: Interleaved in one process on validate-ladder scenarios, the ladder
-#: of 2^12..2^16 slices ran fastest at 4096: 2-5% slower at 8192 (2.2 MB),
-#: 10-14% slower at 16384 (4.2 MB) and 9-11% slower at 2048, where the
-#: per-run Python work starts to show (first quartiles of two runs).
-#: The pivot-log and quadratic-form sums are taken per chunk, so the
-#: chunk length moves a longer lattice's value by rounding units
+#: Interleaved in one process on validate-ladder scenarios (three seeds,
+#: 45 passes each), the ladder of 2^12..2^16 slices ran at 4096 as fast
+#: as at 8192 (2.2 MB) or faster: fastest passes 1-8% and medians 0-2%
+#: apart, 82 of 135 passes to 4096; at 2048, where the per-chunk Python
+#: work starts to show, medians were 9-13% slower (112 of 135 passes to
+#: 4096).  The pivot-log and quadratic-form sums are taken per chunk, so
+#: the chunk length moves a longer lattice's value by rounding units
 _CHUNK = 4096
 
 #: a pivot below this magnitude is eliminated together with the next one
@@ -122,7 +132,10 @@ class SlicedLattice:
 
     def midpoints_between(self, lo: int, hi: int) -> np.ndarray:
         """The midpoints of slices lo..hi-1 (numbered from 0)."""
-        return self.t_start + (np.arange(lo, hi) + 0.5) * self.epsilon
+        ts = np.arange(lo + 0.5, hi, 1.0)  # (j + 0.5), exact
+        ts *= self.epsilon
+        ts += self.t_start
+        return ts
 
 
 def _eliminate(inc: np.ndarray, b: np.ndarray):
@@ -162,8 +175,11 @@ def _scan(n: int, fill):
     ``fill(lo, hi, e, b)`` writes the increments e_j and the entries b_j
     of pivots lo + 1..hi into ``e`` and ``b``, views of the buffers that
     every chunk reuses, so the elimination's working memory is
-    O(``_CHUNK``) at any n.  The chunk's pivots are eliminated in runs,
-    each a pair of compiled banded triangular solves (BLAS ``ztbsv``):
+    O(``_CHUNK``) at any n.  The elimination overwrites ``b`` and only
+    reads ``e``, so a part of e_j that is the same in every chunk need
+    only be written in the first, which is the longest.  The chunk's
+    pivots are eliminated in runs, each a pair of compiled banded
+    triangular solves (BLAS ``ztbsv``):
 
     1. the leading minors p_j of Q, in increment form: unknowns
        (s_a, p_a, s_{a+1}, p_{a+1}, ...) of a unit lower band of width 2,
@@ -279,16 +295,37 @@ def _scan(n: int, fill):
     return complex(log_mod, log_arg), complex(quad)
 
 
+def _rotation_table(start: float, step: float, size: int):
+    """cos and sin of start + k step for k = 0..size - 1.
+
+    Entry k = 64 q + r is the product of e^{i (start + r step)}, r < 64,
+    and e^{i 64 q step}: two short tables of exponentials joined by one outer
+    product, a few rounding units off the exponential of each angle at a
+    fraction of its cost.
+    """
+    fine = np.exp(1j * (start + step * np.arange(64)))
+    coarse = np.exp(1j * (64.0 * step) * np.arange(-(-size // 64)))
+    table = np.multiply.outer(coarse, fine).ravel()[:size]
+    return table.real.copy(), table.imag.copy()
+
+
 def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
     """Log-amplitude of the sliced restricted propagator.
 
     w2, F and the record are read at the slice midpoints (the O(eps**2)
     rule of the module docstring).  The set-up is streamed: each chunk of
-    pivots samples its own midpoints and writes its increments and b
-    straight into the elimination's buffers (see :func:`_scan`), so no
-    array the length of the lattice is formed and the call's working
-    memory is O(``_CHUNK``) at any N (``_CHUNK`` says how its length was
-    chosen).  The record norm sum_k a_k^2 is
+    pivots writes its increments and b straight into the elimination's
+    buffers (see :func:`_scan`).  The drive's cosines at a chunk's nodes
+    t_lo + (k + 1/2) eps, halfway between its midpoints, are
+    cos(omega t_lo) and sin(omega t_lo) rotating one table of
+    e^{i (k + 1/2) omega eps}, which :func:`_rotation_table` builds once
+    per call for k < min(N - 1, ``_CHUNK``); the increments are real
+    products and sums written into the real parts of the band entries,
+    b is the record's real pair sums written into the imaginary parts,
+    and the record is read through ``inputs.record`` at the chunk's
+    midpoints.  So no array the length of the lattice is formed and the
+    call's working memory is O(``_CHUNK``) at any N (``_CHUNK`` says how
+    its length was chosen); nothing is kept from call to call.  The record norm sum_k a_k^2 is
     summed chunk by chunk, which may move it by a rounding unit from a
     sum over all N samples at once; a lattice of at most ``_CHUNK`` + 1
     slices is one chunk and sums it at once.
@@ -309,27 +346,46 @@ def discrete_propagator(inputs: PropagatorInputs, n_slices: int) -> complex:
     m, hbar = params.mass, params.hbar
     eps = lat.epsilon
     spec = effective_frequency(inputs.coeffs, inputs.meas, params)
+    omega, v, u_tilde = spec.drive_omega, spec.v, spec.u_tilde
     force = -1j * record_forcing_scale(inputs.meas, params)  # F_k = force * a_k
-    inc_scale, b_scale = 0.5 * eps**2, 0.5 * eps * force
+    # e_j = (eps^2/2)(w_{j-1} + w_j) with w = u~ - v cos(omega t) at the
+    # midpoints t_{j-1}, t_j; the cosines add up to 2 cos(omega eps/2)
+    # cos(omega tau_j) at the node tau_j between them, so
+    # e_j = eps^2 u~ + amp cos(omega tau_j), amp = -eps^2 v cos(omega eps/2),
+    # whose imaginary part eps^2 Im u~ is the same for every j
+    amp = -(eps**2) * v * math.cos(0.5 * omega * eps)
+    inc_re, inc_im = eps**2 * u_tilde.real, eps**2 * u_tilde.imag
+    b_im = 0.5 * eps * force.imag  # b_j = (eps/2) force (a_{j-1} + a_j) is imaginary
     xa, xb = inputs.bc.x_start, inputs.bc.x_end
     last = n_slices - 1
+    # a chunk of pivots lo + 1..hi couples the midpoints lo..hi; its nodes
+    # sit at the first midpoint's phase plus (k + 1/2) omega eps, k < hi - lo
+    node_cos, node_sin = _rotation_table(0.5 * omega * eps, omega * eps, min(last, _CHUNK))
+    terms, scratch = np.empty_like(node_cos), np.empty_like(node_cos)
     ends = {}  # w and a at the first and the last midpoint
     norms = []  # sum_k a_k^2, chunk by chunk
 
     def fill(lo, hi, inc, b):
-        # pivots lo + 1..hi couple the midpoints lo..hi
         ts = lat.midpoints_between(lo, hi + 1)
-        w = spec.w_squared(ts)
+        c = hi - lo
+        phase = omega * ts[0]
+        # Re e_j: the chunk's phase rotates the node table
+        re, tmp = terms[:c], scratch[:c]
+        np.multiply(node_cos[:c], amp * math.cos(phase), out=re)
+        re += inc_re
+        np.multiply(node_sin[:c], amp * math.sin(phase), out=tmp)
+        np.subtract(re, tmp, out=inc.real)
         a = inputs.record(ts)
-        np.add(w[:-1], w[1:], out=inc)
-        inc *= inc_scale
-        np.add(a[:-1], a[1:], out=b)
-        b *= b_scale
+        np.add(a[:-1], a[1:], out=tmp)
+        np.multiply(tmp, b_im, out=b.imag)
+        b.real = 0.0
         if lo == 0:
-            ends["first"] = w[0], a[0]
+            # the first chunk is the longest, and the scan only reads e
+            inc.imag = inc_im
+            ends["first"] = u_tilde - v * math.cos(phase), a[0]
             b[0] -= (m / eps) * xa
         if hi == last:
-            ends["last"] = w[-1], a[-1]
+            ends["last"] = u_tilde - v * math.cos(omega * ts[-1]), a[-1]
             b[-1] -= (m / eps) * xb
         else:
             a = a[:-1]  # midpoint hi is the next chunk's first

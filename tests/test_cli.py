@@ -14,7 +14,9 @@ import pytest
 import yaml
 
 from paulpath import (
-    HBAR_SI, Axis, ConfigError, cli, record_scorer, render, restricted_propagator,
+    HBAR_SI, Axis, ConfigError, cli, derive_frequency_coefficients, dimensionless,
+    effective_frequency, evaluate_f, mathieu_series, record_scorer, render,
+    restricted_propagator,
 )
 from paulpath.cli import Numerics, axis_inputs, build_scenario, dump_scenario, load_scenario
 from paulpath.propagator import fold_phase
@@ -379,6 +381,42 @@ def test_validate_rejects_bad_levels(capsys):
         assert "--levels" in capsys.readouterr().err, levels
 
 
+def test_propagate_prints_to_stdout_the_bytes_it_writes_to_a_file(tmp_path, capsysbinary):
+    out = tmp_path / "prop.csv"
+    assert cli.main(["propagate", "--scenario", SHORT, "--out", str(out)]) == 0
+    assert cli.main(["propagate", "--scenario", SHORT, "--out", "stdout"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed and printed == out.read_bytes()
+
+
+def test_an_infinite_resolution_written_inf_turns_the_measurement_off(tmp_path, monkeypatch):
+    # "inf" is a YAML string (".inf" would be a float): the scenario reader
+    # takes it as math.inf, so the record term is zero and prob scores the
+    # library's measurement-off value
+    text = cli._resolve_scenario_path(SHORT).read_text()
+    text = text.replace("resolution_m: 2.0e-6", "resolution_m: inf")
+    assert yaml.safe_load(text)["measurement_x"]["resolution_m"] == "inf"
+    path = tmp_path / "off.scenario"
+    path.write_text(text)
+    scenario = load_scenario(str(path))
+    assert scenario.measurement_x.resolution == math.inf
+    assert scenario.measurement_z.resolution == math.inf
+    off = load_scenario(SHORT)
+    off = dataclasses.replace(
+        off,
+        measurement_x=dataclasses.replace(off.measurement_x, resolution=math.inf),
+        measurement_z=dataclasses.replace(off.measurement_z, resolution=math.inf),
+    )
+    code, rows = _written(monkeypatch, ["propagate", "--scenario", str(path)])
+    assert code == 0 and [row["record_term"] for row in rows] == [0.0, 0.0]
+    code, (row,) = _written(monkeypatch, ["prob", "--scenario", str(path)])
+    assert code == 0
+    x_off = axis_inputs(off, Axis.X)
+    (log_k,), (record_term,), _ = record_scorer(x_off).parts([x_off.record])
+    assert record_term == 0.0
+    assert row["log_p_x"] == 2.0 * log_k.real
+
+
 def test_prob_scenario_candidate(tmp_path):
     out = tmp_path / "prob.csv"
     rc = cli.main(["prob", "--scenario", SHORT, "--out", str(out)])
@@ -513,6 +551,28 @@ def test_mathieu_refuses_an_empty_or_non_finite_span(t_max, capsys, tmp_path):
         assert rc == 2
         err = capsys.readouterr().err
         assert "span" in err and "--t-max" in err
+
+
+def test_mathieu_series_column_is_the_library_series(tmp_path, monkeypatch):
+    # f_source: series writes evaluate_f on a uniform grid of the span
+    scenario = load_scenario(REFERENCE)
+    series = dataclasses.replace(
+        scenario, numerics=dataclasses.replace(scenario.numerics, f_source="series")
+    )
+    path = tmp_path / "series.scenario"
+    path.write_text(dump_scenario(series))
+    argv = [
+        "mathieu", "--scenario", str(path), "--n-terms", "3", "--t-max", "2.5", "--samples", "33",
+    ]
+    code, rows = _written(monkeypatch, argv)
+    assert code == 0
+    spec = effective_frequency(
+        derive_frequency_coefficients(series.trap, Axis.X), series.measurement_x, series.trap
+    )
+    t = np.linspace(0.0, 2.5, 33)
+    f = evaluate_f(mathieu_series(dimensionless(spec), n_terms=3), t)
+    assert [row["t_tilde"] for row in rows] == t.tolist()
+    assert [complex(row["f_re"], row["f_im"]) for row in rows] == np.asarray(f).tolist()
 
 
 def test_mathieu_runs_backward(tmp_path):

@@ -426,6 +426,52 @@ def test_sliced_lattice_memory_does_not_grow_with_the_slices():
     assert peaks[1] <= 2 * peaks[0]
 
 
+def _lattice_log_amplitude(inputs, n):
+    """log K of the sliced lattice formed whole: w2 from
+    ``spec.w_squared(lat.midpoints)``, the record at the same midpoints,
+    the increments and b handed to :func:`_eliminate`."""
+    lat = SlicedLattice(inputs.bc.t_start, inputs.bc.t_end, n)
+    m, hbar, eps = inputs.params.mass, inputs.params.hbar, lat.epsilon
+    xa, xb = inputs.bc.x_start, inputs.bc.x_end
+    w = effective_frequency(inputs.coeffs, inputs.meas, inputs.params).w_squared(lat.midpoints)
+    a = inputs.record(lat.midpoints)
+    force = -1j * record_forcing_scale(inputs.meas, inputs.params)
+    b = (0.5 * eps * force) * (a[:-1] + a[1:])
+    b[0] -= (m / eps) * xa
+    b[-1] -= (m / eps) * xb
+    log_sum, quad = _eliminate((w[:-1] + w[1:]) * (0.5 * eps**2), b)
+    c = (
+        m / (2.0 * eps) * (xa**2 + xb**2)
+        - eps * (m / 4.0) * (w[0] * xa**2 + w[-1] * xb**2)
+        + (eps / 2.0) * force * (a[0] * xa + a[-1] * xb)
+    )
+    return (
+        0.5 * cmath.log(m / (2j * math.pi * hbar * eps))
+        - 0.5 * log_sum
+        + 1j * c / hbar
+        - 0.5j * (eps / m) * quad / hbar
+        - inputs.meas.weight_rate * eps * float(np.dot(a, a))
+    )
+
+
+def test_sliced_lattice_keeps_the_drive_phase_far_from_time_zero():
+    # a window 1e4 drive periods after t = 0, where omega t ~ 6e4 rad: the
+    # chunks' rotations of the increment table keep the phase of the
+    # cosine that w2 at each midpoint has
+    base = _driven_inputs()
+    t0 = 1e4 * 2.0 * math.pi / base.params.drive_omega
+    meas = replace(base.meas, t_start=t0, t_end=t0 + base.meas.duration)
+    inputs = replace(
+        base, meas=meas, bc=replace(base.bc, t_start=meas.t_start, t_end=meas.t_end),
+        record=render(SinusoidRecord(amplitude=0.4, omega=1.7, phase=0.3), meas, n_samples=513),
+    )
+    n = 4 * _CHUNK
+    lattice = [_lattice_log_amplitude(inputs, k) for k in (n, 2 * n)]
+    _, err_est = richardson(*lattice)
+    for k, expected in zip((n, 2 * n), lattice):
+        assert abs(discrete_propagator(inputs, k) - expected) <= 1e-2 * err_est, k
+
+
 # --- inputs the pipeline refuses ------------------------------------------
 
 

@@ -41,7 +41,7 @@ from paulpath import (
     restricted_propagator,
     richardson,
 )
-from paulpath import integrate, mathieu, propagator
+from paulpath import cli, integrate, mathieu, propagator
 from paulpath.cli import axis_inputs, load_scenario
 from paulpath.records import ConstantRecord, SampledRecord, SinusoidRecord
 
@@ -757,6 +757,28 @@ def test_record_scorer_exposes_its_floquet_diagnostics():
     assert basis.harmonics == basis.coefficients.size == 17
     assert basis.tail <= np.finfo(float).eps
     assert basis.wronskian_residual <= 1e-10
+
+
+@pytest.mark.parametrize("n_periods", [1, 2])
+def test_record_scorer_deepens_the_hill_series_on_a_strong_drive(n_periods):
+    # u~ = 20 - 0.5i, v = 40, w = 1 (Mathieu q = 80): the continued
+    # fractions do not reach rounding at their first depth and are doubled,
+    # and the pair keeps 22 harmonics a side
+    T = 2.0 * math.pi * n_periods
+    inputs = scaled_inputs(
+        u=20.0, v=40.0, T=T, omega=1.0, resolution=math.sqrt(8.0 / T),
+        x_start=0.3, x_end=-0.2, record=SinusoidRecord(0.2, 1.3, 0.4), n_samples=513,
+    )
+    spec = effective_frequency(inputs.coeffs, inputs.meas, inputs.params)
+    assert spec.u_tilde == pytest.approx(20.0 - 0.5j, rel=1e-15)
+    scorer = record_scorer(inputs)
+    assert scorer.basis.harmonics > 2 * mathieu._FIRST_DEPTH + 1
+    log_k = scorer.log_amplitude(inputs.record)
+    extr, _ = richardson(
+        discrete_propagator(inputs, 2**14), discrete_propagator(inputs, 2**15)
+    )
+    assert abs(log_k.real - extr.real) <= cli.VALIDATE_LOGMOD_RTOL * abs(extr.real)
+    assert abs(log_k.imag - extr.imag) <= cli.VALIDATE_PHASE_ATOL
 
 
 def test_record_scorer_refuses_a_record_off_the_window():
