@@ -187,10 +187,10 @@ class ClassicalSolution:
     the basis pass's last step value, so building the result reads no
     interpolant.  So a result keeps both passes (``_passes``: the
     trajectory pass, then the basis pass) alive, with their step values
-    and the drive their right-hand sides read: 1.06 MB on the 520-zero
-    window of the benchmark's long-window workload (8712 basis steps,
-    seed 1), of which the basis pass's step values are 0.84 MB and the
-    three grid arrays would take 25 KB.
+    and, on a driven window, the drive rule their right-hand sides read:
+    1.02 MB on the longest window of the benchmark's long-window workload
+    (undriven, 9698 basis steps, seed 1), of which the basis pass's step
+    values are 0.93 MB and the three grid arrays would take 25 KB.
     """
 
     grid: np.ndarray
@@ -244,6 +244,12 @@ def classical_trajectory(
     returned action carries the integrator tolerance rather than a
     quadrature error.
 
+    Both right-hand sides read F through the drive's scalar rule, built
+    once per call, except on an undriven window (every sample of
+    ``drive`` zero: a zero record, or the measurement off), where the F
+    terms drop out and no rule is built.  Adding a zero F changes no
+    value, so the passes take the same steps either way.
+
     Raises
     ------
     ConjugatePointError
@@ -262,16 +268,18 @@ def classical_trajectory(
     x_scale = max(abs(bc.x_start), abs(bc.x_end), f_max / (m * rate * rate), 1e-30)
 
     # the right-hand sides are the passes' per-stage cost: w2 is
-    # spec.w_squared's scalar expression inline, F the drive's scalar rule,
-    # and a list is the cheapest return
+    # spec.w_squared's scalar expression inline, F the drive's scalar rule
+    # (none on an undriven window; a NaN sample counts as driven), and a
+    # list is the cheapest return
     u_tilde, v, omega, cos = spec.u_tilde, spec.v, spec.drive_omega, math.cos
-    drive_at = drive.scalar_rule()
+    drive_at = drive.scalar_rule() if drive.values.any() else None
 
     def rhs_basis(t, y):
         w2 = u_tilde - v * cos(omega * t)
-        f = drive_at(t)
         h0, dh0, h1, dh1, p, dp = y.tolist()
-        return [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + f / m]
+        if drive_at is None:
+            return [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p]
+        return [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + drive_at(t) / m]
 
     init = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex)
     scales = np.array(
@@ -287,10 +295,12 @@ def classical_trajectory(
 
     def rhs_traj(t, y):
         w2 = u_tilde - v * cos(omega * t)
-        f = drive_at(t)
         q, dq, _, _ = y.tolist()
-        lagr = 0.5 * m * dq * dq - 0.5 * m * w2 * q * q + f * q
-        return [dq, -w2 * q + f / m, lagr, f * q]
+        lagr = 0.5 * m * dq * dq - 0.5 * m * w2 * q * q
+        if drive_at is None:
+            return [dq, -w2 * q, lagr, 0j]
+        f = drive_at(t)
+        return [dq, -w2 * q + f / m, lagr + f * q, f * q]
 
     q_scale = max(x_scale, abs(c) * min(T, 1.0 / rate))
     s_scale = max(m * q_scale**2 * rate, 1e-60)
@@ -757,7 +767,8 @@ def _result(
     inputs: PropagatorInputs, sol: ClassicalSolution, track: PrefactorTrack
 ) -> PropagatorResult:
     """Add the record, action and prefactor terms of one axis."""
-    record_term = -inputs.meas.weight_rate * record_norm_integral(inputs.record)
+    # 0.0 - x is -x for every nonzero x, and +0.0 where the rate is zero
+    record_term = 0.0 - inputs.meas.weight_rate * record_norm_integral(inputs.record)
     action_term = 1j * sol.action / inputs.params.hbar
     return PropagatorResult(
         log_amplitude=record_term + action_term + track.log_value,
@@ -1095,7 +1106,7 @@ class RecordScorer:
         edges, plus, minus = self._boundary[1:].T @ terms[:6] + self._boundary[0, :, None]
         order = [i for members in groups.values() for i in members]
         record_terms, actions = np.empty(len(records)), np.empty(len(records), dtype=complex)
-        record_terms[order] = -meas.weight_rate * np.concatenate(norms)
+        record_terms[order] = 0.0 - meas.weight_rate * np.concatenate(norms)
         actions[order] = edges + 0.5 * (terms[6] + plus * terms[7] + minus * terms[8])
         log_k = record_terms + 1j * actions / params.hbar + self.prefactor.log_value
         return log_k, record_terms, actions

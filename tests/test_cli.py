@@ -407,6 +407,11 @@ def test_an_infinite_resolution_written_inf_turns_the_measurement_off(tmp_path, 
         measurement_x=dataclasses.replace(off.measurement_x, resolution=math.inf),
         measurement_z=dataclasses.replace(off.measurement_z, resolution=math.inf),
     )
+    # the zero record term is written +0: a zero rate times the norm
+    # would give -0.0 when negated
+    out = tmp_path / "off.csv"
+    assert cli.main(["propagate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert b"-0.000000000000e+00" not in out.read_bytes()
     code, rows = _written(monkeypatch, ["propagate", "--scenario", str(path)])
     assert code == 0 and [row["record_term"] for row in rows] == [0.0, 0.0]
     code, (row,) = _written(monkeypatch, ["prob", "--scenario", str(path)])

@@ -148,6 +148,68 @@ def test_a_drive_not_finite_at_the_start_is_refused(monkeypatch):
     assert any(math.isnan(t) for t in times)
 
 
+@pytest.mark.parametrize("case", ["zero-record", "measurement-off"])
+def test_an_undriven_window_builds_no_drive_rule(monkeypatch, case):
+    # a zero record, and a nonzero one with the measurement off, give a
+    # zero drive: no scalar rule is built and the F terms drop out, and both
+    # passes take the steps and values of passes whose right-hand sides
+    # read F through the rule
+    from paulpath.records import forcing as record_forcing
+
+    record, resolution = {
+        "zero-record": (ConstantRecord(amplitude=0.0), 1.0),
+        "measurement-off": (SinusoidRecord(amplitude=0.4, omega=1.3, phase=0.2), math.inf),
+    }[case]
+    inputs = scaled_inputs(
+        u=0.11, v=1.1, T=6.5 * math.pi, resolution=resolution, x_start=0.3, x_end=-0.5,
+        record=record,
+    )
+    params, bc = inputs.params, inputs.bc
+    spec = effective_frequency(inputs.coeffs, inputs.meas, params)
+    drive = record_forcing(inputs.record, inputs.meas, params)
+    assert not drive.values.any()
+    m, drive_at = params.mass, drive.scalar_rule()
+    u_tilde, v, omega = spec.u_tilde, spec.v, spec.drive_omega
+
+    def rhs_basis(t, y):
+        w2 = u_tilde - v * math.cos(omega * t)
+        f = drive_at(t)
+        h0, dh0, h1, dh1, p, dp = y.tolist()
+        return [dh0, -w2 * h0, dh1, -w2 * h1, dp, -w2 * p + f / m]
+
+    def rhs_traj(t, y):
+        w2 = u_tilde - v * math.cos(omega * t)
+        f = drive_at(t)
+        q, dq, _, _ = y.tolist()
+        lagr = 0.5 * m * dq * dq - 0.5 * m * w2 * q * q + f * q
+        return [dq, -w2 * q + f / m, lagr, f * q]
+
+    solves = []
+
+    def recorded(rhs, span, y0, rtol, atol):
+        solves.append((span, y0.copy(), rtol, atol))
+        return integrate.solve_complex_ivp(rhs, span, y0, rtol, atol)
+
+    def refused(self):
+        raise AssertionError("an undriven window built the drive's scalar rule")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "solve_complex_ivp", recorded)
+        patch.setattr(Forcing, "scalar_rule", refused)
+        sol = classical_trajectory(spec, drive, bc, params)
+    traj, basis = sol._passes
+    ref_basis, ref_traj = (
+        integrate.solve_complex_ivp(rhs, *args)
+        for rhs, args in zip((rhs_basis, rhs_traj), solves, strict=True)
+    )
+    for ivp, ref in ((basis, ref_basis), (traj, ref_traj)):
+        assert np.array_equal(ivp.t, ref.t) and np.array_equal(ivp.y, ref.y)
+    rate = max(math.sqrt(spec.peak_stiffness(bc.t_start, bc.t_end)), 1.0 / bc.duration)
+    assert sol.d_end == ref_basis.y_end[2]
+    assert sol.d_arg == propagator._step_arg(ref_basis.t, ref_basis.y[2], rate)
+    assert sol.action == ref_traj.y_end[2]
+
+
 def test_action_quadrature_agrees_with_boundary_formula():
     inputs = scaled_inputs(
         u=0.4, v=0.5, T=2.2, resolution=1.3, x_start=0.3, x_end=-0.5,
